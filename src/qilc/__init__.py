@@ -20,7 +20,7 @@ from .frontend import ParseError, TypeCheckError, parse, typecheck
 from .interp import run, trace
 from .relation import INT, TEXT, OrderedRelation, Schema, values_agree
 from .synth import Failure, Options, Solution, enumerate_candidates, synthesize
-from .verify import Bounds, BoundedBackend, gen_vcs, recheck, validate
+from .verify import Bounds, gen_vcs, recheck, validate
 
 
 def benchmarks_dir() -> Path:
@@ -31,7 +31,6 @@ def benchmarks_dir() -> Path:
 __all__ = [
     "__version__",
     "Bounds",
-    "BoundedBackend",
     "DiffResult",
     "Failure",
     "INT",

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import nullcontext
+from itertools import repeat
 from pathlib import Path
 
 from . import difftest, emit, frontend, interp, report
@@ -41,18 +44,37 @@ def _parse_domain(text: str) -> tuple:
     return values
 
 
+def _int_at_least(lo: int):
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    return integer
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other input error; 2 means the
+    search failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_synth_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cost-bound", type=int, default=24, metavar="N")
     sub.add_argument("--rel-bound", type=int, default=3, metavar="B")
     sub.add_argument("--int-domain", type=_parse_domain, default=(0, 1, 2), metavar="D")
-    sub.add_argument("--cases", type=int, default=1000, metavar="N")
+    sub.add_argument("--cases", type=_int_at_least(0), default=1000, metavar="N")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S")
     sub.add_argument("--timeout", type=float, default=0.0, metavar="SECS")
-    sub.add_argument("--jobs", type=int, default=1, metavar="J")
+    sub.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="J")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qilc", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qilc", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     synth = subs.add_parser("synth", help="synthesize a query for one program")
@@ -76,7 +98,6 @@ def _options(args: argparse.Namespace) -> Options:
         rel_bound=args.rel_bound,
         int_domain=args.int_domain,
         timeout=args.timeout,
-        jobs=args.jobs,
     )
 
 
@@ -116,19 +137,33 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return code
 
 
+def _pool(workers: int):
+    """A pool of spawn-started worker processes, or none for one worker."""
+    if workers <= 1:
+        return nullcontext()
+    # imported here so that commands which never start a pool do not pay
+    # the memory of the multiprocessing machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"))
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if not args.dir.is_dir():
         print(f"qilc: not a directory: {args.dir}", file=sys.stderr)
         return 1
-    options = _options(args)
+    paths = sorted(args.dir.glob("*.qil"))
+    run = (_run_one, paths, repeat(_options(args)), repeat(args.cases), repeat(args.seed))
     reports = []
     worst = 0
-    for path in sorted(args.dir.glob("*.qil")):
-        rep, code = _run_one(path, options, args.cases, args.seed)
-        reports.append(rep)
-        worst = max(worst, code)
-        print(f"{rep['programName']}: {rep['status']}", file=sys.stderr)
+    # one worker process per program at most; results arrive in file order
+    with _pool(min(args.jobs, len(paths), os.cpu_count() or 1)) as pool:
+        for rep, code in (pool.map if pool else map)(*run):
+            reports.append(rep)
+            worst = max(worst, code)
+            print(f"{rep['programName']}: {rep['status']}", file=sys.stderr)
     sys.stdout.write(report.to_json(report.benchmark_summary(reports)))
     sys.stderr.write(report.table(reports))
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)

@@ -161,22 +161,9 @@ _SQL_TO_CMP = {v: k for k, v in _CMP_TO_SQL.items()}
 
 
 def _prefix_pred(p, prefix: str):
-    if isinstance(p, tor.TruePred):
-        return p
-    if isinstance(p, tor.CmpAtom):
-        def pre(o):
-            if isinstance(o, tor.FieldRef):
-                return tor.FieldRef(prefix + o.name)
-            return o
-
-        return tor.CmpAtom(p.op, pre(p.lhs), pre(p.rhs))
-    if isinstance(p, tor.AndP):
-        return tor.AndP(_prefix_pred(p.left, prefix), _prefix_pred(p.right, prefix))
-    if isinstance(p, tor.OrP):
-        return tor.OrP(_prefix_pred(p.left, prefix), _prefix_pred(p.right, prefix))
-    if isinstance(p, tor.NotP):
-        return tor.NotP(_prefix_pred(p.operand, prefix))
-    raise SchemaError(f"not a predicate: {p!r}")
+    if isinstance(p, tor.FieldRef):
+        return tor.FieldRef(prefix + p.name)
+    return tor.map_children(p, lambda c: _prefix_pred(c, prefix))
 
 
 def _rewrite_step(e):
@@ -202,29 +189,14 @@ def _rewrite_step(e):
 def _normalize(e):
     e = tor.simplify(e)
     while True:
-        changed = False
         step = _rewrite_step(e)
-        if step is not None:
-            e = step
-            changed = True
-        if isinstance(e, tor.Sel):
-            of = _normalize(e.of)
-            if of != e.of:
-                e, changed = tor.Sel(e.pred, of), True
-        elif isinstance(e, tor.Proj):
-            of = _normalize(e.of)
-            if of != e.of:
-                e, changed = tor.Proj(e.fields, of), True
-        elif isinstance(e, tor.Top):
-            of = _normalize(e.of)
-            if of != e.of:
-                e, changed = tor.Top(of, e.k), True
-        elif isinstance(e, tor.Join):
-            left, right = _normalize(e.left), _normalize(e.right)
-            if (left, right) != (e.left, e.right):
-                e, changed = tor.Join(left, right, e.pred), True
-        if not changed:
+        nxt = tor.map_children(
+            e if step is None else step,
+            lambda c: _normalize(c) if isinstance(c, tor.REL_NODES) else c,
+        )
+        if nxt == e:
             return tor.simplify(e)
+        e = nxt
 
 
 def _sources_for(base, schemas) -> tuple[tuple[SqlSource, ...], dict]:

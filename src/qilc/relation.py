@@ -104,10 +104,6 @@ class OrderedRelation:
     def size(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> list:
-        i = self.schema.index_of(name)
-        return [r[i] for r in self.rows]
-
 
 def rows_equal_positional(a: OrderedRelation, b: OrderedRelation) -> bool:
     """Order-sensitive comparison ignoring field names.

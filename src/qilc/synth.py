@@ -18,10 +18,7 @@ atoms or two-atom conjunctions; atoms compare a field against another
 field, a mined constant, or a scalar parameter.
 
 Candidates are ordered by (total cost, canonical serialization), so the
-accepted candidate is cost-minimal and reruns accept the same one. With
-jobs > 1 the candidates are verified concurrently but accepted in order,
-and reported statistics cover exactly the candidates up to the accepted
-one, which keeps reports byte identical across job counts.
+accepted candidate is cost-minimal and reruns accept the same one.
 
 The invariants: for the outer loop the postcondition with the outer rows
 restricted to the first i; for the inner loop the concatenation of the
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import tor
@@ -345,17 +341,13 @@ def enumerate_candidates(tp: TypedProgram, template: Template, bound: int) -> li
 
 def _transform_base(e, f):
     """Rebuild a candidate postcondition with its base replaced by f(base)."""
-    if isinstance(e, tor.AggOf):
-        return tor.AggOf(e.kind, e.field, _transform_base(e.of, f))
-    if isinstance(e, tor.Top):
-        return tor.Top(_transform_base(e.of, f), e.k)
-    if isinstance(e, tor.Proj):
-        return tor.Proj(e.fields, _transform_base(e.of, f))
-    if isinstance(e, tor.Sel):
-        return tor.Sel(e.pred, _transform_base(e.of, f))
     if isinstance(e, (tor.Query, tor.Join)):
         return f(e)
-    raise ValueError(f"not a candidate postcondition: {e!r}")
+    if not isinstance(e, (tor.AggOf, tor.Top, tor.Proj, tor.Sel)):
+        raise ValueError(f"not a candidate postcondition: {e!r}")
+    return tor.map_children(
+        e, lambda c: _transform_base(c, f) if isinstance(c, tor.REL_NODES) else c
+    )
 
 
 def _outer_prefix(i: str):
@@ -440,7 +432,6 @@ class Options:
     int_domain: tuple = (0, 1, 2)
     text_domain: tuple = ("a", "b")
     timeout: float = 0.0  # seconds; 0 disables
-    jobs: int = 1
 
 
 def synthesize(tp: TypedProgram, options: Options = Options()):
@@ -457,60 +448,30 @@ def synthesize(tp: TypedProgram, options: Options = Options()):
         text_domain=tuple(options.text_domain),
     )
     started = time.monotonic()
-
-    def check(candidate: Candidate):
-        invariants = derive_invariants(tp, candidate)
-        return verify.validate(tp, candidate, invariants, bounds), invariants
-
-    def finish(idx: int, results: list):
-        candidate = cands[idx]
-        verdict, invariants = results[idx]
-        tried = idx + 1
-        instances = sum(r.instances for r, _ in results[:tried])
-        vcs = sum(r.vcs for r, _ in results[:tried])
-        non_checkable = sum(
-            1 for r, _ in results[:tried] if r.status == verify.NON_CHECKABLE
-        )
-        rejected = tried - 1 - non_checkable
-        stats = SynthStats(len(cands), tried, rejected, non_checkable, vcs, instances)
-        post = dict(candidate.posts)[tp.ast.result]
-        sql = emit.to_sql(post, tp.relations)
-        return Solution(candidate, invariants, sql, emit.render(sql), idx, stats)
-
     results: list = []
-    if options.jobs <= 1:
-        for idx, cand in enumerate(cands):
-            if options.timeout and time.monotonic() - started > options.timeout:
-                return Failure("timeout", _failure_stats(cands, results))
-            results.append(check(cand))
-            if results[-1][0].status == verify.VALID:
-                return finish(idx, results)
-        return Failure("exhausted", _failure_stats(cands, results))
-
-    with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-        futures = [pool.submit(check, c) for c in cands]
-        try:
-            for idx, fut in enumerate(futures):
-                if options.timeout and time.monotonic() - started > options.timeout:
-                    return Failure("timeout", _failure_stats(cands, results))
-                results.append(fut.result())
-                if results[-1][0].status == verify.VALID:
-                    return finish(idx, results)
-        finally:
-            for fut in futures:
-                fut.cancel()
-    return Failure("exhausted", _failure_stats(cands, results))
+    for idx, cand in enumerate(cands):
+        if options.timeout and time.monotonic() - started > options.timeout:
+            return Failure("timeout", _stats(cands, results))
+        invariants = derive_invariants(tp, cand)
+        results.append(verify.validate(tp, cand, invariants, bounds))
+        if results[-1].status == verify.VALID:
+            post = dict(cand.posts)[tp.ast.result]
+            sql = emit.to_sql(post, tp.relations)
+            stats = _stats(cands, results)
+            return Solution(cand, invariants, sql, emit.render(sql), idx, stats)
+    return Failure("exhausted", _stats(cands, results))
 
 
-def _failure_stats(cands: list, results: list) -> SynthStats:
+def _stats(cands: list, results: list) -> SynthStats:
+    """Statistics over the verdicts of the candidates tried so far."""
     from . import verify
 
-    non_checkable = sum(1 for r, _ in results if r.status == verify.NON_CHECKABLE)
+    statuses = [r.status for r in results]
     return SynthStats(
         enumerated=len(cands),
         tried=len(results),
-        rejected=len(results) - non_checkable,
-        non_checkable=non_checkable,
-        vcs_checked=sum(r.vcs for r, _ in results),
-        vc_instances=sum(r.instances for r, _ in results),
+        rejected=statuses.count(verify.VIOLATED),
+        non_checkable=statuses.count(verify.NON_CHECKABLE),
+        vcs_checked=sum(r.vcs for r in results),
+        vc_instances=sum(r.instances for r in results),
     )

@@ -18,7 +18,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 from typing import Optional, Union
 
 from .relation import INT, TEXT, OrderedRelation, Schema, SchemaError
@@ -33,23 +34,27 @@ class UnboundName(KeyError):
 # ---------------------------------------------------------------------------
 
 
+class Node:
+    """Base of every expression type; a field holding a Node is a child."""
+
+
 @dataclass(frozen=True)
-class IntConst:
+class IntConst(Node):
     value: int
 
 
 @dataclass(frozen=True)
-class TextConst:
+class TextConst(Node):
     value: str
 
 
 @dataclass(frozen=True)
-class ParamRef:
+class ParamRef(Node):
     name: str
 
 
 @dataclass(frozen=True)
-class IndexRef:
+class IndexRef(Node):
     """A loop index as a scalar, optionally shifted by a constant."""
 
     name: str
@@ -57,38 +62,38 @@ class IndexRef:
 
 
 @dataclass(frozen=True)
-class FieldRef:
+class FieldRef(Node):
     """A field of the row a predicate is being applied to."""
 
     name: str
 
 
 @dataclass(frozen=True)
-class TruePred:
+class TruePred(Node):
     pass
 
 
 @dataclass(frozen=True)
-class CmpAtom:
+class CmpAtom(Node):
     op: str  # = != < <= > >=
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class AndP:
+class AndP(Node):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class OrP:
+class OrP(Node):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class NotP:
+class NotP(Node):
     operand: object
 
 
@@ -96,57 +101,58 @@ Pred = Union[TruePred, CmpAtom, AndP, OrP, NotP]
 
 
 @dataclass(frozen=True)
-class Query:
+class Query(Node):
     rel: str
 
 
 @dataclass(frozen=True)
-class EmptyRel:
+class EmptyRel(Node):
     schema: Schema
 
 
 @dataclass(frozen=True)
-class Sel:
+class Sel(Node):
     pred: object
     of: object
 
 
 @dataclass(frozen=True)
-class Proj:
+class Proj(Node):
     fields: tuple[str, ...]
     of: object
 
 
 @dataclass(frozen=True)
-class Join:
+class Join(Node):
     left: object
     right: object
     pred: object
 
 
 @dataclass(frozen=True)
-class Top:
+class Top(Node):
     of: object
     k: object  # scalar expression
 
 
 @dataclass(frozen=True)
-class AppendRow:
+class AppendRow(Node):
     of: object
     rec: object  # record expression
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(Node):
     left: object
     right: object
 
 
-RelExpr = Union[Query, EmptyRel, Sel, Proj, Join, Top, AppendRow, Concat]
+REL_NODES = (Query, EmptyRel, Sel, Proj, Join, Top, AppendRow, Concat)
+RelExpr = Union[REL_NODES]
 
 
 @dataclass(frozen=True)
-class GetRow:
+class GetRow(Node):
     """The record at a 0-based position; out of range raises IndexError."""
 
     of: object
@@ -154,17 +160,17 @@ class GetRow:
 
 
 @dataclass(frozen=True)
-class RecordConst:
+class RecordConst(Node):
     values: tuple
 
 
 @dataclass(frozen=True)
-class SizeOf:
+class SizeOf(Node):
     of: object
 
 
 @dataclass(frozen=True)
-class AggOf:
+class AggOf(Node):
     kind: str  # sum | count | min | max
     field: Optional[str]  # None only for count
     of: object
@@ -173,6 +179,31 @@ class AggOf:
 ScalarExpr = Union[IntConst, TextConst, ParamRef, IndexRef, SizeOf, AggOf]
 
 AGG_KINDS = ("sum", "count", "min", "max")
+
+
+# ---------------------------------------------------------------------------
+# Generic traversal: walkers that treat every node alike except a few build
+# on these instead of listing each node type.
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def children(e) -> list:
+    """The sub-expressions of e, in field order."""
+    values = (getattr(e, n) for n in _field_names(type(e)))
+    return [c for c in values if isinstance(c, Node)]
+
+
+def map_children(e, f):
+    """e rebuilt with every child c replaced by f(c)."""
+    values = [getattr(e, n) for n in _field_names(type(e))]
+    if not any(isinstance(v, Node) for v in values):
+        return e
+    return type(e)(*(f(v) if isinstance(v, Node) else v for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +283,9 @@ def check_pred(p, sch: Schema) -> None:
 
 
 def pred_fields(p) -> set:
-    if isinstance(p, CmpAtom):
-        out = set()
-        for o in (p.lhs, p.rhs):
-            if isinstance(o, FieldRef):
-                out.add(o.name)
-        return out
-    if isinstance(p, (AndP, OrP)):
-        return pred_fields(p.left) | pred_fields(p.right)
-    if isinstance(p, NotP):
-        return pred_fields(p.operand)
-    return set()
+    if isinstance(p, FieldRef):
+        return {p.name}
+    return set().union(*map(pred_fields, children(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -724,35 +747,12 @@ def _rewrite_here(e):
     return None
 
 
-def _simplify_children(e):
-    if isinstance(e, Sel):
-        return Sel(e.pred, simplify(e.of))
-    if isinstance(e, Proj):
-        return Proj(e.fields, simplify(e.of))
-    if isinstance(e, Join):
-        return Join(simplify(e.left), simplify(e.right), e.pred)
-    if isinstance(e, Top):
-        return Top(simplify(e.of), simplify_scalar(e.k))
-    if isinstance(e, AppendRow):
-        return AppendRow(simplify(e.of), e.rec)
-    if isinstance(e, Concat):
-        return Concat(simplify(e.left), simplify(e.right))
-    return e
-
-
 def simplify(e):
-    """Normalize a relation expression by the rewrite rules, to fixpoint."""
-    e = _simplify_children(e)
+    """Normalize every relation inside an expression by the rewrite rules,
+    to fixpoint."""
+    e = map_children(e, simplify)
     while True:
         step = _rewrite_here(e)
         if step is None:
             return e
-        e = _simplify_children(step)
-
-
-def simplify_scalar(e):
-    if isinstance(e, SizeOf):
-        return SizeOf(simplify(e.of))
-    if isinstance(e, AggOf):
-        return AggOf(e.kind, e.field, simplify(e.of))
-    return e
+        e = map_children(step, simplify)

@@ -49,7 +49,7 @@ fast=False forces the definitional sweep; agreement is property-tested.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import interp, tor
@@ -158,21 +158,6 @@ class CheckResult:
     counterexample: Optional[Counterexample] = None
     reason: str = ""
     vcs: int = 0  # verification conditions evaluated
-
-
-class ProverBackend:
-    """Decides verification conditions for a candidate."""
-
-    def decide(self, tp: TypedProgram, candidate, invariants) -> CheckResult:
-        raise NotImplementedError
-
-
-class BoundedBackend(ProverBackend):
-    def __init__(self, bounds: Bounds = Bounds()):
-        self.bounds = bounds
-
-    def decide(self, tp, candidate, invariants) -> CheckResult:
-        return validate(tp, candidate, invariants, self.bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +275,6 @@ def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
 # Store reconstruction
 # ---------------------------------------------------------------------------
 
-_REL_NODES = (
-    tor.Query,
-    tor.EmptyRel,
-    tor.Sel,
-    tor.Proj,
-    tor.Join,
-    tor.Top,
-    tor.AppendRow,
-    tor.Concat,
-)
-
-
 class _VarRecon:
     """Evaluates one invariant equality, with the finished-part value of a
     Concat cacheable across inner-index instances."""
@@ -320,7 +293,7 @@ class _VarRecon:
             self.kind = "rel2"
             _, self._f1 = tor.compile_rel(expr.left, schemas)
             _, self._f2 = tor.compile_rel(expr.right, schemas)
-        elif isinstance(expr, _REL_NODES):
+        elif isinstance(expr, tor.REL_NODES):
             self.kind = "rel"
             _, self._f = tor.compile_rel(expr, schemas)
         else:
@@ -359,44 +332,16 @@ class _VarRecon:
 
 
 def _collect_consts(e, ints: set, texts: set) -> None:
-    if isinstance(e, tor.IntConst):
-        ints.add(e.value)
-    elif isinstance(e, tor.TextConst):
-        texts.add(e.value)
+    if isinstance(e, (tor.IntConst, tor.TextConst)):
+        values = (e.value,)
     elif isinstance(e, tor.RecordConst):
-        for v in e.values:
-            (ints if isinstance(v, int) else texts).add(v)
-    elif isinstance(e, (tor.Sel,)):
-        _collect_consts(e.pred, ints, texts)
-        _collect_consts(e.of, ints, texts)
-    elif isinstance(e, tor.Proj):
-        _collect_consts(e.of, ints, texts)
-    elif isinstance(e, tor.Join):
-        _collect_consts(e.left, ints, texts)
-        _collect_consts(e.right, ints, texts)
-        _collect_consts(e.pred, ints, texts)
-    elif isinstance(e, tor.Top):
-        _collect_consts(e.of, ints, texts)
-        _collect_consts(e.k, ints, texts)
-    elif isinstance(e, tor.AppendRow):
-        _collect_consts(e.of, ints, texts)
-        _collect_consts(e.rec, ints, texts)
-    elif isinstance(e, tor.Concat):
-        _collect_consts(e.left, ints, texts)
-        _collect_consts(e.right, ints, texts)
-    elif isinstance(e, tor.GetRow):
-        _collect_consts(e.of, ints, texts)
-        _collect_consts(e.idx, ints, texts)
-    elif isinstance(e, (tor.SizeOf, tor.AggOf)):
-        _collect_consts(e.of, ints, texts)
-    elif isinstance(e, tor.CmpAtom):
-        _collect_consts(e.lhs, ints, texts)
-        _collect_consts(e.rhs, ints, texts)
-    elif isinstance(e, (tor.AndP, tor.OrP)):
-        _collect_consts(e.left, ints, texts)
-        _collect_consts(e.right, ints, texts)
-    elif isinstance(e, tor.NotP):
-        _collect_consts(e.operand, ints, texts)
+        values = e.values
+    else:
+        values = ()
+    for v in values:
+        (ints if isinstance(v, int) else texts).add(v)
+    for c in tor.children(e):
+        _collect_consts(c, ints, texts)
 
 
 def _non_checkable_reason(tp, candidate, bounds: Bounds) -> str:
@@ -427,67 +372,28 @@ def _non_checkable_reason(tp, candidate, bounds: Bounds) -> str:
 def _mentions_index(e, name: str) -> bool:
     if isinstance(e, tor.IndexRef):
         return e.name == name
-    if not is_dataclass(e):
-        return False
-    return any(
-        _mentions_index(getattr(e, f.name), name) for f in dataclass_fields(e)
-    )
+    return any(_mentions_index(c, name) for c in tor.children(e))
+
+
+class _Unabsorbed(Exception):
+    """An offset index met a replacement that cannot absorb the offset."""
 
 
 def _subst_index(e, name: str, repl):
-    if isinstance(e, tor.IndexRef):
-        if e.name != name:
-            return e
+    try:
+        return _subst(e, name, repl)
+    except _Unabsorbed:
+        return None
+
+
+def _subst(e, name: str, repl):
+    if isinstance(e, tor.IndexRef) and e.name == name:
         if e.offset == 0:
             return repl
-        if isinstance(repl, tor.IntConst):
-            return tor.IntConst(repl.value + e.offset)
-        return None
-    if isinstance(e, (tor.Query, tor.EmptyRel, tor.IntConst, tor.TextConst,
-                      tor.ParamRef, tor.FieldRef, tor.TruePred, tor.RecordConst)):
-        return e
-    if isinstance(e, tor.Sel):
-        p, of = _subst_index(e.pred, name, repl), _subst_index(e.of, name, repl)
-        return None if p is None or of is None else tor.Sel(p, of)
-    if isinstance(e, tor.Proj):
-        of = _subst_index(e.of, name, repl)
-        return None if of is None else tor.Proj(e.fields, of)
-    if isinstance(e, tor.Join):
-        l = _subst_index(e.left, name, repl)
-        r = _subst_index(e.right, name, repl)
-        p = _subst_index(e.pred, name, repl)
-        return None if None in (l, r, p) else tor.Join(l, r, p)
-    if isinstance(e, tor.Top):
-        of, k = _subst_index(e.of, name, repl), _subst_index(e.k, name, repl)
-        return None if of is None or k is None else tor.Top(of, k)
-    if isinstance(e, tor.AppendRow):
-        of, rec = _subst_index(e.of, name, repl), _subst_index(e.rec, name, repl)
-        return None if of is None or rec is None else tor.AppendRow(of, rec)
-    if isinstance(e, tor.Concat):
-        l, r = _subst_index(e.left, name, repl), _subst_index(e.right, name, repl)
-        return None if l is None or r is None else tor.Concat(l, r)
-    if isinstance(e, tor.GetRow):
-        of, idx = _subst_index(e.of, name, repl), _subst_index(e.idx, name, repl)
-        return None if of is None or idx is None else tor.GetRow(of, idx)
-    if isinstance(e, tor.SizeOf):
-        of = _subst_index(e.of, name, repl)
-        return None if of is None else tor.SizeOf(of)
-    if isinstance(e, tor.AggOf):
-        of = _subst_index(e.of, name, repl)
-        return None if of is None else tor.AggOf(e.kind, e.field, of)
-    if isinstance(e, tor.CmpAtom):
-        l, r = _subst_index(e.lhs, name, repl), _subst_index(e.rhs, name, repl)
-        return None if l is None or r is None else tor.CmpAtom(e.op, l, r)
-    if isinstance(e, tor.AndP):
-        l, r = _subst_index(e.left, name, repl), _subst_index(e.right, name, repl)
-        return None if l is None or r is None else tor.AndP(l, r)
-    if isinstance(e, tor.OrP):
-        l, r = _subst_index(e.left, name, repl), _subst_index(e.right, name, repl)
-        return None if l is None or r is None else tor.OrP(l, r)
-    if isinstance(e, tor.NotP):
-        p = _subst_index(e.operand, name, repl)
-        return None if p is None else tor.NotP(p)
-    return None
+        if not isinstance(repl, tor.IntConst):
+            raise _Unabsorbed
+        return tor.IntConst(repl.value + e.offset)
+    return tor.map_children(e, lambda c: _subst(c, name, repl))
 
 
 def _always_empty(e) -> bool:
@@ -509,13 +415,7 @@ def _always_empty(e) -> bool:
 
 
 def _has_top(e) -> bool:
-    if isinstance(e, tor.Top):
-        return True
-    if isinstance(e, (tor.Sel, tor.Proj, tor.AppendRow, tor.SizeOf, tor.AggOf)):
-        return _has_top(e.of)
-    if isinstance(e, (tor.Join, tor.Concat)):
-        return _has_top(e.left) or _has_top(e.right)
-    return False
+    return isinstance(e, tor.Top) or any(_has_top(c) for c in tor.children(e))
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +677,7 @@ class _Checker:
         e0 = _subst_index(recon.expr, name, tor.IntConst(0))
         if e0 is None:
             return None
-        if isinstance(e0, _REL_NODES):
+        if isinstance(e0, tor.REL_NODES):
             if _always_empty(tor.simplify(e0)):
                 return ("rel", ())
             return None
@@ -829,11 +729,7 @@ class _Checker:
             post = posts.get(recon.var)
             if inv is None or post is None:
                 return None
-            if isinstance(inv, _REL_NODES) and isinstance(post, _REL_NODES):
-                same = tor.simplify(inv) == tor.simplify(post)
-            else:
-                same = tor.simplify_scalar(inv) == tor.simplify_scalar(post)
-            if not same:
+            if tor.simplify(inv) != tor.simplify(post):
                 return None
         return instance_count(vc, self.tp, self.bounds), None
 

@@ -59,6 +59,19 @@ def test_parse_domain_rejects_empty():
         cli._parse_domain("")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--jobs", "x"), ("--jobs", "0"), ("--int-domain", "3..1"), ("--cases", "-1")],
+)
+def test_bad_flag_value_is_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", qil_path("identity"), flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 # --- synth ------------------------------------------------------------------
 
 
@@ -195,6 +208,25 @@ def test_bench_mixed_exit_code(capsys, tmp_path):
         "failed": 0,
         "error": 1,
     }
+
+
+def test_bench_jobs_does_not_change_output(capsys, tmp_path):
+    for name in ("identity", "count", "selection"):
+        src = (benchmarks_dir() / f"{name}.qil").read_text(encoding="utf-8")
+        (tmp_path / f"{name}.qil").write_text(src, encoding="utf-8")
+    runs = [
+        run_cli(capsys, "bench", str(tmp_path), "--cases", "50", "--jobs", jobs)
+        for jobs in ("1", "2")
+    ]
+    (code1, out1, err1), (code2, out2, err2) = runs
+    assert (code1, out1) == (code2, out2)
+    assert code1 == 0
+    # progress lines come in file order either way
+    assert err1.splitlines()[:3] == err2.splitlines()[:3] == [
+        "count: synthesized",
+        "identity: synthesized",
+        "selection: synthesized",
+    ]
 
 
 def test_bench_empty_directory(capsys, tmp_path):

@@ -217,18 +217,6 @@ def test_synthesize_timeout():
     assert out.reason == "timeout"
 
 
-def test_synthesize_deterministic_across_jobs():
-    tp = load_benchmark("equi_join")
-    a = synthesize(tp, Options(jobs=1))
-    b = synthesize(tp, Options(jobs=4))
-    assert isinstance(a, Solution) and isinstance(b, Solution)
-    assert a.candidate == b.candidate
-    assert a.invariants == b.invariants
-    assert a.rank == b.rank
-    assert a.stats == b.stats
-    assert a.sql_text == b.sql_text
-
-
 def test_solution_verifies_end_to_end():
     tp = load_benchmark("top_k")
     out = synthesize(tp)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qilc import axioms, tor
+from qilc import axioms, tor, verify
 from qilc.relation import OrderedRelation, Schema
 from qilc.verify import Bounds, relation_values
 
@@ -232,6 +232,109 @@ def test_cost_pins():
     assert tor.cost(join) == 6
     assert tor.cost(tor.AggOf("sum", "a", q())) == 4
     assert tor.cost(tor.AggOf("count", None, q())) == 3
+
+
+# --- generic traversal -------------------------------------------------------
+
+# the fields of each node kind that hold sub-expressions, in field order
+CHILD_FIELDS = {
+    tor.IntConst: (),
+    tor.TextConst: (),
+    tor.ParamRef: (),
+    tor.IndexRef: (),
+    tor.FieldRef: (),
+    tor.TruePred: (),
+    tor.CmpAtom: ("lhs", "rhs"),
+    tor.AndP: ("left", "right"),
+    tor.OrP: ("left", "right"),
+    tor.NotP: ("operand",),
+    tor.Query: (),
+    tor.EmptyRel: (),
+    tor.Sel: ("pred", "of"),
+    tor.Proj: ("of",),
+    tor.Join: ("left", "right", "pred"),
+    tor.Top: ("of", "k"),
+    tor.AppendRow: ("of", "rec"),
+    tor.Concat: ("left", "right"),
+    tor.GetRow: ("of", "idx"),
+    tor.RecordConst: (),
+    tor.SizeOf: ("of",),
+    tor.AggOf: ("of",),
+}
+
+EVERY_KIND = tor.AggOf(
+    "sum",
+    "a",
+    tor.Concat(
+        tor.Top(
+            tor.Proj(
+                ("a",),
+                tor.Sel(
+                    tor.OrP(
+                        tor.NotP(tor.CmpAtom("=", tor.FieldRef("b"), tor.TextConst("x"))),
+                        tor.AndP(
+                            tor.TruePred(),
+                            tor.CmpAtom("<", tor.FieldRef("a"), tor.ParamRef("k")),
+                        ),
+                    ),
+                    q(),
+                ),
+            ),
+            tor.SizeOf(q()),
+        ),
+        tor.AppendRow(
+            tor.AppendRow(tor.EmptyRel(A), tor.RecordConst((1,))),
+            tor.GetRow(
+                tor.Proj(
+                    ("l.a",),
+                    tor.Join(
+                        q(),
+                        q("S"),
+                        tor.CmpAtom(">", tor.FieldRef("l.a"), tor.IntConst(0)),
+                    ),
+                ),
+                tor.IndexRef("i", 1),
+            ),
+        ),
+    ),
+)
+
+
+def _subtrees(e):
+    yield e
+    for c in tor.children(e):
+        yield from _subtrees(c)
+
+
+def test_children_are_exactly_the_node_valued_fields():
+    assert set(CHILD_FIELDS) == set(tor.Node.__subclasses__())
+    nodes = list(_subtrees(EVERY_KIND))
+    assert {type(n) for n in nodes} == set(CHILD_FIELDS)
+    for n in nodes:
+        assert tor.children(n) == [getattr(n, f) for f in CHILD_FIELDS[type(n)]]
+
+
+def test_map_children_rebuilds_only_children():
+    for n in _subtrees(EVERY_KIND):
+        assert tor.map_children(n, lambda c: c) == n
+    s = q("S")
+    assert tor.map_children(tor.Proj(("a",), q()), lambda c: s) == tor.Proj(("a",), s)
+    assert tor.map_children(tor.AggOf("max", "a", q()), lambda c: s) == tor.AggOf("max", "a", s)
+    assert tor.map_children(tor.EmptyRel(A), lambda c: s) == tor.EmptyRel(A)
+
+
+def test_subst_index_in_nested_predicate():
+    shifted = tor.CmpAtom("<", tor.FieldRef("a"), tor.IndexRef("i", +1))
+    e = tor.Sel(tor.AndP(tor.TruePred(), tor.NotP(shifted)), q())
+    assert verify._subst_index(e, "i", tor.SizeOf(q())) is None
+    assert verify._subst_index(e, "i", tor.IntConst(2)) == tor.Sel(
+        tor.AndP(
+            tor.TruePred(),
+            tor.NotP(tor.CmpAtom("<", tor.FieldRef("a"), tor.IntConst(3))),
+        ),
+        q(),
+    )
+    assert verify._subst_index(e, "j", tor.SizeOf(q())) == e
 
 
 # --- axiom suite (small bounds here; full bounds in the acceptance tests) ----

@@ -17,7 +17,6 @@ from qilc.verify import (
     VALID,
     VIOLATED,
     Bounds,
-    BoundedBackend,
     VC,
     counterexample_from_json,
     gen_vcs,
@@ -188,13 +187,6 @@ fn f(R: rel(a: int), S: rel(b: int)) {
     res = validate(tp, cand, inv)
     assert res.status == NON_CHECKABLE
     assert "break" in res.reason
-
-
-def test_backend_wraps_validate():
-    tp = load_benchmark("selection")
-    sol = first_valid(tp)
-    res = BoundedBackend(SMALL3).decide(tp, sol.candidate, sol.invariants)
-    assert res.status == VALID
 
 
 # --- fast path vs definitional sweep ---------------------------------------------
