@@ -1,0 +1,50 @@
+"""Print the verifier's verdict for the first candidates of every bundled
+program, one JSON line per (program, candidate, fast) triple.
+
+Each line holds the status, the instance and VC counts and the
+counterexample's JSON form, so two checkouts can be compared with diff:
+
+    PYTHONPATH=src python3 scripts/verdicts.py [--first N] [NAME ...]
+
+With no NAME every bundled program is checked.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from qilc import benchmarks_dir, frontend, synth, verify
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--first", type=int, default=60, metavar="N")
+    ap.add_argument("names", nargs="*", metavar="NAME")
+    args = ap.parse_args(argv)
+    for path in sorted(benchmarks_dir().glob("*.qil")):
+        if args.names and path.stem not in args.names:
+            continue
+        tp = frontend.typecheck(frontend.parse(path.read_text(encoding="utf-8")))
+        cands = synth.enumerate_candidates(tp, synth.extract_template(tp), 24)
+        for n, cand in enumerate(cands[: args.first]):
+            inv = synth.derive_invariants(tp, cand)
+            for fast in (True, False):
+                res = verify.validate(tp, cand, inv, verify.Bounds(), fast=fast)
+                cex = res.counterexample
+                line = {
+                    "program": path.stem,
+                    "candidate": n,
+                    "fast": fast,
+                    "status": res.status,
+                    "instances": res.instances,
+                    "vcs": res.vcs,
+                    "counterexample": None if cex is None else cex.to_json(),
+                }
+                print(json.dumps(line, sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -115,6 +115,8 @@ def _run_one(path: Path, options: Options, cases: int, seed: int) -> tuple[dict,
         tp = _load_program(path)
     except OSError as exc:
         return report.run_report(name, config, None, error=str(exc)), 1
+    except UnicodeDecodeError as exc:
+        return report.run_report(name, config, None, error=f"not UTF-8 text: {exc}"), 1
     except frontend.ParseError as exc:
         return report.run_report(name, config, None, error=f"parse error: {exc}"), 1
     except frontend.TypeCheckError as exc:
@@ -194,6 +196,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             sql_value = emit.eval_sql(query, db)
         except (emit.SqlSyntaxError, emit.UnknownTable, emit.UnknownColumn, emit.UnknownParam) as exc:
             print(f"qilc: {exc}", file=sys.stderr)
+            return 1
+        except TypeError as exc:  # a comparison that orders an int against a text
+            print(f"qilc: cannot evaluate the query: {exc}", file=sys.stderr)
             return 1
         agree = values_agree(program_value, sql_value)
         out["sql"] = value_to_json(sql_value)

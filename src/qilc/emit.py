@@ -157,7 +157,7 @@ Sql = Union[SqlQuery, SqlScalar]
 # ---------------------------------------------------------------------------
 
 _CMP_TO_SQL = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-_SQL_TO_CMP = {v: k for k, v in _CMP_TO_SQL.items()}
+_SQL_CMP = {sql: tor.CMP_OPS[op] for op, sql in _CMP_TO_SQL.items()}
 
 
 def _prefix_pred(p, prefix: str):
@@ -611,7 +611,7 @@ class _SqlParser:
             return inner
         lhs = self._operand()
         k, op = self.peek()
-        if k != "op" or op not in _SQL_TO_CMP:
+        if k != "op" or op not in _SQL_CMP:
             raise SqlSyntaxError(f"expected comparison, found {op!r}")
         self.take()
         return SCmp(op, lhs, self._operand())
@@ -688,14 +688,7 @@ def _sql_pred_holds(p: SqlPred, env: dict, db: MiniDb) -> bool:
     if isinstance(p, SCmp):
         a = _sql_operand_value(p.lhs, env, db)
         b = _sql_operand_value(p.rhs, env, db)
-        return {
-            "=": a == b,
-            "<>": a != b,
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }[p.op]
+        return _SQL_CMP[p.op](a, b)
     if isinstance(p, SAnd):
         return _sql_pred_holds(p.left, env, db) and _sql_pred_holds(p.right, env, db)
     if isinstance(p, SOr):

@@ -612,6 +612,7 @@ class LoopInfo:
     index: str
     rel: str
     depth: int  # 1 = outer, 2 = inner
+    breaks: bool  # the body ends in a guarded break
     node: For = field(compare=False)
 
 
@@ -748,7 +749,8 @@ class _Checker:
             return
         self.var_types[st.index] = "index"
         self.loop_rel[st.index] = st.rel
-        self.loops.append(LoopInfo(st.index, st.rel, depth, st))
+        breaks = any(isinstance(s, If) and self.is_guarded_break(s) for s in st.body)
+        self.loops.append(LoopInfo(st.index, st.rel, depth, breaks, st))
         self.check_loop_body(st.body, depth)
 
     def check_loop_body(self, body: tuple, depth: int) -> None:

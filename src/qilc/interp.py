@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 from . import frontend as F
 from .relation import INT, OrderedRelation, Schema
+from .tor import CMP_OPS
 
 NORMAL = "normal"
 BREAK = "break"
+
+_CMP = {("==" if op == "=" else op): f for op, f in CMP_OPS.items()}
 
 
 class InputError(ValueError):
@@ -125,14 +128,7 @@ def eval_pred(prog: F.TypedProgram, p, store: dict) -> bool:
     if isinstance(p, F.Cmp):
         a = eval_expr(prog, p.left, store)
         b = eval_expr(prog, p.right, store)
-        return {
-            "==": a == b,
-            "!=": a != b,
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }[p.op]
+        return _CMP[p.op](a, b)
     if isinstance(p, F.BoolOp):
         if p.op == "and":
             return eval_pred(prog, p.left, store) and eval_pred(prog, p.right, store)

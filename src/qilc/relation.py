@@ -145,8 +145,18 @@ def value_to_json(v):
 
 def value_from_json(v):
     if isinstance(v, dict):
-        schema = Schema(tuple((n, t) for n, t in v["schema"]))
-        rows = tuple(tuple(r) for r in v["rows"])
+        fields, rows = v["schema"], v["rows"]
+        if not isinstance(fields, list) or not all(
+            isinstance(f, list) and len(f) == 2 for f in fields
+        ):
+            raise SchemaError(f"schema {fields!r} is not an array of [name, type] pairs")
+        if not isinstance(rows, list):
+            raise SchemaError(f"rows {rows!r} is not an array")
+        for r in rows:
+            if not isinstance(r, list):
+                raise SchemaError(f"row {r!r} is not an array")
+        schema = Schema(tuple((n, t) for n, t in fields))
+        rows = tuple(tuple(r) for r in rows)
         rel = OrderedRelation(schema, rows)
         for row in rows:
             for cell, ty in zip(row, schema.types):
@@ -163,6 +173,8 @@ def bindings_to_json(bindings: dict) -> dict:
 
 
 def bindings_from_json(data: dict) -> dict:
+    if not isinstance(data, dict):
+        raise SchemaError("bindings must be a JSON object")
     return {name: value_from_json(v) for name, v in data.items()}
 
 

@@ -113,11 +113,10 @@ def extract_template(tp: TypedProgram) -> Template:
     texts: set = set()
     ops: set = set()
     has_append = False
-    has_break = False
 
     def on_stmt(s):
-        nonlocal has_append, has_break
-        from .frontend import Append, Break
+        nonlocal has_append
+        from .frontend import Append
 
         if isinstance(s, Assign):
             _mine_literals(s.expr, ints, texts)
@@ -127,11 +126,8 @@ def extract_template(tp: TypedProgram) -> Template:
         elif isinstance(s, If):
             _mine_literals(s.cond, ints, texts)
             _mine_cmps(s.cond, ops)
-        elif isinstance(s, Break):
-            has_break = True
 
     _walk_stmts(tp.ast.body, on_stmt)
-    loops = sorted(tp.loops, key=lambda l: l.depth)
     return Template(
         relations=tuple(sorted(tp.relations.items())),
         scalar_params=tuple(
@@ -141,8 +137,8 @@ def extract_template(tp: TypedProgram) -> Template:
         cmps=tuple(op for op in _CMP_ORDER if op in ops),
         agg_kinds=tuple(k for k in tor.AGG_KINDS if k in set(tp.agg_updates.values())),
         has_append=has_append,
-        has_break=has_break,
-        loop_relations=tuple(l.rel for l in loops),
+        has_break=any(l.breaks for l in tp.loops),
+        loop_relations=tuple(l.rel for l in tp.loops),
     )
 
 
@@ -371,14 +367,13 @@ def _current_row_prefix(i: str, j: str, outer_schema: Schema):
 
 def derive_invariants(tp: TypedProgram, candidate: Candidate) -> dict:
     """Map each loop index to its invariant equalities ((var, expr), ...)."""
-    loops = sorted(tp.loops, key=lambda l: l.depth)
-    outer = loops[0]
+    outer = tp.loops[0]
     inv: dict = {}
     inv[outer.index] = tuple(
         (v, _transform_base(p, _outer_prefix(outer.index))) for v, p in candidate.posts
     )
-    if len(loops) == 2:
-        inner = loops[1]
+    if len(tp.loops) == 2:
+        inner = tp.loops[1]
         outer_schema = tp.relations[outer.rel]
         eqs = []
         for v, p in candidate.posts:
@@ -441,13 +436,13 @@ def synthesize(tp: TypedProgram, options: Options = Options()):
     template = extract_template(tp)
     if tp.ast.result not in {v.name for v in live_vars(tp)}:
         return Failure("exhausted", SynthStats(0, 0, 0, 0, 0, 0))
+    started = time.monotonic()  # the timeout covers enumeration too
     cands = enumerate_candidates(tp, template, options.cost_bound)
     bounds = verify.Bounds(
         rel_size=options.rel_bound,
         int_domain=tuple(options.int_domain),
         text_domain=tuple(options.text_domain),
     )
-    started = time.monotonic()
     results: list = []
     for idx, cand in enumerate(cands):
         if options.timeout and time.monotonic() - started > options.timeout:

@@ -18,6 +18,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import cache
 from typing import Optional, Union
@@ -78,6 +79,18 @@ class CmpAtom(Node):
     op: str  # = != < <= > >=
     lhs: object
     rhs: object
+
+
+# comparison operator -> its function; the interpreter and the SQL
+# evaluator map their own spellings (==, <>) onto these
+CMP_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass(frozen=True)
@@ -370,14 +383,7 @@ def eval_pred(p, schema: Schema, row: tuple, env: dict) -> bool:
     if isinstance(p, CmpAtom):
         a = _atom_operand(p.lhs, schema, row, env)
         b = _atom_operand(p.rhs, schema, row, env)
-        return {
-            "=": a == b,
-            "!=": a != b,
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }[p.op]
+        return CMP_OPS[p.op](a, b)
     if isinstance(p, AndP):
         return eval_pred(p.left, schema, row, env) and eval_pred(p.right, schema, row, env)
     if isinstance(p, OrP):

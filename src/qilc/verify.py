@@ -31,6 +31,11 @@ A candidate whose constants fall outside the bounded domains cannot be
 meaningfully checked and is reported NonCheckable, as is any program that
 breaks inside a nested loop.
 
+One method, _Checker.check, decides every instance, wherever it comes
+from: the sweep calls it on each instance in enumeration order, the
+shortcuts' scans on the instances they pick, and replay (recheck) on a
+recorded counterexample, so all three mean the same condition.
+
 Sweeping every instance one at a time is the semantic definition, but it
 is wasteful for the invariant family the synthesizer derives, so the
 checker takes sound shortcuts when their premises hold: an exit condition
@@ -40,9 +45,9 @@ constants, and preservation conditions whose outcome provably depends only
 on the rows at the current indices, which are checked once per row
 combination and multiplied out. Every shortcut is exact on the verdict:
 it reports Valid with the full analytic instance count exactly when the
-sweep would pass every instance. On a violation it reports a replayable
-counterexample found by a deterministic scan, which may differ from the
-sweep's first hit and counts only the instances actually checked.
+sweep would pass every instance. On a violation it reports the
+counterexample of the first failing instance its scan checks, which may
+differ from the sweep's first hit, and counts only the instances checked.
 fast=False forces the definitional sweep; agreement is property-tested.
 """
 
@@ -57,11 +62,9 @@ from .frontend import (
     Add,
     Append,
     Assign,
-    Break,
     Cmp,
     BoolOp,
     FieldAccess,
-    For,
     If,
     IntLit,
     MinMax,
@@ -165,31 +168,15 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _loop_breaks(node: For) -> bool:
-    found = False
-
-    def walk(stmts):
-        nonlocal found
-        for s in stmts:
-            if isinstance(s, Break):
-                found = True
-            elif isinstance(s, If):
-                walk(s.body)
-
-    walk(node.body)
-    return found
-
-
 def gen_vcs(tp: TypedProgram) -> tuple:
-    loops = sorted(tp.loops, key=lambda l: l.depth)
-    outer = loops[0]
-    if len(loops) == 1:
+    outer = tp.loops[0]
+    if len(tp.loops) == 1:
         vcs = [VC(INITIATION, outer.index), VC(PRESERVATION, outer.index)]
-        if _loop_breaks(outer.node):
+        if outer.breaks:
             vcs.append(VC(BREAK_EXIT, outer.index))
         vcs.append(VC(EXIT, outer.index))
         return tuple(vcs)
-    inner = loops[1]
+    inner = tp.loops[1]
     return (
         VC(INITIATION, outer.index),
         VC(INITIATION, inner.index),
@@ -240,9 +227,8 @@ def _row_domain_size(schema: Schema, bounds: Bounds) -> int:
 
 def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
     """Analytic number of instances the sweep for vc must enumerate."""
-    loops = sorted(tp.loops, key=lambda l: l.depth)
-    outer = loops[0]
-    inner = loops[1] if len(loops) == 2 else None
+    outer = tp.loops[0]
+    inner = tp.loops[1] if len(tp.loops) == 2 else None
     rel_params = [(p.name, p.ty) for p in tp.ast.params if isinstance(p.ty, Schema)]
     scalars = 1
     for p in tp.ast.params:
@@ -299,10 +285,8 @@ class _VarRecon:
         else:
             self.kind = "scalar"
             self._f = tor.compile_scalar(expr, schemas)
-
-    @property
-    def is_rel(self) -> bool:
-        return self.kind in ("rel", "rel2")
+        # a plain attribute: the sweep reads it once per variable per instance
+        self.is_rel = self.kind in ("rel", "rel2")
 
     def part1(self, env):
         if self.kind in ("rel2", "agg2"):
@@ -345,8 +329,7 @@ def _collect_consts(e, ints: set, texts: set) -> None:
 
 
 def _non_checkable_reason(tp, candidate, bounds: Bounds) -> str:
-    loops = sorted(tp.loops, key=lambda l: l.depth)
-    if len(loops) == 2 and any(_loop_breaks(l.node) for l in loops):
+    if len(tp.loops) == 2 and any(l.breaks for l in tp.loops):
         return "break inside a nested loop is outside the checkable fragment"
     ints: set = set()
     texts: set = set()
@@ -436,9 +419,8 @@ class _Checker:
         self.prog = tp.ast
         self.bounds = bounds
         self.fast = fast
-        loops = sorted(tp.loops, key=lambda l: l.depth)
-        self.outer = loops[0]
-        self.inner = loops[1] if len(loops) == 2 else None
+        self.outer = tp.loops[0]
+        self.inner = tp.loops[1] if len(tp.loops) == 2 else None
         schemas = tp.relations
         self.posts = [
             _VarRecon(v, e, schemas) for v, e in candidate.posts
@@ -555,6 +537,14 @@ class _Checker:
 
     # -- shared pieces ------------------------------------------------------
 
+    def _entry(self, inputs: dict) -> dict:
+        """The store at the loop head: declared locals, then the pre-loop
+        statements."""
+        store0 = interp.init_store(self.tp, inputs)
+        if self.tp.pre_loop:
+            interp.exec_stmts(self.tp, self.tp.pre_loop, store0)
+        return store0
+
     def _inputs(self):
         lists = []
         names = []
@@ -566,13 +556,9 @@ class _Checker:
                 lists.append(tuple(self.bounds.int_domain))
             else:
                 lists.append(tuple(self.bounds.text_domain))
-        pre = self.tp.pre_loop
         for combo in itertools.product(*lists):
             inputs = dict(zip(names, combo))
-            store0 = interp.init_store(self.tp, inputs)
-            if pre:
-                interp.exec_stmts(self.tp, pre, store0)
-            yield inputs, store0
+            yield inputs, self._entry(inputs)
 
     def _restore(self, store0: dict, recons, env, indices: dict, p1s=None):
         store = dict(store0)
@@ -594,62 +580,52 @@ class _Checker:
                 )
         return None
 
-    # -- per-instance checks --------------------------------------------------
+    # -- the per-instance check -----------------------------------------------
 
     def instance(self, vc: VC, inputs: dict, indices: dict):
         """Check one (inputs, indices) instance; Counterexample or None."""
-        store0 = interp.init_store(self.tp, inputs)
-        if self.tp.pre_loop:
-            interp.exec_stmts(self.tp, self.tp.pre_loop, store0)
-        env = dict(inputs)
-        env.update(indices)
+        return self.check(vc, inputs, self._entry(inputs), indices)
+
+    def check(self, vc: VC, inputs: dict, store0: dict, indices: dict, p1s=None):
+        """Decide one instance of vc from the loop-head store store0. p1s
+        holds the finished parts of a split inner invariant when the caller
+        has cached them (None entries are computed here)."""
+        env = {**inputs, **indices}
         oi = self.outer.index
         if vc.loop == oi:
-            i = indices[oi]
+            recons = self.recons[oi]
             if vc.kind == INITIATION:
-                return self._mismatch(vc, inputs, indices, self.recons[oi], store0, env)
+                return self._mismatch(vc, inputs, indices, recons, store0, env)
+            store = self._restore(store0, recons, env, indices)
             if vc.kind == EXIT:
-                store = self._restore(store0, self.recons[oi], env, indices)
-                penv = dict(inputs)
-                return self._mismatch(vc, inputs, indices, self.posts, store, penv)
-            store = self._restore(store0, self.recons[oi], env, indices)
-            sig = interp.exec_stmts(self.tp, self.outer.node.body, store)
-            if vc.kind == PRESERVATION:
-                if sig == interp.BREAK:
-                    return None
-                env2 = dict(env)
-                env2[oi] = i + 1
-                return self._mismatch(vc, inputs, indices, self.recons[oi], store, env2)
-            if sig != interp.BREAK:
+                return self._mismatch(vc, inputs, indices, self.posts, store, inputs)
+            broke = interp.exec_stmts(self.tp, self.outer.node.body, store) == interp.BREAK
+            if broke != (vc.kind == BREAK_EXIT):
                 return None
-            penv = dict(inputs)
-            return self._mismatch(vc, inputs, indices, self.posts, store, penv)
+            if broke:
+                return self._mismatch(vc, inputs, indices, self.posts, store, inputs)
+            env[oi] += 1
+            return self._mismatch(vc, inputs, indices, recons, store, env)
 
         ij = self.inner.index
+        irecons = self.recons[ij]
         if vc.kind == INITIATION:
             store = self._restore(store0, self.recons[oi], env, {oi: indices[oi]})
             if self.prefix:
                 interp.exec_stmts(self.tp, self.prefix, store)
-            env2 = dict(env)
-            env2[ij] = 0
-            ind2 = dict(indices)
-            ind2[ij] = 0
-            return self._mismatch(vc, inputs, ind2, self.recons[ij], store, env2)
+            return self._mismatch(vc, inputs, indices, irecons, store, env)
         if vc.kind == EXIT:
-            store = self._restore(store0, self.recons[ij], env, {oi: indices[oi]})
+            store = self._restore(store0, irecons, env, {oi: indices[oi]}, p1s)
             if self.suffix:
                 interp.exec_stmts(self.tp, self.suffix, store)
-            env2 = dict(inputs)
-            env2[oi] = indices[oi] + 1
+            env2 = {**inputs, oi: indices[oi] + 1}
             return self._mismatch(vc, inputs, indices, self.recons[oi], store, env2)
         # inner preservation
-        store = self._restore(store0, self.recons[ij], env, indices)
-        sig = interp.exec_stmts(self.tp, self.inner.node.body, store)
-        if sig == interp.BREAK:
+        store = self._restore(store0, irecons, env, indices, p1s)
+        if interp.exec_stmts(self.tp, self.inner.node.body, store) == interp.BREAK:
             return None
-        env2 = dict(env)
-        env2[ij] = indices[ij] + 1
-        return self._mismatch(vc, inputs, indices, self.recons[ij], store, env2)
+        env[ij] += 1
+        return self._mismatch(vc, inputs, indices, irecons, store, env, p1s)
 
     # -- fast paths -------------------------------------------------------------
     #
@@ -706,7 +682,7 @@ class _Checker:
                 return None
             pairs.append((recon, cv))
         inputs = self._minimal_inputs()
-        store0 = interp.init_store(self.tp, inputs)
+        store0 = self._entry(inputs)
         for recon, (kind, want) in pairs:
             have = store0[recon.var]
             ok = tuple(have) == want if kind == "rel" else have == want
@@ -825,114 +801,48 @@ class _Checker:
             return self._fast_pres(vc)
         return None
 
-    # -- sweeps ---------------------------------------------------------------
+    # -- the sweep --------------------------------------------------------------
+
+    def _assignments(self, vc: VC, inputs: dict):
+        """The index assignments of vc for one input, in sweep order, each
+        with the finished parts of the inner invariant cached for its outer
+        row (or None)."""
+        oi = self.outer.index
+        size = inputs[self.outer.rel].size
+        if vc.loop == oi:
+            if vc.kind == INITIATION:
+                yield {oi: 0}, None
+            elif vc.kind == EXIT:
+                yield {oi: size}, None
+            else:
+                for i in range(size):
+                    yield {oi: i}, None
+            return
+        ij = self.inner.index
+        isize = inputs[self.inner.rel].size
+        irecons = self.recons[ij]
+        for i in range(size):
+            if vc.kind == INITIATION:
+                yield {oi: i, ij: 0}, None
+            elif vc.kind == EXIT:
+                yield {oi: i, ij: isize}, None
+            else:
+                env = {**inputs, oi: i, ij: 0}
+                p1s = [r.part1(env) if r.p1_static else None for r in irecons]
+                for j in range(isize):
+                    yield {oi: i, ij: j}, p1s
 
     def run_vc(self, vc: VC):
         shortcut = self._fast_result(vc)
         if shortcut is not None:
             return shortcut
-        oi = self.outer.index
         count = 0
-        if vc.loop == oi:
-            orel = self.outer.rel
-            recons = self.recons[oi]
-            for inputs, store0 in self._inputs():
-                env = dict(inputs)
-                size = inputs[orel].size
-                if vc.kind == INITIATION:
-                    count += 1
-                    env[oi] = 0
-                    cex = self._mismatch(vc, inputs, {oi: 0}, recons, store0, env)
-                    if cex:
-                        return count, cex
-                elif vc.kind == EXIT:
-                    count += 1
-                    env[oi] = size
-                    store = self._restore(store0, recons, env, {oi: size})
-                    penv = dict(inputs)
-                    cex = self._mismatch(vc, inputs, {oi: size}, self.posts, store, penv)
-                    if cex:
-                        return count, cex
-                else:
-                    for i in range(size):
-                        count += 1
-                        env[oi] = i
-                        store = self._restore(store0, recons, env, {oi: i})
-                        sig = interp.exec_stmts(self.tp, self.outer.node.body, store)
-                        if vc.kind == PRESERVATION:
-                            if sig == interp.BREAK:
-                                continue
-                            env2 = dict(env)
-                            env2[oi] = i + 1
-                            cex = self._mismatch(
-                                vc, inputs, {oi: i}, recons, store, env2
-                            )
-                        else:
-                            if sig != interp.BREAK:
-                                continue
-                            penv = dict(inputs)
-                            cex = self._mismatch(
-                                vc, inputs, {oi: i}, self.posts, store, penv
-                            )
-                        if cex:
-                            return count, cex
-            return count, None
-
-        ij = self.inner.index
-        orel, irel = self.outer.rel, self.inner.rel
-        orecons, irecons = self.recons[oi], self.recons[ij]
         for inputs, store0 in self._inputs():
-            env = dict(inputs)
-            osize = inputs[orel].size
-            isize = inputs[irel].size
-            for i in range(osize):
-                env[oi] = i
-                env.pop(ij, None)
-                if vc.kind == INITIATION:
-                    count += 1
-                    store = self._restore(store0, orecons, env, {oi: i})
-                    if self.prefix:
-                        interp.exec_stmts(self.tp, self.prefix, store)
-                    env2 = dict(env)
-                    env2[ij] = 0
-                    cex = self._mismatch(
-                        vc, inputs, {oi: i, ij: 0}, irecons, store, env2
-                    )
-                    if cex:
-                        return count, cex
-                elif vc.kind == EXIT:
-                    count += 1
-                    env[ij] = isize
-                    p1s = [r.part1(env) for r in irecons]
-                    store = self._restore(store0, irecons, env, {oi: i}, p1s)
-                    if self.suffix:
-                        interp.exec_stmts(self.tp, self.suffix, store)
-                    env2 = dict(inputs)
-                    env2[oi] = i + 1
-                    cex = self._mismatch(
-                        vc, inputs, {oi: i, ij: isize}, orecons, store, env2
-                    )
-                    if cex:
-                        return count, cex
-                else:
-                    env[ij] = 0
-                    p1s = [r.part1(env) if r.p1_static else None for r in irecons]
-                    for j in range(isize):
-                        count += 1
-                        env[ij] = j
-                        store = self._restore(
-                            store0, irecons, env, {oi: i, ij: j}, p1s
-                        )
-                        sig = interp.exec_stmts(self.tp, self.inner.node.body, store)
-                        if sig == interp.BREAK:
-                            continue
-                        env2 = dict(env)
-                        env2[ij] = j + 1
-                        cex = self._mismatch(
-                            vc, inputs, {oi: i, ij: j}, irecons, store, env2, p1s
-                        )
-                        if cex:
-                            return count, cex
+            for indices, p1s in self._assignments(vc, inputs):
+                count += 1
+                cex = self.check(vc, inputs, store0, indices, p1s)
+                if cex is not None:
+                    return count, cex
         return count, None
 
 

@@ -170,6 +170,17 @@ def test_synth_missing_file(capsys, tmp_path):
     assert json.loads(out)["status"] == "error"
 
 
+def test_synth_undecodable_file(capsys, tmp_path):
+    bad = tmp_path / "latin1.qil"
+    bad.write_bytes("fn caf\u00e9(".encode("latin-1"))
+    code, out, err = run_cli(capsys, "synth", str(bad))
+    assert code == 1
+    assert "Traceback" not in err
+    rep = json.loads(out)
+    assert rep["status"] == "error"
+    assert rep["reason"].startswith("not UTF-8 text:")
+
+
 def test_synth_stdout_deterministic(capsys):
     _, first, _ = run_cli(capsys, "synth", qil_path("sum"), "--cases", "25")
     _, second, _ = run_cli(capsys, "synth", qil_path("sum"), "--cases", "25")
@@ -208,6 +219,20 @@ def test_bench_mixed_exit_code(capsys, tmp_path):
         "failed": 0,
         "error": 1,
     }
+
+
+def test_bench_reports_past_an_undecodable_file(capsys, tmp_path):
+    src = (benchmarks_dir() / "identity.qil").read_text(encoding="utf-8")
+    (tmp_path / "identity.qil").write_text(src, encoding="utf-8")
+    (tmp_path / "a_latin1.qil").write_bytes(b"fn caf\xe9(")
+    code, out, err = run_cli(capsys, "bench", str(tmp_path), "--cases", "10")
+    assert code == 1
+    assert "Traceback" not in err
+    rep = json.loads(out)
+    assert [(r["programName"], r["status"]) for r in rep["benchmarks"]] == [
+        ("a_latin1", "error"),
+        ("identity", "synthesized"),
+    ]
 
 
 def test_bench_jobs_does_not_change_output(capsys, tmp_path):
@@ -297,6 +322,53 @@ def test_replay_rejects_bad_bindings(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "qilc:" in err
+
+
+@pytest.mark.parametrize(
+    "bindings",
+    [
+        "[]",
+        "null",
+        '{"R": {"schema": [["a", "int"], ["b", "text"]], "rows": [1]}}',
+        '{"R": {"schema": [["a", "int"], ["b", "text"]], "rows": 1}}',
+        '{"R": {"schema": 1, "rows": []}}',
+    ],
+)
+def test_replay_rejects_malformed_bindings(capsys, tmp_path, bindings):
+    path = tmp_path / "inputs.json"
+    path.write_text(bindings, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "replay", qil_path("identity"), "--input", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert "qilc:" in err and "Traceback" not in err
+
+
+def test_replay_equality_against_text_compares_only_equality(capsys, bindings_file):
+    # only `=` is asked for, so an int column against a text is just unequal
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        qil_path("selection"),
+        "--input", bindings_file,
+        "--sql", "SELECT R.* FROM R WHERE R.a = 'x' ORDER BY R.rid",
+    )
+    assert code == 2
+    assert json.loads(out)["sql"]["rows"] == []
+
+
+def test_replay_rejects_int_ordered_against_text(capsys, bindings_file):
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        qil_path("selection"),
+        "--input", bindings_file,
+        "--sql", "SELECT R.* FROM R WHERE R.a < 'x' ORDER BY R.rid",
+    )
+    assert code == 1
+    assert out == ""
+    assert "qilc:" in err and "Traceback" not in err
 
 
 def test_replay_rejects_bad_sql(capsys, bindings_file):

@@ -1,6 +1,8 @@
 """Template mining, candidate enumeration order, invariant derivation,
 and the search loop."""
 
+import time
+
 import pytest
 
 from qilc import synth, tor, verify
@@ -215,6 +217,21 @@ def test_synthesize_timeout():
     out = synthesize(load_benchmark("join_select_project"), Options(timeout=0.05))
     assert isinstance(out, Failure)
     assert out.reason == "timeout"
+
+
+def test_synthesize_timeout_covers_enumeration(monkeypatch):
+    real = synth.enumerate_candidates
+
+    def slow_enumeration(*args):
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(synth, "enumerate_candidates", slow_enumeration)
+    out = synthesize(load_benchmark("selection"), Options(timeout=0.05))
+    assert isinstance(out, Failure)
+    assert out.reason == "timeout"
+    assert out.stats.tried == 0
+    assert out.stats.enumerated > 0
 
 
 def test_solution_verifies_end_to_end():

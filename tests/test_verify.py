@@ -226,8 +226,10 @@ def test_fast_agrees_with_sweep(name, bounds):
         if fast.status == VALID:
             assert fast.instances == slow.instances, cand.serialization()
         if fast.status == VIOLATED:
-            assert recheck(tp, cand, inv, fast.counterexample)
-            assert recheck(tp, cand, inv, slow.counterexample)
+            checker = verify._Checker(tp, cand, inv, bounds)
+            for cex in (fast.counterexample, slow.counterexample):
+                assert recheck(tp, cand, inv, cex)
+                assert checker.instance(cex.vc, cex.inputs, cex.indices) == cex
 
 
 def test_fast_agrees_on_mutated_invariants():
@@ -253,3 +255,96 @@ def test_fast_valid_verdicts_match_default_bounds():
         assert res.instances == sum(
             instance_count(vc, tp, Bounds()) for vc in gen_vcs(tp)
         )
+
+
+# --- replay of every VC branch -------------------------------------------------
+
+
+def _below(index, bound, rel):
+    """rel while the loop index is below bound, empty from there on."""
+    return tor.Sel(tor.CmpAtom("<", tor.IndexRef(index), bound), rel)
+
+
+def _top_k_mutant(kind):
+    """(posts, invariants) of top_k whose first violated VC has this kind."""
+    R, k = tor.Query("R"), tor.ParamRef("k")
+    post = tor.Top(R, k)
+    inv = tor.Top(tor.Top(R, tor.IndexRef("i")), k)
+    if kind == INITIATION:  # one row ahead of the scan
+        inv = tor.Top(tor.Top(R, tor.IndexRef("i", +1)), k)
+    elif kind == PRESERVATION:  # right only at i = 0
+        inv = _below("i", tor.IntConst(1), inv)
+    elif kind == BREAK_EXIT:  # claims the scan never stops early
+        post = R
+    else:  # empty once i passes k, which only the exit at i = |R| > k sees
+        inv = tor.Sel(tor.CmpAtom("<=", tor.IndexRef("i"), k), inv)
+    return {"out": post}, {"i": (("out", inv),)}
+
+
+def _equi_join_mutant(tp, kind, loop):
+    R, S = tor.Query("R"), tor.Query("S")
+    eq = tor.CmpAtom("=", tor.FieldRef("l.k"), tor.FieldRef("r.k"))
+
+    def joined(left, right, pred=eq):
+        return tor.Proj(("l.v", "r.w"), tor.Join(left, right, pred))
+
+    post = joined(R, S)
+    done = joined(tor.Top(R, tor.IndexRef("i")), S)
+    row_i = tor.AppendRow(
+        tor.EmptyRel(tp.relations["R"]),
+        tor.GetRow(R, tor.IndexRef("i")),
+    )
+    running = joined(row_i, tor.Top(S, tor.IndexRef("j")))
+    inv_i = done
+    if (kind, loop) == (INITIATION, "i"):  # one row ahead of the scan
+        inv_i = joined(tor.Top(R, tor.IndexRef("i", +1)), S)
+    elif (kind, loop) == (INITIATION, "j"):  # one row ahead of the scan
+        running = joined(row_i, tor.Top(S, tor.IndexRef("j", +1)))
+    elif (kind, loop) == (PRESERVATION, "j"):  # right only at j = 0
+        running = _below("j", tor.IntConst(1), running)
+    elif (kind, loop) == (EXIT, "j"):  # wrong only once two rows of R are done
+        inv_i = _below("i", tor.IntConst(2), done)
+    elif (kind, loop) == (EXIT, "i"):  # a cross join for the result
+        post = joined(R, S, tor.TruePred())
+    invariants = {"i": (("out", inv_i),), "j": (("out", tor.Concat(done, running)),)}
+    return {"out": post}, invariants
+
+
+# Preservation(i) of equi_join has no mutant: the outer body is the inner
+# loop alone, so Initiation(j), Preservation(j) and Exit(j) passing on
+# every instance imply it (the invariants constrain every local).
+VC_BRANCHES = [
+    ("top_k", INITIATION, "i"),
+    ("top_k", PRESERVATION, "i"),
+    ("top_k", BREAK_EXIT, "i"),
+    ("top_k", EXIT, "i"),
+    ("equi_join", INITIATION, "i"),
+    ("equi_join", INITIATION, "j"),
+    ("equi_join", PRESERVATION, "j"),
+    ("equi_join", EXIT, "j"),
+    ("equi_join", EXIT, "i"),
+]
+
+
+@pytest.mark.parametrize("name, kind, loop", VC_BRANCHES)
+def test_replay_matches_sweep_on_every_vc_branch(name, kind, loop):
+    """A hand mutant whose first violated VC is (kind, loop): replaying the
+    sweep's counterexample through the per-instance check gives it back,
+    also after a JSON round trip."""
+    tp = load_benchmark(name)
+    if name == "top_k":
+        posts, inv = _top_k_mutant(kind)
+        bounds = SMALL3
+    else:
+        posts, inv = _equi_join_mutant(tp, kind, loop)
+        bounds = SMALL
+    cand = candidate_for(tp, posts)
+    res = validate(tp, cand, inv, bounds, fast=False)
+    assert res.status == VIOLATED
+    cex = res.counterexample
+    assert (cex.vc.kind, cex.vc.loop) == (kind, loop)
+    checker = verify._Checker(tp, cand, inv, bounds)
+    assert checker.instance(cex.vc, cex.inputs, cex.indices) == cex
+    back = counterexample_from_json(json.loads(json.dumps(cex.to_json())))
+    assert back == cex
+    assert checker.instance(back.vc, back.inputs, back.indices) == cex
