@@ -12,6 +12,7 @@ With no NAME every bundled program is checked.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -28,7 +29,7 @@ def main(argv=None) -> int:
             continue
         tp = frontend.typecheck(frontend.parse(path.read_text(encoding="utf-8")))
         cands = synth.enumerate_candidates(tp, synth.extract_template(tp), 24)
-        for n, cand in enumerate(cands[: args.first]):
+        for n, cand in enumerate(itertools.islice(cands, args.first)):
             inv = synth.derive_invariants(tp, cand)
             for fast in (True, False):
                 res = verify.validate(tp, cand, inv, verify.Bounds(), fast=fast)

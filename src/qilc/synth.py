@@ -20,6 +20,15 @@ field, a mined constant, or a scalar parameter.
 Candidates are ordered by (total cost, canonical serialization), so the
 accepted candidate is cost-minimal and reruns accept the same one.
 
+Candidates are streamed, not listed: only those the search reaches are
+built. A variable's posts come from one stream per (base, shape), where a
+shape is the Top/Proj or Agg wrapper. A stream runs over the base schema's
+selection predicates, ranked once per schema by (cost, serialization), or
+is the single unselected post. heapq.merge of the streams yields the
+variable's posts in acceptance order; several variables are combined one
+total cost at a time. The number of candidates within the cost bound is
+counted from the streams' cost histograms without building them.
+
 The invariants: for the outer loop the postcondition with the outer rows
 restricted to the first i; for the inner loop the concatenation of the
 finished part (first i outer rows, all inner rows) and the current part
@@ -30,7 +39,11 @@ are implicit; the verifier enumerates only in-range indices.
 
 from __future__ import annotations
 
+import collections
+import functools
+import heapq
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -260,40 +273,96 @@ def _top_bounds(template: Template) -> list:
     return out
 
 
-def posts_for(var: LiveVar, template: Template, bound: int, schemas: dict) -> list:
-    """All candidate postconditions for one variable, cost-bounded, sorted."""
+def _shapes(var: LiveVar, template: Template, base_schema: Schema) -> list:
+    """The functions that wrap a base, selected or not, into a post for var."""
+    if var.agg_kind:
+        fields = [None] if var.agg_kind == "count" else [
+            n for n in base_schema.names if base_schema.type_of(n) == INT
+        ]
+        return [functools.partial(tor.AggOf, var.agg_kind, f) for f in fields]
+    tops: list = [None]
+    if template.has_break and len(template.loop_relations) == 1:
+        tops.extend(_top_bounds(template))
     out = []
-    nested = len(template.loop_relations) == 2
+    for proj in [None, *_projections(base_schema)]:
+        sch = base_schema if proj is None else base_schema.restrict(proj)
+        if sch.types == var.schema.types:
+            out.extend(functools.partial(_shape_list, proj, k) for k in tops)
+    return out
+
+
+def _shape_list(proj, k, rel):
+    shaped = rel if proj is None else tor.Proj(proj, rel)
+    return shaped if k is None else tor.Top(shaped, k)
+
+
+@dataclass(frozen=True)
+class _Ranked:
+    """Predicates with their costs in (cost, s-expression) order; the
+    predicate None stands for no selection."""
+
+    items: tuple  # ((cost, predicate), ...)
+    histogram: dict  # cost -> number of items
+
+
+_UNSELECTED = _Ranked(((0, None),), {0: 1})
+
+
+def _rank_preds(schema: Schema, template: Template) -> _Ranked:
+    """A schema's selection predicates, true excluded, ranked."""
+    keyed = [(tor.cost(p), tor.to_sexpr(p), p) for p in _preds_for(schema, template)[1:]]
+    keyed.sort(key=lambda t: t[:2])
+    items = tuple((c, p) for c, _, p in keyed)
+    return _Ranked(items, dict(collections.Counter(c for c, _ in items)))
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """The posts shape(Sel(p, base)) for the predicates p of ranked (or
+    shape(base) for p None), in acceptance order.
+
+    The posts differ only in p, so their costs order as p's costs do, and
+    their s-expressions order as p's do: an s-expression is never a proper
+    prefix of another (text literals hold no quote), so two serializations
+    that share all but p first differ inside p.
+    """
+
+    shape: object
+    base: object
+    offset: int  # a post's cost minus its predicate's
+    ranked: _Ranked
+
+    def posts(self, bound: int):
+        """(cost, s-expression, post) up to the cost bound."""
+        for c, pred in self.ranked.items:
+            if self.offset + c > bound:
+                return
+            e = self.shape(self.base if pred is None else tor.Sel(pred, self.base))
+            yield self.offset + c, tor.to_sexpr(e), e
+
+    def histogram(self, bound: int) -> dict:
+        """Post cost -> number of posts, up to the cost bound."""
+        return {
+            self.offset + c: n
+            for c, n in self.ranked.histogram.items()
+            if self.offset + c <= bound
+        }
+
+
+def _streams(var: LiveVar, template: Template, schemas: dict, ranked: dict) -> list:
+    """One unselected and one selected stream per (base, shape). ranked
+    caches each base schema's predicates: one schema can serve many bases."""
+    out = []
     for base in _bases(template):
         base_schema = tor.schema_of(base, schemas)
-        if var.agg_kind:
-            fields = [None] if var.agg_kind == "count" else [
-                n for n in base_schema.names if base_schema.type_of(n) == INT
-            ]
-            for pred in _preds_for(base_schema, template):
-                body = base if isinstance(pred, tor.TruePred) else tor.Sel(pred, base)
-                for f in fields:
-                    e = tor.AggOf(var.agg_kind, f, body)
-                    if tor.cost(e) <= bound:
-                        out.append(e)
-            continue
-        projs: list = [None]
-        projs.extend(_projections(base_schema))
-        for pred in _preds_for(base_schema, template):
-            selected = base if isinstance(pred, tor.TruePred) else tor.Sel(pred, base)
-            for proj in projs:
-                shaped = selected if proj is None else tor.Proj(proj, selected)
-                sch = base_schema if proj is None else base_schema.restrict(proj)
-                if sch.types != var.schema.types:
-                    continue
-                if tor.cost(shaped) <= bound:
-                    out.append(shaped)
-                if template.has_break and not nested:
-                    for k in _top_bounds(template):
-                        topped = tor.Top(shaped, k)
-                        if tor.cost(topped) <= bound:
-                            out.append(topped)
-    return sorted(out, key=lambda e: (tor.cost(e), tor.to_sexpr(e)))
+        if base_schema not in ranked:
+            ranked[base_schema] = _rank_preds(base_schema, template)
+        for shape in _shapes(var, template, base_schema):
+            out.append(_Stream(shape, base, tor.cost(shape(base)), _UNSELECTED))
+            placeholder = tor.TruePred()
+            offset = tor.cost(shape(tor.Sel(placeholder, base))) - tor.cost(placeholder)
+            out.append(_Stream(shape, base, offset, ranked[base_schema]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -307,27 +376,90 @@ class Candidate:
         return tuple(tor.to_sexpr(e) for _, e in self.posts)
 
 
-def enumerate_candidates(tp: TypedProgram, template: Template, bound: int) -> list:
-    """The full candidate list in acceptance order."""
-    lvs = live_vars(tp)
-    if not lvs:
-        return []
-    schemas = tp.relations
-    per_var = []
-    for v in lvs:
-        posts = posts_for(v, template, bound, schemas)
-        if not posts:
-            return []
-        per_var.append(posts)
-    cands = []
-    for combo in itertools.product(*per_var):
-        total = sum(tor.cost(e) for e in combo)
-        if total <= bound:
-            cands.append(
-                Candidate(tuple(zip((v.name for v in lvs), combo)), total)
+_COST_SEXPR = operator.itemgetter(0, 1)
+
+
+class CandidateSpace:
+    """The candidates within a cost bound, in acceptance order.
+
+    Iteration builds each candidate only when it is reached: every
+    variable's posts are a heapq.merge of its streams by (cost,
+    s-expression). len() counts the candidates from the streams' cost
+    histograms without building any.
+    """
+
+    def __init__(self, names: tuple, streams: list, bound: int):
+        self._names = names
+        self._streams = streams  # per variable, its _Stream list
+        self._bound = bound
+        totals = collections.Counter({0: 1} if streams else {})
+        for var_streams in streams:
+            hist = collections.Counter()
+            for s in var_streams:
+                hist.update(s.histogram(bound))
+            convolved = collections.Counter()
+            for a, m in totals.items():
+                for b, n in hist.items():
+                    if a + b <= bound:
+                        convolved[a + b] += m * n
+            totals = convolved
+        self._count = sum(totals.values())
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        per_var = [
+            heapq.merge(*(s.posts(self._bound) for s in ss), key=_COST_SEXPR)
+            for ss in self._streams
+        ]
+        if not per_var:
+            return
+        if len(per_var) == 1:
+            combos = ((post,) for post in per_var[0])
+        else:
+            combos = _combine(per_var, self._bound)
+        for combo in combos:
+            yield Candidate(
+                tuple((name, e) for name, (_, _, e) in zip(self._names, combo)),
+                sum(c for c, _, _ in combo),
             )
-    cands.sort(key=lambda c: (c.cost, c.serialization()))
-    return cands
+
+
+def _combine(per_var: list, bound: int):
+    """Tuples of posts, one per variable, by (total cost, serialization).
+
+    Each variable's posts are grouped by cost. For each total cost, the
+    products of the groups of every split of it are each in serialization
+    order already, and are merged.
+    """
+    groups = []
+    for posts in per_var:
+        by_cost: dict = {}
+        for post in posts:
+            by_cost.setdefault(post[0], []).append(post)
+        groups.append(by_cost)
+    splits = sorted(itertools.product(*(sorted(g) for g in groups)), key=sum)
+    for total, same_total in itertools.groupby(splits, key=sum):
+        if total > bound:
+            return
+        blocks = [
+            itertools.product(*(g[c] for g, c in zip(groups, split)))
+            for split in same_total
+        ]
+        yield from heapq.merge(
+            *blocks, key=lambda combo: tuple(s for _, s, _ in combo)
+        )
+
+
+def enumerate_candidates(
+    tp: TypedProgram, template: Template, bound: int
+) -> CandidateSpace:
+    """The candidates within the cost bound, built lazily in acceptance order."""
+    lvs = live_vars(tp)
+    ranked: dict = {}
+    streams = [_streams(v, template, tp.relations, ranked) for v in lvs]
+    return CandidateSpace(tuple(v.name for v in lvs), streams, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +497,26 @@ def _current_row_prefix(i: str, j: str, outer_schema: Schema):
     return f
 
 
+_last_derived: tuple = (None, None, {})  # (tp, candidate, invariants)
+
+
 def derive_invariants(tp: TypedProgram, candidate: Candidate) -> dict:
-    """Map each loop index to its invariant equalities ((var, expr), ...)."""
+    """Map each loop index to its invariant equalities ((var, expr), ...).
+
+    The search derives a candidate's invariants and the verifier derives
+    them again to check that it was handed exactly these, so the latest
+    result is kept for the same tp and candidate objects. Every call
+    returns a fresh dict; its values are immutable and shared.
+    """
+    global _last_derived
+    last_tp, last_candidate, inv = _last_derived
+    if last_tp is not tp or last_candidate is not candidate:
+        inv = _derive_invariants(tp, candidate)
+        _last_derived = (tp, candidate, inv)
+    return dict(inv)
+
+
+def _derive_invariants(tp: TypedProgram, candidate: Candidate) -> dict:
     outer = tp.loops[0]
     inv: dict = {}
     inv[outer.index] = tuple(
@@ -457,7 +607,7 @@ def synthesize(tp: TypedProgram, options: Options = Options()):
     return Failure("exhausted", _stats(cands, results))
 
 
-def _stats(cands: list, results: list) -> SynthStats:
+def _stats(cands: CandidateSpace, results: list) -> SynthStats:
     """Statistics over the verdicts of the candidates tried so far."""
     from . import verify
 

@@ -53,6 +53,7 @@ fast=False forces the definitional sweep; agreement is property-tested.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -227,14 +228,26 @@ def _row_domain_size(schema: Schema, bounds: Bounds) -> int:
 
 def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
     """Analytic number of instances the sweep for vc must enumerate."""
-    outer = tp.loops[0]
-    inner = tp.loops[1] if len(tp.loops) == 2 else None
-    rel_params = [(p.name, p.ty) for p in tp.ast.params if isinstance(p.ty, Schema)]
+    return _instance_count(
+        vc,
+        tuple((l.index, l.rel) for l in tp.loops),
+        tuple((p.name, p.ty) for p in tp.ast.params),
+        bounds,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _instance_count(vc: VC, loops: tuple, params: tuple, bounds: Bounds) -> int:
+    """instance_count over the hashable facts it reads: the loops' (index,
+    relation) pairs and the parameters' (name, type) pairs. The checker
+    asks for the same few counts for every candidate of a program."""
+    outer_index, outer_rel = loops[0]
+    rel_params = [(name, ty) for name, ty in params if isinstance(ty, Schema)]
     scalars = 1
-    for p in tp.ast.params:
-        if p.ty == INT:
+    for _, ty in params:
+        if ty == INT:
             scalars *= len(bounds.int_domain)
-        elif isinstance(p.ty, str):
+        elif isinstance(ty, str):
             scalars *= len(bounds.text_domain)
     total = 0
     for sizes in itertools.product(
@@ -246,13 +259,13 @@ def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
             mult *= _row_domain_size(sch, bounds) ** s
             size_of[name] = s
         factor = 1
-        if vc.loop == outer.index:
+        if vc.loop == outer_index:
             if vc.kind in (PRESERVATION, BREAK_EXIT):
-                factor = size_of[outer.rel]
+                factor = size_of[outer_rel]
         else:
-            factor = size_of[outer.rel]
+            factor = size_of[outer_rel]
             if vc.kind in (PRESERVATION, BREAK_EXIT):
-                factor *= size_of[inner.rel]
+                factor *= size_of[loops[1][1]]  # the inner loop's relation
         total += mult * factor
     return total * scalars
 

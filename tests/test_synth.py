@@ -1,6 +1,7 @@
 """Template mining, candidate enumeration order, invariant derivation,
 and the search loop."""
 
+import itertools
 import time
 
 import pytest
@@ -16,7 +17,6 @@ from qilc.synth import (
     enumerate_candidates,
     extract_template,
     live_vars,
-    posts_for,
     synthesize,
 )
 from tests.conftest import load_benchmark
@@ -121,7 +121,7 @@ def test_top_only_for_break_programs():
 def test_cost_bound_prunes():
     tp = load_benchmark("selection")
     template = extract_template(tp)
-    assert enumerate_candidates(tp, template, 1) == []
+    assert list(enumerate_candidates(tp, template, 1)) == []
     only_cheap = enumerate_candidates(tp, template, 2)
     assert [tor.to_sexpr(dict(c.posts)["out"]) for c in only_cheap] == ["(query R)"]
 
@@ -201,7 +201,7 @@ def test_synthesize_rejects_cheaper_wrong_candidate_first():
     cands = enumerate_candidates(
         load_benchmark("selection"), extract_template(load_benchmark("selection")), 24
     )
-    assert tor.to_sexpr(dict(cands[0].posts)["out"]) == "(query R)"
+    assert tor.to_sexpr(dict(next(iter(cands)).posts)["out"]) == "(query R)"
     assert out.rank == 1
 
 
@@ -214,9 +214,13 @@ def test_synthesize_exhausted_on_tight_bound():
 
 
 def test_synthesize_timeout():
+    # enumeration is lazy, so the budget cuts the search short of the
+    # accepted rank (1660) while the count still covers the whole space
     out = synthesize(load_benchmark("join_select_project"), Options(timeout=0.05))
     assert isinstance(out, Failure)
     assert out.reason == "timeout"
+    assert out.stats.enumerated == 111232
+    assert out.stats.tried < 1661
 
 
 def test_synthesize_timeout_covers_enumeration(monkeypatch):
@@ -248,6 +252,111 @@ def test_posts_are_translatable_by_construction():
     for name in ("selection", "equi_join", "top_k", "sum"):
         tp = load_benchmark(name)
         template = extract_template(tp)
-        lv = live_vars(tp)[0]
-        for e in posts_for(lv, template, 24, tp.relations)[:50]:
-            emit.to_sql(e, tp.relations)  # must not raise
+        for cand in itertools.islice(enumerate_candidates(tp, template, 24), 50):
+            for _, e in cand.posts:
+                emit.to_sql(e, tp.relations)  # must not raise
+
+
+# --- the lazy enumeration against the eager one it replaces ----------------
+
+
+def eager_posts(var, template, bound, schemas):
+    """Every post of one variable, built, filtered by the cost bound and
+    sorted by (cost, serialization)."""
+    out = []
+    nested = len(template.loop_relations) == 2
+    for base in synth._bases(template):
+        base_schema = tor.schema_of(base, schemas)
+        if var.agg_kind:
+            fields = [None] if var.agg_kind == "count" else [
+                n for n in base_schema.names if base_schema.type_of(n) == "int"
+            ]
+            for pred in synth._preds_for(base_schema, template):
+                body = base if isinstance(pred, tor.TruePred) else tor.Sel(pred, base)
+                for f in fields:
+                    e = tor.AggOf(var.agg_kind, f, body)
+                    if tor.cost(e) <= bound:
+                        out.append(e)
+            continue
+        projs = [None, *synth._projections(base_schema)]
+        for pred in synth._preds_for(base_schema, template):
+            selected = base if isinstance(pred, tor.TruePred) else tor.Sel(pred, base)
+            for proj in projs:
+                shaped = selected if proj is None else tor.Proj(proj, selected)
+                sch = base_schema if proj is None else base_schema.restrict(proj)
+                if sch.types != var.schema.types:
+                    continue
+                if tor.cost(shaped) <= bound:
+                    out.append(shaped)
+                if template.has_break and not nested:
+                    for k in synth._top_bounds(template):
+                        topped = tor.Top(shaped, k)
+                        if tor.cost(topped) <= bound:
+                            out.append(topped)
+    return sorted(out, key=lambda e: (tor.cost(e), tor.to_sexpr(e)))
+
+
+def eager_candidates(tp, template, bound):
+    """The product of the variables' posts, filtered by total cost and
+    sorted by (cost, serialization)."""
+    lvs = live_vars(tp)
+    if not lvs:
+        return []
+    per_var = [eager_posts(v, template, bound, tp.relations) for v in lvs]
+    cands = []
+    for combo in itertools.product(*per_var):
+        total = sum(tor.cost(e) for e in combo)
+        if total <= bound:
+            cands.append(Candidate(tuple(zip((v.name for v in lvs), combo)), total))
+    cands.sort(key=lambda c: (c.cost, c.serialization()))
+    return cands
+
+
+TWO_ACCUMULATORS = """
+fn two_totals(R: rel(a: int, b: int), t: int) {
+    var s: int = 0;
+    var c: int = 0;
+    for i in 0 .. size(R) {
+        if R[i].a > t && R[i].b != 2 {
+            s = s + R[i].b;
+            c = c + 1;
+        }
+    }
+    return s;
+}
+"""
+
+PAREN_TEXTS = """
+fn labelled(R: rel(name: text, n: int)) {
+    var out: list(name: text, n: int);
+    for i in 0 .. size(R) {
+        if R[i].name == "a (b)" || R[i].name == "a" || R[i].name != ") (" {
+            out.append(R[i]);
+        }
+    }
+    return out;
+}
+"""
+
+BUNDLED = [
+    "count", "cross_join", "equi_join", "identity", "join_select_project",
+    "max_value", "min_value", "projection", "select_project", "selection",
+    "sum", "top_k",
+]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 10, 24])
+@pytest.mark.parametrize("name", BUNDLED + ["two_accumulators", "paren_texts"])
+def test_lazy_enumeration_matches_eager(name, bound):
+    if name == "two_accumulators":
+        tp = typecheck(parse(TWO_ACCUMULATORS))
+        assert len(live_vars(tp)) == 2
+    elif name == "paren_texts":
+        tp = typecheck(parse(PAREN_TEXTS))
+    else:
+        tp = load_benchmark(name)
+    template = extract_template(tp)
+    expected = eager_candidates(tp, template, bound)
+    space = enumerate_candidates(tp, template, bound)
+    assert len(space) == len(expected)
+    assert list(space) == expected
