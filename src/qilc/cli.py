@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -54,6 +55,15 @@ def _int_at_least(lo: int):
     return integer
 
 
+def _seconds(text: str) -> float:
+    """A finite, non-negative number of seconds: the report echoes it as a
+    JSON number, and JSON has no NaN or infinity."""
+    secs = float(text)
+    if not 0 <= secs < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return secs
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, like every other input error; 2 means the
     search failed."""
@@ -65,11 +75,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_synth_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cost-bound", type=int, default=24, metavar="N")
-    sub.add_argument("--rel-bound", type=int, default=3, metavar="B")
+    sub.add_argument("--rel-bound", type=_int_at_least(0), default=3, metavar="B")
     sub.add_argument("--int-domain", type=_parse_domain, default=(0, 1, 2), metavar="D")
     sub.add_argument("--cases", type=_int_at_least(0), default=1000, metavar="N")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S")
-    sub.add_argument("--timeout", type=float, default=0.0, metavar="SECS")
+    sub.add_argument("--timeout", type=_seconds, default=0.0, metavar="SECS")
     sub.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="J")
 
 

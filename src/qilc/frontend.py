@@ -18,10 +18,11 @@ Shape restrictions enforced by the typechecker (not the parser):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Optional
 
-from .relation import INT, TEXT, Schema
+from .relation import Schema
 
 # Internal scalar type for min/max accumulators: an int that may be absent.
 OPTINT = "optint"
@@ -60,6 +61,11 @@ class TypeCheckError(Exception):
 # ---------------------------------------------------------------------------
 
 
+class Node:
+    """Base of every syntax class; a field holding a Node, or a tuple
+    holding Nodes, holds children."""
+
+
 @dataclass(frozen=True)
 class Loc:
     line: int
@@ -67,7 +73,7 @@ class Loc:
 
 
 @dataclass(frozen=True)
-class Param:
+class Param(Node):
     name: str
     # "int", "text", or a Schema for relation parameters
     ty: object
@@ -75,14 +81,14 @@ class Param:
 
 
 @dataclass(frozen=True)
-class ListDecl:
+class ListDecl(Node):
     name: str
     schema: Schema
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class ScalarDecl:
+class ScalarDecl(Node):
     name: str
     base: str  # "int" or "text"
     # int literal, text literal, or None for the absent-int initializer `none`
@@ -91,25 +97,25 @@ class ScalarDecl:
 
 
 @dataclass(frozen=True)
-class IntLit:
+class IntLit(Node):
     value: int
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class TextLit:
+class TextLit(Node):
     value: str
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class VarRef:
+class VarRef(Node):
     name: str
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class FieldAccess:
+class FieldAccess(Node):
     rel: str
     index: str
     fieldname: str
@@ -117,27 +123,27 @@ class FieldAccess:
 
 
 @dataclass(frozen=True)
-class RowRef:
+class RowRef(Node):
     rel: str
     index: str
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class RecordLit:
+class RecordLit(Node):
     items: tuple[tuple[str, object], ...]
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(Node):
     left: object
     right: object
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class MinMax:
+class MinMax(Node):
     op: str  # "min" | "max"
     left: object
     right: object
@@ -145,7 +151,7 @@ class MinMax:
 
 
 @dataclass(frozen=True)
-class Cmp:
+class Cmp(Node):
     op: str  # == != < <= > >=
     left: object
     right: object
@@ -153,7 +159,7 @@ class Cmp:
 
 
 @dataclass(frozen=True)
-class BoolOp:
+class BoolOp(Node):
     op: str  # "and" | "or"
     left: object
     right: object
@@ -161,39 +167,39 @@ class BoolOp:
 
 
 @dataclass(frozen=True)
-class NotOp:
+class NotOp(Node):
     operand: object
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class Assign:
+class Assign(Node):
     target: str
     expr: object
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class Append:
+class Append(Node):
     target: str
     record: object  # RowRef or RecordLit
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class If:
+class If(Node):
     cond: object
     body: tuple
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class Break:
+class Break(Node):
     loc: Loc = field(compare=False, default=Loc(0, 0))
 
 
 @dataclass(frozen=True)
-class For:
+class For(Node):
     index: str
     rel: str
     body: tuple
@@ -201,13 +207,46 @@ class For:
 
 
 @dataclass(frozen=True)
-class Program:
+class Program(Node):
     name: str
     params: tuple[Param, ...]
     decls: tuple
     body: tuple
     result: str
     loc: Loc = field(compare=False, default=Loc(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Generic traversal: walkers that treat every node alike except a few build
+# on these instead of listing each node type.
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def _nodes_in(value):
+    if isinstance(value, Node):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _nodes_in(v)
+
+
+def children(node) -> list:
+    """The Node values of node's fields, in field order. Tuple fields are
+    flattened: statement bodies, parameters, declarations, and the
+    (name, expr) pairs of a record literal."""
+    return [c for n in _field_names(type(node)) for c in _nodes_in(getattr(node, n))]
+
+
+def walk(nodes):
+    """Every node of the trees rooted at nodes, in pre-order."""
+    for node in nodes:
+        yield node
+        yield from walk(children(node))
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +686,6 @@ class TypedProgram:
             p.name: p.ty for p in self.ast.params if not isinstance(p.ty, Schema)
         }
 
-    def loop_by_index(self, index: str) -> LoopInfo:
-        for li in self.loops:
-            if li.index == index:
-                return li
-        raise KeyError(index)
-
 
 class _Checker:
     def __init__(self, ast: Program):
@@ -962,14 +995,10 @@ class _Checker:
             if lt == "text" and p.op not in ("==", "!="):
                 self.issue("text supports only == and !=", p.loc)
             return
-        if isinstance(p, BoolOp):
-            self.check_pred(p.left)
-            self.check_pred(p.right)
-            return
-        if isinstance(p, NotOp):
-            self.check_pred(p.operand)
-            return
-        raise AssertionError(f"unhandled predicate {p!r}")
+        if not isinstance(p, (BoolOp, NotOp)):
+            raise AssertionError(f"unhandled predicate {p!r}")
+        for c in children(p):
+            self.check_pred(c)
 
 
 def typecheck(ast: Program) -> TypedProgram:

@@ -49,19 +49,15 @@ from dataclasses import dataclass, field
 
 from . import tor
 from .frontend import (
-    Add,
+    Append,
     Assign,
-    BoolOp,
     Cmp,
     For,
-    If,
     IntLit,
-    MinMax,
-    NotOp,
-    OPTINT,
-    RecordLit,
+    ListDecl,
     TextLit,
     TypedProgram,
+    walk,
 )
 from .relation import INT, TEXT, Schema
 
@@ -86,61 +82,20 @@ class Template:
     loop_relations: tuple  # relation names outermost first, length 1 or 2
 
 
-def _mine_literals(node, ints: set, texts: set) -> None:
-    if isinstance(node, IntLit):
-        ints.add(node.value)
-    elif isinstance(node, TextLit):
-        texts.add(node.value)
-    elif isinstance(node, (Add, MinMax, Cmp, BoolOp)):
-        _mine_literals(node.left, ints, texts)
-        _mine_literals(node.right, ints, texts)
-    elif isinstance(node, NotOp):
-        _mine_literals(node.operand, ints, texts)
-    elif isinstance(node, RecordLit):
-        for _, e in node.items:
-            _mine_literals(e, ints, texts)
-
-
-def _mine_cmps(node, ops: set) -> None:
-    if isinstance(node, Cmp):
-        op = "=" if node.op == "==" else node.op
-        ops.add(op)
-    elif isinstance(node, BoolOp):
-        _mine_cmps(node.left, ops)
-        _mine_cmps(node.right, ops)
-    elif isinstance(node, NotOp):
-        _mine_cmps(node.operand, ops)
-
-
-def _walk_stmts(stmts, on_stmt) -> None:
-    for s in stmts:
-        on_stmt(s)
-        if isinstance(s, If):
-            _walk_stmts(s.body, on_stmt)
-        elif isinstance(s, For):
-            _walk_stmts(s.body, on_stmt)
-
-
 def extract_template(tp: TypedProgram) -> Template:
     ints: set = set()
     texts: set = set()
     ops: set = set()
     has_append = False
-
-    def on_stmt(s):
-        nonlocal has_append
-        from .frontend import Append
-
-        if isinstance(s, Assign):
-            _mine_literals(s.expr, ints, texts)
-        elif isinstance(s, Append):
+    for node in walk(tp.ast.body):
+        if isinstance(node, IntLit):
+            ints.add(node.value)
+        elif isinstance(node, TextLit):
+            texts.add(node.value)
+        elif isinstance(node, Cmp):
+            ops.add("=" if node.op == "==" else node.op)
+        elif isinstance(node, Append):
             has_append = True
-            _mine_literals(s.record, ints, texts)
-        elif isinstance(s, If):
-            _mine_literals(s.cond, ints, texts)
-            _mine_cmps(s.cond, ops)
-
-    _walk_stmts(tp.ast.body, on_stmt)
     return Template(
         relations=tuple(sorted(tp.relations.items())),
         scalar_params=tuple(
@@ -170,19 +125,10 @@ class LiveVar:
 
 
 def live_vars(tp: TypedProgram) -> tuple:
-    from .frontend import Append, ListDecl
-
-    assigned: list = []
-
-    def on_stmt(s):
-        if isinstance(s, Assign) and s.target not in assigned:
-            assigned.append(s.target)
-        elif isinstance(s, Append) and s.target not in assigned:
-            assigned.append(s.target)
-
-    for loop in tp.ast.body:
-        if isinstance(loop, For):
-            _walk_stmts([loop], on_stmt)
+    loops = [s for s in tp.ast.body if isinstance(s, For)]
+    assigned = dict.fromkeys(
+        n.target for n in walk(loops) if isinstance(n, (Assign, Append))
+    )
     out = []
     decls = {d.name: d for d in tp.ast.decls}
     for name in assigned:

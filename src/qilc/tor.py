@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Optional, Union
+from typing import Optional
 
 from .relation import INT, TEXT, OrderedRelation, Schema, SchemaError
 
@@ -110,9 +110,6 @@ class NotP(Node):
     operand: object
 
 
-Pred = Union[TruePred, CmpAtom, AndP, OrP, NotP]
-
-
 @dataclass(frozen=True)
 class Query(Node):
     rel: str
@@ -161,7 +158,6 @@ class Concat(Node):
 
 
 REL_NODES = (Query, EmptyRel, Sel, Proj, Join, Top, AppendRow, Concat)
-RelExpr = Union[REL_NODES]
 
 
 @dataclass(frozen=True)
@@ -189,8 +185,6 @@ class AggOf(Node):
     of: object
 
 
-ScalarExpr = Union[IntConst, TextConst, ParamRef, IndexRef, SizeOf, AggOf]
-
 AGG_KINDS = ("sum", "count", "min", "max")
 
 
@@ -207,8 +201,7 @@ def _field_names(cls) -> tuple:
 
 def children(e) -> list:
     """The sub-expressions of e, in field order."""
-    values = (getattr(e, n) for n in _field_names(type(e)))
-    return [c for c in values if isinstance(c, Node)]
+    return [c for n in _field_names(type(e)) if isinstance(c := getattr(e, n), Node)]
 
 
 def map_children(e, f):
@@ -275,8 +268,6 @@ def _operand_type(o, sch: Schema) -> str:
 
 
 def check_pred(p, sch: Schema) -> None:
-    if isinstance(p, TruePred):
-        return
     if isinstance(p, CmpAtom):
         lt = _operand_type(p.lhs, sch)
         rt = _operand_type(p.rhs, sch)
@@ -285,14 +276,10 @@ def check_pred(p, sch: Schema) -> None:
         if TEXT in (lt, rt) and p.op not in ("=", "!="):
             raise SchemaError("text supports only = and !=")
         return
-    if isinstance(p, (AndP, OrP)):
-        check_pred(p.left, sch)
-        check_pred(p.right, sch)
-        return
-    if isinstance(p, NotP):
-        check_pred(p.operand, sch)
-        return
-    raise SchemaError(f"not a predicate: {p!r}")
+    if not isinstance(p, (TruePred, AndP, OrP, NotP)):
+        raise SchemaError(f"not a predicate: {p!r}")
+    for c in children(p):
+        check_pred(c, sch)
 
 
 def pred_fields(p) -> set:
@@ -665,6 +652,17 @@ def _lit(v) -> str:
     return str(v)
 
 
+# the cost of the leaves a node holds outside its children: the relation
+# name under Query, field names, record values, and an aggregate's field
+_PAYLOAD_COST = {
+    Query: lambda e: 1,
+    EmptyRel: lambda e: len(e.schema.fields),
+    Proj: lambda e: len(e.fields),
+    RecordConst: lambda e: len(e.values),
+    AggOf: lambda e: 1 if e.field is not None else 0,
+}
+
+
 def cost(e) -> int:
     """Leaf-inclusive node count; the enumeration's cost measure.
 
@@ -672,41 +670,8 @@ def cost(e) -> int:
     parameter and index references, field references, projected field names,
     the relation name under Query) count 1 each.
     """
-    if isinstance(e, Query):
-        return 2
-    if isinstance(e, EmptyRel):
-        return 1 + len(e.schema.fields)
-    if isinstance(e, Sel):
-        return 1 + cost(e.pred) + cost(e.of)
-    if isinstance(e, Proj):
-        return 1 + len(e.fields) + cost(e.of)
-    if isinstance(e, Join):
-        return 1 + cost(e.left) + cost(e.right) + cost(e.pred)
-    if isinstance(e, Top):
-        return 1 + cost(e.of) + cost(e.k)
-    if isinstance(e, AppendRow):
-        return 1 + cost(e.of) + cost(e.rec)
-    if isinstance(e, Concat):
-        return 1 + cost(e.left) + cost(e.right)
-    if isinstance(e, GetRow):
-        return 1 + cost(e.of) + cost(e.idx)
-    if isinstance(e, RecordConst):
-        return 1 + len(e.values)
-    if isinstance(e, SizeOf):
-        return 1 + cost(e.of)
-    if isinstance(e, AggOf):
-        return 1 + (1 if e.field is not None else 0) + cost(e.of)
-    if isinstance(e, (IntConst, TextConst, ParamRef, IndexRef, FieldRef)):
-        return 1
-    if isinstance(e, TruePred):
-        return 1
-    if isinstance(e, CmpAtom):
-        return 1 + cost(e.lhs) + cost(e.rhs)
-    if isinstance(e, (AndP, OrP)):
-        return 1 + cost(e.left) + cost(e.right)
-    if isinstance(e, NotP):
-        return 1 + cost(e.operand)
-    raise SchemaError(f"no cost for {e!r}")
+    payload = _PAYLOAD_COST.get(type(e))
+    return 1 + (payload(e) if payload else 0) + sum(map(cost, children(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,18 +63,13 @@ from .frontend import (
     Add,
     Append,
     Assign,
-    Cmp,
-    BoolOp,
     FieldAccess,
     If,
-    IntLit,
     MinMax,
-    NotOp,
-    RecordLit,
     RowRef,
-    TextLit,
     TypedProgram,
     VarRef,
+    children,
 )
 from .relation import (
     INT,
@@ -192,8 +187,6 @@ def gen_vcs(tp: TypedProgram) -> tuple:
 # Bounded domains
 # ---------------------------------------------------------------------------
 
-_REL_CACHE: dict = {}
-
 
 def _row_domain(schema: Schema, bounds: Bounds) -> tuple:
     """All rows a relation of this schema can hold, lexicographic."""
@@ -203,20 +196,15 @@ def _row_domain(schema: Schema, bounds: Bounds) -> tuple:
     return tuple(itertools.product(*domains))
 
 
+@functools.cache
 def relation_values(schema: Schema, bounds: Bounds) -> tuple:
     """All relation instances, sizes ascending, rows lexicographic."""
-    key = (schema, bounds.rel_size, bounds.int_domain, bounds.text_domain)
-    hit = _REL_CACHE.get(key)
-    if hit is not None:
-        return hit
     row_domain = _row_domain(schema, bounds)
     values = []
     for size in range(bounds.rel_size + 1):
         for rows in itertools.product(row_domain, repeat=size):
             values.append(OrderedRelation(schema, rows))
-    out = tuple(values)
-    _REL_CACHE[key] = out
-    return out
+    return tuple(values)
 
 
 def _row_domain_size(schema: Schema, bounds: Bounds) -> int:
@@ -485,38 +473,17 @@ class _Checker:
             return False
         return derived == invariants
 
-    def _input_only_expr(self, e) -> bool:
-        """The expression reads inputs and loop rows only, so its value is a
-        function of the rows at the current indices and the parameters."""
-        if isinstance(e, (IntLit, TextLit)):
-            return True
-        if isinstance(e, VarRef):
-            return e.name in self._scalar_names
-        if isinstance(e, FieldAccess):
+    def _input_only(self, node) -> bool:
+        """The expression, record or predicate reads inputs and loop rows
+        only, so its value is a function of the rows at the current indices
+        and the parameters."""
+        if isinstance(node, VarRef):
+            return node.name in self._scalar_names
+        if isinstance(node, (FieldAccess, RowRef)):
             return any(
-                l.index == e.index and l.rel == e.rel for l in self.tp.loops
+                l.index == node.index and l.rel == node.rel for l in self.tp.loops
             )
-        if isinstance(e, (Add, MinMax)):
-            return self._input_only_expr(e.left) and self._input_only_expr(e.right)
-        return False
-
-    def _input_only_record(self, r) -> bool:
-        if isinstance(r, RowRef):
-            return any(
-                l.index == r.index and l.rel == r.rel for l in self.tp.loops
-            )
-        if isinstance(r, RecordLit):
-            return all(self._input_only_expr(e) for _, e in r.items)
-        return False
-
-    def _input_only_pred(self, p) -> bool:
-        if isinstance(p, Cmp):
-            return self._input_only_expr(p.left) and self._input_only_expr(p.right)
-        if isinstance(p, BoolOp):
-            return self._input_only_pred(p.left) and self._input_only_pred(p.right)
-        if isinstance(p, NotOp):
-            return self._input_only_pred(p.operand)
-        return False
+        return all(self._input_only(c) for c in children(node))
 
     def _body_cancellative(self, stmts) -> bool:
         """Every effect of the body is appending input-determined rows or
@@ -525,12 +492,12 @@ class _Checker:
         of the current rows alone."""
         for s in stmts:
             if isinstance(s, If):
-                if not self._input_only_pred(s.cond):
+                if not self._input_only(s.cond):
                     return False
                 if not self._body_cancellative(s.body):
                     return False
             elif isinstance(s, Append):
-                if not self._input_only_record(s.record):
+                if not self._input_only(s.record):
                     return False
             elif isinstance(s, Assign):
                 e = s.expr
@@ -542,7 +509,7 @@ class _Checker:
                     other = e.left
                 else:
                     return False
-                if not self._input_only_expr(other):
+                if not self._input_only(other):
                     return False
             else:
                 return False

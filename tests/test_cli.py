@@ -6,6 +6,7 @@ tested directly where the CLI path would be slow.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,7 +62,16 @@ def test_parse_domain_rejects_empty():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--jobs", "x"), ("--jobs", "0"), ("--int-domain", "3..1"), ("--cases", "-1")],
+    [
+        ("--jobs", "x"),
+        ("--jobs", "0"),
+        ("--int-domain", "3..1"),
+        ("--cases", "-1"),
+        ("--rel-bound", "-1"),
+        ("--timeout", "-1"),
+        ("--timeout", "nan"),
+        ("--timeout", "inf"),
+    ],
 )
 def test_bad_flag_value_is_a_usage_error(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -252,6 +262,15 @@ def test_bench_jobs_does_not_change_output(capsys, tmp_path):
         "identity: synthesized",
         "selection: synthesized",
     ]
+
+
+def test_corpus_bench_report_matches_golden(capsys):
+    """The default-flag report for the bundled corpus, byte for byte. An
+    intended report change updates tests/data/corpus_bench.json."""
+    code, out, _ = run_cli(capsys, "bench", str(benchmarks_dir()))
+    golden = Path(__file__).parent / "data" / "corpus_bench.json"
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_bench_empty_directory(capsys, tmp_path):

@@ -236,3 +236,86 @@ def test_pretty_is_fixpoint(benchmarks):
     for tp in benchmarks.values():
         once = pretty(tp.ast)
         assert pretty(parse(once)) == once
+
+
+# --- generic traversal -------------------------------------------------------
+
+# every syntax class appears in this program
+EVERY_KIND = """
+fn every_kind(R: rel(a: int, b: text), k: int) {
+    var out: list(a: int, b: text);
+    var n: int = 0;
+    var m: int = none;
+    for i in 0 .. size(R) {
+        if !(R[i].a > k) && (R[i].b == "x" || R[i].a < 3) {
+            out.append(R[i]);
+            out.append({a: R[i].a + 1, b: "y"});
+        }
+        n = n + R[i].a;
+        m = min(m, R[i].a);
+        if R[i].a == 2 {
+            break;
+        }
+    }
+    return out;
+}
+"""
+
+# the fields of each syntax class that hold children, in field order
+CHILD_FIELDS = {
+    frontend.Param: (),
+    frontend.ListDecl: (),
+    frontend.ScalarDecl: (),
+    frontend.IntLit: (),
+    frontend.TextLit: (),
+    frontend.VarRef: (),
+    frontend.FieldAccess: (),
+    frontend.RowRef: (),
+    frontend.RecordLit: ("items",),
+    frontend.Add: ("left", "right"),
+    frontend.MinMax: ("left", "right"),
+    frontend.Cmp: ("left", "right"),
+    frontend.BoolOp: ("left", "right"),
+    frontend.NotOp: ("operand",),
+    frontend.Assign: ("expr",),
+    frontend.Append: ("record",),
+    frontend.If: ("cond", "body"),
+    frontend.Break: (),
+    frontend.For: ("body",),
+    frontend.Program: ("params", "decls", "body"),
+}
+
+
+def _expected_children(node):
+    out = []
+    for name in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if name == "items":
+            out.extend(expr for _, expr in value)
+        elif isinstance(value, tuple):
+            out.extend(value)
+        else:
+            out.append(value)
+    return out
+
+
+def test_children_are_exactly_the_node_valued_fields():
+    ast = parse(EVERY_KIND)
+    typecheck(ast)
+    assert set(CHILD_FIELDS) == set(frontend.Node.__subclasses__())
+    nodes = list(frontend.walk([ast]))
+    assert {type(n) for n in nodes} == set(CHILD_FIELDS)
+    for n in nodes:
+        got, want = frontend.children(n), _expected_children(n)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+def test_walk_is_preorder():
+    ast = parse(EQUI_JOIN)
+    assert [type(n).__name__ for n in frontend.walk(ast.body)] == [
+        "For", "For", "If", "Cmp", "FieldAccess", "FieldAccess",
+        "Append", "RecordLit", "FieldAccess", "FieldAccess",
+    ]
+    assert [type(n).__name__ for n in frontend.walk([ast])][:4] == [
+        "Program", "Param", "Param", "ListDecl",
+    ]

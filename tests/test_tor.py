@@ -232,6 +232,27 @@ def test_cost_pins():
     assert tor.cost(join) == 6
     assert tor.cost(tor.AggOf("sum", "a", q())) == 4
     assert tor.cost(tor.AggOf("count", None, q())) == 3
+    for leaf in (
+        tor.IntConst(3),
+        tor.TextConst("x"),
+        tor.ParamRef("k"),
+        tor.IndexRef("i", 1),
+        tor.FieldRef("a"),
+        tor.TruePred(),
+    ):
+        assert tor.cost(leaf) == 1
+    atom = tor.CmpAtom("<", tor.FieldRef("a"), tor.ParamRef("k"))
+    assert tor.cost(atom) == 3
+    assert tor.cost(tor.AndP(atom, tor.TruePred())) == 5
+    assert tor.cost(tor.OrP(atom, tor.TruePred())) == 5
+    assert tor.cost(tor.NotP(atom)) == 4
+    assert tor.cost(tor.EmptyRel(AB)) == 3
+    assert tor.cost(tor.RecordConst((1, "x"))) == 3
+    assert tor.cost(tor.AppendRow(tor.EmptyRel(A), tor.RecordConst((1,)))) == 5
+    assert tor.cost(tor.Concat(q(), q("S"))) == 5
+    assert tor.cost(tor.GetRow(q(), tor.IndexRef("i"))) == 4
+    assert tor.cost(tor.SizeOf(q())) == 3
+    assert tor.cost(EVERY_KIND) == 40  # the tree holding every node kind, below
 
 
 # --- generic traversal -------------------------------------------------------

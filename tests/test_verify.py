@@ -258,6 +258,39 @@ def test_fast_valid_verdicts_match_default_bounds():
         )
 
 
+INPUT_ONLY_PROBE = """
+fn probe(R: rel(a: int), S: rel(b: int), k: int) {
+    var out: list(a: int);
+    var n: int = 0;
+    for i in 0 .. size(R) {
+        for j in 0 .. size(S) {
+            if !(R[i].a > k) && S[j].b == 1 {
+                out.append(R[i]);
+            }
+            if !(R[i].a > n) {
+                out.append({a: S[j].b + k});
+            }
+            n = n + R[i].a;
+        }
+    }
+    return out;
+}
+"""
+
+
+def test_input_only_reads_parameters_and_loop_rows():
+    tp = typecheck(parse(INPUT_ONLY_PROBE))
+    cand = next(iter(enumerate_candidates(tp, extract_template(tp), 24)))
+    checker = verify._Checker(tp, cand, derive_invariants(tp, cand), SMALL)
+    by_param, by_local, update = tp.loops[1].node.body
+    assert checker._input_only(by_param.cond)
+    assert not checker._input_only(by_local.cond)  # n is a local, under a NotOp
+    assert checker._input_only(by_param.body[0].record)
+    assert checker._input_only(by_local.body[0].record)
+    assert checker._body_cancellative((by_param, update))
+    assert not checker._body_cancellative((by_param, by_local, update))
+
+
 # --- replay of every VC branch -------------------------------------------------
 
 
