@@ -16,7 +16,6 @@ status "error" rather than a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import difftest, emit, frontend, interp, report
-from .relation import bindings_from_json, value_to_json, values_agree
+from .relation import load_bindings, value_to_json, values_agree
 from .synth import Options, Solution, synthesize
 
 DEFAULT_SEED = 20260816
@@ -185,8 +184,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         tp = _load_program(args.file)
-        raw = json.loads(args.input.read_text(encoding="utf-8"))
-        inputs = bindings_from_json(raw)
+        inputs = load_bindings(args.input.read_text(encoding="utf-8"))
         interp.check_inputs(tp, inputs)
         program_value = interp.run(tp, inputs)
     except (OSError, ValueError, KeyError, frontend.ParseError, frontend.TypeCheckError, interp.InputError) as exc:

@@ -634,7 +634,10 @@ class _SqlParser:
 
 
 def parse_sql(text: str) -> Sql:
-    return _SqlParser(text).parse()
+    try:
+        return _SqlParser(text).parse()
+    except RecursionError:
+        raise SqlSyntaxError("query nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -635,8 +635,12 @@ class _Parser:
 
 def parse(source: str) -> Program:
     """Parse kernel source into an AST; raises ParseError on the first
-    syntactically offending token."""
-    return _Parser(_lex(source)).program()
+    syntactically offending token, or where nesting outgrows the stack."""
+    parser = _Parser(_lex(source))
+    try:
+        return parser.program()
+    except RecursionError:
+        raise parser.fail("nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -669,22 +673,11 @@ class TypedProgram:
     result_type: object
     pre_loop: tuple  # statements before the top-level loop
     agg_updates: dict  # accumulator name -> "sum" | "count" | "min" | "max"
+    relations: dict  # relation parameter name -> Schema
 
     @property
     def name(self) -> str:
         return self.ast.name
-
-    @property
-    def relations(self) -> dict:
-        return {
-            p.name: p.ty for p in self.ast.params if isinstance(p.ty, Schema)
-        }
-
-    @property
-    def scalar_params(self) -> dict:
-        return {
-            p.name: p.ty for p in self.ast.params if not isinstance(p.ty, Schema)
-        }
 
 
 class _Checker:
@@ -739,6 +732,7 @@ class _Checker:
             result_type=rt,
             pre_loop=pre_loop,
             agg_updates=self.agg_updates,
+            relations={p.name: p.ty for p in ast.params if isinstance(p.ty, Schema)},
         )
 
     def check_toplevel(self, body: tuple) -> tuple:

@@ -183,4 +183,10 @@ def dump_bindings(bindings: dict) -> str:
 
 
 def load_bindings(text: str) -> dict:
-    return bindings_from_json(json.loads(text))
+    """Bindings from JSON text; malformed or too deeply nested text raises
+    ValueError."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("bindings nested too deeply") from None
+    return bindings_from_json(data)

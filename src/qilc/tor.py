@@ -213,73 +213,19 @@ def map_children(e, f):
 
 
 # ---------------------------------------------------------------------------
-# Schema inference and static validation
+# Schema inference and static validation happen in the one bottom-up compile
+# pass (compile_rel, compile_pred, below); schema_of keeps only the schema.
 # ---------------------------------------------------------------------------
 
 
 def schema_of(e, schemas: dict) -> Schema:
     """Schema of a relation expression given the schemas of named relations.
 
-    Also validates predicates (fields exist, comparisons well typed) and
-    projections; raises SchemaError or UnboundName.
+    Also validates predicates (fields exist, comparisons well typed),
+    projections, Top bounds and appended records; raises SchemaError or
+    UnboundName.
     """
-    if isinstance(e, Query):
-        if e.rel not in schemas:
-            raise UnboundName(e.rel)
-        return schemas[e.rel]
-    if isinstance(e, EmptyRel):
-        return e.schema
-    if isinstance(e, Sel):
-        sch = schema_of(e.of, schemas)
-        check_pred(e.pred, sch)
-        return sch
-    if isinstance(e, Proj):
-        return schema_of(e.of, schemas).restrict(e.fields)
-    if isinstance(e, Join):
-        sch = schema_of(e.left, schemas).joined_with(schema_of(e.right, schemas))
-        check_pred(e.pred, sch)
-        return sch
-    if isinstance(e, Top):
-        return schema_of(e.of, schemas)
-    if isinstance(e, AppendRow):
-        return schema_of(e.of, schemas)
-    if isinstance(e, Concat):
-        left = schema_of(e.left, schemas)
-        right = schema_of(e.right, schemas)
-        if left.types != right.types:
-            raise SchemaError(
-                f"concat operands disagree: {left.fields} vs {right.fields}"
-            )
-        return left
-    raise SchemaError(f"not a relation expression: {e!r}")
-
-
-def _operand_type(o, sch: Schema) -> str:
-    if isinstance(o, FieldRef):
-        return sch.type_of(o.name)
-    if isinstance(o, IntConst):
-        return INT
-    if isinstance(o, TextConst):
-        return TEXT
-    if isinstance(o, (ParamRef, IndexRef)):
-        # parameters are typed by use; comparisons force both sides equal
-        return "param"
-    raise SchemaError(f"not a predicate operand: {o!r}")
-
-
-def check_pred(p, sch: Schema) -> None:
-    if isinstance(p, CmpAtom):
-        lt = _operand_type(p.lhs, sch)
-        rt = _operand_type(p.rhs, sch)
-        if "param" not in (lt, rt) and lt != rt:
-            raise SchemaError(f"comparison mixes {lt} and {rt}")
-        if TEXT in (lt, rt) and p.op not in ("=", "!="):
-            raise SchemaError("text supports only = and !=")
-        return
-    if not isinstance(p, (TruePred, AndP, OrP, NotP)):
-        raise SchemaError(f"not a predicate: {p!r}")
-    for c in children(p):
-        check_pred(c, sch)
+    return compile_rel(e, schemas)[0]
 
 
 def pred_fields(p) -> set:
@@ -437,12 +383,20 @@ def eval_rel(e, env: dict) -> OrderedRelation:
 
 
 def compile_pred(p, schema: Schema):
-    """Build row_test(row, env) for a predicate over a fixed schema."""
+    """Build row_test(row, env) for a predicate over a fixed schema.
+
+    Type-checks while it compiles: fields must exist, a comparison may not
+    mix int and text, and text supports only = and !=; raises SchemaError.
+    """
     if isinstance(p, TruePred):
         return lambda row, env: True
     if isinstance(p, CmpAtom):
-        lhs = _compile_operand(p.lhs, schema)
-        rhs = _compile_operand(p.rhs, schema)
+        lt, lhs = _compile_operand(p.lhs, schema)
+        rt, rhs = _compile_operand(p.rhs, schema)
+        if "param" not in (lt, rt) and lt != rt:
+            raise SchemaError(f"comparison mixes {lt} and {rt}")
+        if TEXT in (lt, rt) and p.op not in ("=", "!="):
+            raise SchemaError("text supports only = and !=")
         op = p.op
         if op == "=":
             return lambda row, env: lhs(row, env) == rhs(row, env)
@@ -470,40 +424,51 @@ def compile_pred(p, schema: Schema):
 
 
 def _compile_operand(o, schema: Schema):
+    """Return (type, fn) for a predicate operand; fn(row, env) is its value."""
     if isinstance(o, FieldRef):
         i = schema.index_of(o.name)
-        return lambda row, env: row[i]
+        return schema.types[i], lambda row, env: row[i]
     if isinstance(o, (IntConst, TextConst)):
         v = o.value
-        return lambda row, env: v
+        return (INT if isinstance(o, IntConst) else TEXT), lambda row, env: v
+    # parameters are typed by use; comparisons force both sides equal
     if isinstance(o, ParamRef):
         n = o.name
-        return lambda row, env: env[n]
+        return "param", lambda row, env: env[n]
     if isinstance(o, IndexRef):
         n, d = o.name, o.offset
-        return lambda row, env: env[n] + d
+        return "param", lambda row, env: env[n] + d
     raise SchemaError(f"not a predicate operand: {o!r}")
 
 
 def compile_rel(e, schemas: dict):
-    """Return (schema, fn) where fn(env) yields the rows tuple of e."""
-    sch = schema_of(e, schemas)
+    """Return (schema, fn) where fn(env) yields the rows tuple of e.
+
+    One bottom-up pass: each node's schema is built from its children's,
+    and predicates, Top bounds and appended records are validated as they
+    are compiled. Raises UnboundName for a relation schemas does not name,
+    SchemaError for an ill-formed expression.
+    """
     if isinstance(e, Query):
         name = e.rel
-        return sch, lambda env: env[name].rows
+        if name not in schemas:
+            raise UnboundName(name)
+        return schemas[name], lambda env: env[name].rows
     if isinstance(e, EmptyRel):
-        return sch, lambda env: ()
+        return e.schema, lambda env: ()
     if isinstance(e, Sel):
-        _, of = compile_rel(e.of, schemas)
+        sch, of = compile_rel(e.of, schemas)
         test = compile_pred(e.pred, sch)
         return sch, lambda env: tuple(r for r in of(env) if test(r, env))
     if isinstance(e, Proj):
         of_sch, of = compile_rel(e.of, schemas)
+        sch = of_sch.restrict(e.fields)
         idx = tuple(of_sch.index_of(n) for n in e.fields)
         return sch, lambda env: tuple(tuple(r[i] for i in idx) for r in of(env))
     if isinstance(e, Join):
-        _, lf = compile_rel(e.left, schemas)
-        _, rf = compile_rel(e.right, schemas)
+        lsch, lf = compile_rel(e.left, schemas)
+        rsch, rf = compile_rel(e.right, schemas)
+        sch = lsch.joined_with(rsch)
         test = compile_pred(e.pred, sch)
 
         def join(env):
@@ -517,22 +482,27 @@ def compile_rel(e, schemas: dict):
 
         return sch, join
     if isinstance(e, Top):
-        _, of = compile_rel(e.of, schemas)
+        sch, of = compile_rel(e.of, schemas)
         k = compile_scalar(e.k, schemas)
 
         def top(env):
+            rows = of(env)  # first, as eval_rel does: a Get inside may raise
             n = k(env)
-            return of(env)[:n] if n > 0 else ()
+            return rows[:n] if n > 0 else ()
 
         return sch, top
     if isinstance(e, AppendRow):
-        _, of = compile_rel(e.of, schemas)
+        sch, of = compile_rel(e.of, schemas)
         rec = compile_record(e.rec, schemas)
         return sch, lambda env: of(env) + (rec(env),)
     if isinstance(e, Concat):
-        _, lf = compile_rel(e.left, schemas)
-        _, rf = compile_rel(e.right, schemas)
-        return sch, lambda env: lf(env) + rf(env)
+        left, lf = compile_rel(e.left, schemas)
+        right, rf = compile_rel(e.right, schemas)
+        if left.types != right.types:
+            raise SchemaError(
+                f"concat operands disagree: {left.fields} vs {right.fields}"
+            )
+        return left, lambda env: lf(env) + rf(env)
     raise SchemaError(f"not a relation expression: {e!r}")
 
 

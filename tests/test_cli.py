@@ -31,6 +31,12 @@ def qil_path(name):
     return str(benchmarks_dir() / f"{name}.qil")
 
 
+def deeply_nested_program(depth):
+    """sum.qil with its accumulated field wrapped in depth parentheses."""
+    src = (benchmarks_dir() / "sum.qil").read_text(encoding="utf-8")
+    return src.replace("R[i].a", "(" * depth + "R[i].a" + ")" * depth)
+
+
 R_BINDINGS = {
     "R": {
         "schema": [["a", "int"], ["b", "text"]],
@@ -154,6 +160,14 @@ def test_synth_parse_error(capsys, tmp_path):
     assert rep["reason"].startswith("parse error:")
     assert rep["programName"] == "bad"
 
+    # nesting deeper than the parser's stack is a parse error too
+    deep = tmp_path / "deep.qil"
+    deep.write_text(deeply_nested_program(500), encoding="utf-8")
+    code, out, err = run_cli(capsys, "synth", str(deep))
+    assert code == 1
+    assert "Traceback" not in err
+    assert json.loads(out)["reason"].startswith("parse error:")
+
 
 def test_synth_type_error(capsys, tmp_path):
     bad = tmp_path / "undeclared.qil"
@@ -235,12 +249,15 @@ def test_bench_reports_past_an_undecodable_file(capsys, tmp_path):
     src = (benchmarks_dir() / "identity.qil").read_text(encoding="utf-8")
     (tmp_path / "identity.qil").write_text(src, encoding="utf-8")
     (tmp_path / "a_latin1.qil").write_bytes(b"fn caf\xe9(")
+    # nested past the parser's stack
+    (tmp_path / "b_deep.qil").write_text(deeply_nested_program(500), encoding="utf-8")
     code, out, err = run_cli(capsys, "bench", str(tmp_path), "--cases", "10")
     assert code == 1
     assert "Traceback" not in err
     rep = json.loads(out)
     assert [(r["programName"], r["status"]) for r in rep["benchmarks"]] == [
         ("a_latin1", "error"),
+        ("b_deep", "error"),
         ("identity", "synthesized"),
     ]
 
@@ -269,6 +286,23 @@ def test_corpus_bench_report_matches_golden(capsys):
     intended report change updates tests/data/corpus_bench.json."""
     code, out, _ = run_cli(capsys, "bench", str(benchmarks_dir()))
     golden = Path(__file__).parent / "data" / "corpus_bench.json"
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_wide_bounds_bench_report_matches_golden(capsys, tmp_path, benchmarks):
+    """The report for the nine single-loop programs at a relation bound of
+    5, byte for byte: the compiled sweeps run up to 487,090 instances per
+    program here. An intended report change updates
+    tests/data/wide_bounds_bench.json."""
+    for name, tp in benchmarks.items():
+        if len(tp.loops) == 1:
+            src = (benchmarks_dir() / f"{name}.qil").read_text(encoding="utf-8")
+            (tmp_path / f"{name}.qil").write_text(src, encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "bench", str(tmp_path), "--rel-bound", "5", "--cases", "100"
+    )
+    golden = Path(__file__).parent / "data" / "wide_bounds_bench.json"
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
 
@@ -351,6 +385,7 @@ def test_replay_rejects_bad_bindings(capsys, tmp_path):
         '{"R": {"schema": [["a", "int"], ["b", "text"]], "rows": [1]}}',
         '{"R": {"schema": [["a", "int"], ["b", "text"]], "rows": 1}}',
         '{"R": {"schema": 1, "rows": []}}',
+        pytest.param('{"R": ' + "[" * 1200 + "]" * 1200 + "}", id="nested-1200-deep"),
     ],
 )
 def test_replay_rejects_malformed_bindings(capsys, tmp_path, bindings):
@@ -401,6 +436,18 @@ def test_replay_rejects_bad_sql(capsys, bindings_file):
     assert code == 1
     assert out == ""
     assert "qilc:" in err
+
+    nested = "SELECT R.* FROM R WHERE " + "(" * 400 + "R.a > 2" + ")" * 400
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        qil_path("selection"),
+        "--input", bindings_file,
+        "--sql", nested + " ORDER BY R.rid",
+    )
+    assert code == 1
+    assert out == ""
+    assert "qilc:" in err and "Traceback" not in err
 
 
 # --- report construction ----------------------------------------------------

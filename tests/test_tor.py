@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qilc import axioms, tor, verify
-from qilc.relation import OrderedRelation, Schema
+from qilc.relation import OrderedRelation, Schema, SchemaError
 from qilc.verify import Bounds, relation_values
 
 AB = Schema((("a", "int"), ("b", "text")))
@@ -16,6 +16,7 @@ C = Schema((("c", "int"),))
 R = OrderedRelation(AB, ((1, "x"), (3, "y"), (2, "z"), (3, "w")))
 ENV = {"R": R}
 SCHEMAS = {"R": AB}
+WIDE_SCHEMAS = {"R": AB, "S": C}
 
 
 def q(name="R"):
@@ -102,16 +103,53 @@ def test_schema_of_tracks_operators():
     assert tor.schema_of(proj, schemas).names == ("r.c",)
 
 
-def test_check_pred_rejects_type_confusion():
-    with pytest.raises(Exception):
-        tor.check_pred(
+def test_compile_pred_rejects_type_confusion():
+    with pytest.raises(SchemaError, match="comparison mixes"):
+        tor.compile_pred(
             tor.CmpAtom("<", tor.FieldRef("b"), tor.IntConst(1)), AB
         )
     # text comparisons are equality only
-    with pytest.raises(Exception):
-        tor.check_pred(
+    with pytest.raises(SchemaError, match="text supports only"):
+        tor.compile_pred(
             tor.CmpAtom("<", tor.FieldRef("b"), tor.TextConst("a")), AB
         )
+
+
+def _sel(pred):
+    return tor.Sel(pred, q())
+
+
+# Malformed expressions over R (schema AB) and S (schema C), each with the
+# exception class schema_of and compile_rel raise. schema_of is the schema
+# half of compile_rel, so it also compiles a Top bound: the malformed bound
+# below made compile_rel raise before, while schema_of ignored the bound and
+# returned R's schema.
+MALFORMED = {
+    "unknown relation": (q("missing"), tor.UnboundName),
+    "proj of a missing field": (tor.Proj(("z",), q()), SchemaError),
+    "proj repeating a field": (tor.Proj(("a", "a"), q()), SchemaError),
+    "concat of different schemas": (tor.Concat(q(), q("S")), SchemaError),
+    "int against text": (
+        _sel(tor.CmpAtom("=", tor.FieldRef("a"), tor.TextConst("x"))),
+        SchemaError,
+    ),
+    "text ordered": (
+        _sel(tor.CmpAtom("<", tor.FieldRef("b"), tor.TextConst("x"))),
+        SchemaError,
+    ),
+    "non-predicate under sel": (_sel(tor.IntConst(1)), SchemaError),
+    "scalar for a relation": (tor.Sel(tor.TruePred(), tor.SizeOf(q())), SchemaError),
+    "malformed top bound": (tor.Top(q(), tor.FieldRef("a")), SchemaError),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_schema_of_and_compile_rel_raise_the_same_errors(case):
+    e, error = MALFORMED[case]
+    for check in (tor.schema_of, tor.compile_rel):
+        with pytest.raises(error) as raised:
+            check(e, WIDE_SCHEMAS)
+        assert type(raised.value) is error, check.__name__
 
 
 # --- simplifier ------------------------------------------------------------
@@ -184,15 +222,119 @@ def test_simplify_never_grows_cost():
         assert tor.cost(tor.simplify(e)) <= tor.cost(e)
 
 
+def _wide_pred(rng, sch):
+    """Random well-typed predicate over sch, from every predicate kind."""
+    roll = rng.random()
+    if roll < 0.1:
+        return tor.TruePred()
+    if roll < 0.2:
+        return tor.NotP(_wide_pred(rng, sch))
+    if roll < 0.3:
+        return rng.choice((tor.AndP, tor.OrP))(_wide_pred(rng, sch), _wide_pred(rng, sch))
+    name, ty = rng.choice(sch.fields)
+    if ty == "text":
+        rhs = tor.TextConst(rng.choice("xy"))
+        return tor.CmpAtom(rng.choice(("=", "!=")), tor.FieldRef(name), rhs)
+    rhs = rng.choice((
+        tor.IntConst(rng.randint(0, 2)),
+        tor.ParamRef("k"),
+        tor.IndexRef("i", rng.choice((-1, 0, 1))),
+        tor.FieldRef(rng.choice([n for n, t in sch.fields if t == "int"])),
+    ))
+    return tor.CmpAtom(rng.choice(tuple(tor.CMP_OPS)), tor.FieldRef(name), rhs)
+
+
+def _wide_index(rng, depth):
+    """Random int scalar that is never absent: a Top bound or a Get index."""
+    roll = rng.randrange(5)
+    if roll == 0:
+        return tor.IntConst(rng.randint(-1, 3))
+    if roll == 1:
+        return tor.ParamRef("k")
+    if roll == 2:
+        return tor.IndexRef("i", rng.choice((-1, 0, 1)))
+    e, _ = _wide_rel(rng, depth)
+    return tor.SizeOf(e) if roll == 3 else tor.AggOf("count", None, e)
+
+
+def _wide_rel(rng, depth):
+    """Random relation expression over R and S from every relation kind,
+    with its schema."""
+    if depth == 0 or rng.random() < 0.2:
+        name = rng.choice("RS")
+        sch = WIDE_SCHEMAS[name]
+        return (tor.EmptyRel(sch) if rng.random() < 0.2 else q(name)), sch
+    e, sch = _wide_rel(rng, depth - 1)
+    pick = rng.choice(("sel", "proj", "join", "top", "append", "concat"))
+    if pick == "sel":
+        return tor.Sel(_wide_pred(rng, sch), e), sch
+    if pick == "proj":
+        names = tuple(rng.sample(sch.names, rng.randint(1, len(sch.names))))
+        return tor.Proj(names, e), sch.restrict(names)
+    if pick == "join":
+        right, rsch = _wide_rel(rng, depth - 1)
+        sch = sch.joined_with(rsch)
+        return tor.Join(e, right, _wide_pred(rng, sch)), sch
+    if pick == "top":
+        return tor.Top(e, _wide_index(rng, depth - 1)), sch
+    if pick == "append":
+        if rng.random() < 0.5:
+            rec = tor.RecordConst(tuple(1 if t == "int" else "x" for t in sch.types))
+        else:
+            rec = tor.GetRow(e, _wide_index(rng, depth - 1))
+        return tor.AppendRow(e, rec), sch
+    return tor.Concat(e, tor.Sel(_wide_pred(rng, sch), e)), sch
+
+
+def _wide_expr(rng):
+    """A relation expression, or a size or aggregate of one."""
+    e, sch = _wide_rel(rng, 3)
+    ints = [n for n, t in sch.fields if t == "int"]
+    roll = rng.randrange(3)
+    if roll == 0:
+        return e
+    if roll == 1 or not ints:
+        return tor.SizeOf(e)
+    kind = rng.choice(tor.AGG_KINDS)
+    return tor.AggOf(kind, None if kind == "count" else rng.choice(ints), e)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except IndexError:  # a Get past the end, in both evaluators
+        return IndexError
+
+
 def test_compiled_matches_interpreted():
     rng = random.Random(13)
-    values = relation_values(AB, Bounds(rel_size=2, int_domain=(0, 1), text_domain=("x",)))
-    for _ in range(120):
-        e = _random_expr(rng, 3)
-        _, fn = tor.compile_rel(e, SCHEMAS)
-        for v in values:
-            env = {"R": v}
-            assert fn(env) == tor.eval_rel(e, env).rows
+    bounds = Bounds(rel_size=2, int_domain=(0, 1), text_domain=("x",))
+    envs = [
+        {"R": r, "S": s, "k": k, "i": i}
+        for r in relation_values(AB, bounds)
+        for s in relation_values(C, bounds)
+        for k in (-1, 1)
+        for i in (0, 1)
+    ]
+    drawn = [_wide_expr(rng) for _ in range(150)] + [EVERY_KIND]
+    kinds = {type(n) for e in drawn for n in _subtrees(e)}
+    assert kinds == set(CHILD_FIELDS)
+    assert {n.kind for e in drawn for n in _subtrees(e) if isinstance(n, tor.AggOf)} == set(
+        tor.AGG_KINDS
+    )
+    values = 0
+    for e in drawn:
+        if isinstance(e, tor.REL_NODES):
+            _, fn = tor.compile_rel(e, WIDE_SCHEMAS)
+            reference = lambda env: tor.eval_rel(e, env).rows  # noqa: E731
+        else:
+            fn = tor.compile_scalar(e, WIDE_SCHEMAS)
+            reference = lambda env: tor.eval_scalar(e, env)  # noqa: E731
+        for env in envs:
+            got = _outcome(lambda: fn(env))
+            assert got == _outcome(lambda: reference(env)), tor.to_sexpr(e)
+            values += got is not IndexError
+    assert values > len(drawn) * len(envs) // 2
 
 
 # --- serialization and cost --------------------------------------------------
