@@ -4,9 +4,11 @@ program, one JSON line per (program, candidate, fast) triple.
 Each line holds the status, the instance and VC counts and the
 counterexample's JSON form, so two checkouts can be compared with diff:
 
-    PYTHONPATH=src python3 scripts/verdicts.py [--first N] [NAME ...]
+    PYTHONPATH=src python3 scripts/verdicts.py [--first N] [--rel-bound N] [NAME ...]
 
-With no NAME every bundled program is checked.
+With no NAME every bundled program is checked. --rel-bound sets the largest
+relation size the verifier enumerates (default 3), as `qilc synth
+--rel-bound` does; the int and text domains stay the defaults.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ from qilc import benchmarks_dir, frontend, synth, verify
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--first", type=int, default=60, metavar="N")
+    ap.add_argument(
+        "--rel-bound", type=int, default=verify.Bounds().rel_size, metavar="N"
+    )
     ap.add_argument("names", nargs="*", metavar="NAME")
     args = ap.parse_args(argv)
+    bounds = verify.Bounds(rel_size=args.rel_bound)
     for path in sorted(benchmarks_dir().glob("*.qil")):
         if args.names and path.stem not in args.names:
             continue
@@ -32,7 +38,7 @@ def main(argv=None) -> int:
         for n, cand in enumerate(itertools.islice(cands, args.first)):
             inv = synth.derive_invariants(tp, cand)
             for fast in (True, False):
-                res = verify.validate(tp, cand, inv, verify.Bounds(), fast=fast)
+                res = verify.validate(tp, cand, inv, bounds, fast=fast)
                 cex = res.counterexample
                 line = {
                     "program": path.stem,

@@ -15,6 +15,15 @@ simplifier's ground truth.
     A6  Append(e, rec) = Concat(e, single-row relation of rec)
     A7  Join(l, r, true) places the concatenation of l's row i and r's
         row j at output position i * Size(r) + j (left-major law)
+
+A second registry, LEMMA_CHECKS, holds the lemmas the verifier's row-local
+preservation scan rests on besides A3 and A6 (verify._row_wise). Each is
+checked for every relation up to rel_size rows, split at every position
+into l and r where it concatenates two:
+
+    L1  Top(e, i+1) = Append(Top(e, i), Get(e, i)) for 0 <= i < Size(e)
+    L2  Sel(p, Concat(l, r)) = Concat(Sel(p, l), Sel(p, r))
+    L3  Proj(F, Concat(l, r)) = Concat(Proj(F, l), Proj(F, r))
 """
 
 from __future__ import annotations
@@ -215,3 +224,74 @@ ALL_CHECKS = (
 def check_all(bounds: Bounds = Bounds()):
     """Run every axiom check; returns {name: (checked, violations)}."""
     return {name: fn(bounds) for name, fn in ALL_CHECKS}
+
+
+def check_l1(bounds: Bounds = Bounds()):
+    checked, violations = 0, []
+    r = tor.Query("R")
+    for v in relation_values(MIXED_SCHEMA, bounds):
+        env = {"R": v}
+        for i in range(v.size):
+            checked += 1
+            k = tor.IntConst(i)
+            longer = tor.eval_rel(tor.Top(r, tor.IntConst(i + 1)), env)
+            appended = tor.eval_rel(
+                tor.AppendRow(tor.Top(r, k), tor.GetRow(r, k)), env
+            )
+            if longer.rows != appended.rows:
+                violations.append({"lemma": "L1", "relation": v.rows, "i": i})
+    return checked, violations
+
+
+def _splits(bounds: Bounds):
+    """Every relation up to rel_size rows, cut at every position: the
+    environments {"L": prefix, "R": rest}."""
+    for v in relation_values(MIXED_SCHEMA, bounds):
+        for cut in range(v.size + 1):
+            yield {
+                "L": OrderedRelation(MIXED_SCHEMA, v.rows[:cut]),
+                "R": OrderedRelation(MIXED_SCHEMA, v.rows[cut:]),
+            }
+
+
+def _distributes(name: str, wrap, variants, bounds: Bounds):
+    """wrap(variant, e) over Concat(L, R) equals the Concat of wrap over L
+    and over R, for every split and variant."""
+    checked, violations = 0, []
+    l, r = tor.Query("L"), tor.Query("R")
+    for env in _splits(bounds):
+        for x in variants:
+            checked += 1
+            whole = tor.eval_rel(wrap(x, tor.Concat(l, r)), env)
+            parts = tor.eval_rel(tor.Concat(wrap(x, l), wrap(x, r)), env)
+            if whole.rows != parts.rows:
+                violations.append(
+                    {
+                        "lemma": name,
+                        "left": env["L"].rows,
+                        "right": env["R"].rows,
+                        "with": tor.to_sexpr(wrap(x, l)),
+                    }
+                )
+    return checked, violations
+
+
+def check_l2(bounds: Bounds = Bounds()):
+    return _distributes("L2", tor.Sel, _mixed_preds(bounds), bounds)
+
+
+def check_l3(bounds: Bounds = Bounds()):
+    projections = (("a",), ("b",), ("b", "a"))
+    return _distributes("L3", tor.Proj, projections, bounds)
+
+
+LEMMA_CHECKS = (
+    ("L1", check_l1),
+    ("L2", check_l2),
+    ("L3", check_l3),
+)
+
+
+def check_lemmas(bounds: Bounds = Bounds()):
+    """Run every lemma check; returns {name: (checked, violations)}."""
+    return {name: fn(bounds) for name, fn in LEMMA_CHECKS}

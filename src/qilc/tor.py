@@ -493,7 +493,9 @@ def compile_rel(e, schemas: dict):
         return sch, top
     if isinstance(e, AppendRow):
         sch, of = compile_rel(e.of, schemas)
-        rec = compile_record(e.rec, schemas)
+        width, rec = compile_record(e.rec, schemas)
+        if width != len(sch.fields):
+            raise SchemaError(f"appended record of {width} values does not fit schema")
         return sch, lambda env: of(env) + (rec(env),)
     if isinstance(e, Concat):
         left, lf = compile_rel(e.left, schemas)
@@ -541,11 +543,13 @@ def compile_scalar(e, schemas: dict):
 
 
 def compile_record(e, schemas: dict):
+    """Return (width, fn): the number of values in the record and fn(env),
+    its value."""
     if isinstance(e, RecordConst):
         v = e.values
-        return lambda env: v
+        return len(v), lambda env: v
     if isinstance(e, GetRow):
-        _, of = compile_rel(e.of, schemas)
+        sch, of = compile_rel(e.of, schemas)
         k = compile_scalar(e.idx, schemas)
 
         def get(env):
@@ -555,7 +559,7 @@ def compile_record(e, schemas: dict):
                 raise IndexError(f"get index {i} out of range 0..{len(rows) - 1}")
             return rows[i]
 
-        return get
+        return len(sch.fields), get
     raise SchemaError(f"not a record expression: {e!r}")
 
 

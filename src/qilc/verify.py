@@ -41,14 +41,32 @@ is wasteful for the invariant family the synthesizer derives, so the
 checker takes sound shortcuts when their premises hold: an exit condition
 whose two sides are the same expression once the loop bound is substituted
 for the index, an initiation condition that reduces to comparing
-constants, and preservation conditions whose outcome provably depends only
-on the rows at the current indices, which are checked once per row
-combination and multiplied out. Every shortcut is exact on the verdict:
-it reports Valid with the full analytic instance count exactly when the
-sweep would pass every instance. On a violation it reports the
-counterexample of the first failing instance its scan checks, which may
-differ from the sweep's first hit, and counts only the instances checked.
-fast=False forces the definitional sweep; agreement is property-tested.
+constants, and preservation conditions decided by the row-local scan.
+
+The row-local scan (_row_scan) runs one iteration of the innermost loop
+per combination of one row of each loop's relation and the scalar
+parameter values, from the empty prefix: R = [row] at i = 0 for a single
+loop, R = [rl] and S = [rs] at i = j = 0 for a nested one. Its premise:
+the invariants are the mechanical derivation from the posts, no post has a
+Top, and a single loop's posts are Sel/Proj steps, under at most one Agg,
+over the scanned relation itself (a Join base reads all of a second
+relation); the body has no break, its guards and the values it appends or
+folds read only parameters and the current rows, and every update matches
+its variable's post: Append only for a relation post, Add only for sum and
+count, MinMax(op) only for an Agg of op. Then the change an iteration
+makes and the change the invariant expects are both functions of that one
+combination (lemmas L1-L3 in axioms.LEMMA_CHECKS, with A3 and A6), and the
+update cancels the prefix, so the scan decides every preservation
+instance.
+
+Every shortcut is exact on the verdict: it reports Valid with the full
+analytic instance count exactly when the sweep would pass every instance.
+A single loop's scan only ever says Valid: when it finds a violation the
+sweep decides the condition, so the counts and the counterexample are the
+sweep's. The other shortcuts report a violation with the counterexample of
+the first failing instance their scan checks, which may differ from the
+sweep's first hit, and count only the instances checked. fast=False forces
+the definitional sweep; agreement is property-tested.
 """
 
 from __future__ import annotations
@@ -188,6 +206,7 @@ def gen_vcs(tp: TypedProgram) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _row_domain(schema: Schema, bounds: Bounds) -> tuple:
     """All rows a relation of this schema can hold, lexicographic."""
     domains = [
@@ -402,6 +421,21 @@ def _has_top(e) -> bool:
     return isinstance(e, tor.Top) or any(_has_top(c) for c in tor.children(e))
 
 
+def _row_wise(post, rel: str, index: str) -> bool:
+    """post is Sel/Proj steps, under at most one Agg, over Query(rel), and
+    reads no loop index. Its derived invariant is then post over Top(R, i),
+    and post over Top(R, i+1) = Append(Top(R, i), R[i]) (L1, A6) is post
+    over Top(R, i) combined with post over the one row R[i] (L2, L3, A3).
+    A Join base is not: it reads the whole of a second relation."""
+    if isinstance(post, tor.AggOf):
+        post = post.of
+    while isinstance(post, (tor.Sel, tor.Proj)):
+        if isinstance(post, tor.Sel) and _mentions_index(post.pred, index):
+            return False
+        post = post.of
+    return post == tor.Query(rel)
+
+
 # ---------------------------------------------------------------------------
 # The checker
 # ---------------------------------------------------------------------------
@@ -426,6 +460,7 @@ class _Checker:
         self.posts = [
             _VarRecon(v, e, schemas) for v, e in candidate.posts
         ]
+        self.post_exprs = dict(candidate.posts)
         self.recons = {
             loop: [_VarRecon(v, e, schemas) for v, e in eqs]
             for loop, eqs in invariants.items()
@@ -433,9 +468,9 @@ class _Checker:
         self._scalar_names = [
             p.name for p in self.prog.params if not isinstance(p.ty, Schema)
         ]
-        self._pairs = None
+        self._scan = None
         self._derived = False
-        self._cancellative = False
+        self._row_local = False
         if self.inner is not None:
             # the preservation sweep caches a split invariant's finished
             # part across inner indices; that is sound only when the part
@@ -452,18 +487,28 @@ class _Checker:
             at = next(i for i, s in enumerate(body) if s is self.inner.node)
             self.prefix = body[:at]
             self.suffix = body[at + 1 :]
-            if fast:
-                self._derived = self._derived_shape(candidate, invariants)
-                self._cancellative = self._body_cancellative(self.inner.node.body)
+        if fast:
+            self._derived = self._derived_shape(candidate, invariants)
+            # the row-local premise of _row_scan
+            self._row_local = self._derived and self._body_cancellative(
+                self.tp.loops[-1].node.body
+            )
 
     # -- fast-path applicability ----------------------------------------------
 
     def _derived_shape(self, candidate, invariants) -> bool:
         """The invariants are exactly the mechanical derivation from the
-        postconditions, whose shape the preservation/exit shortcuts rely on."""
+        postconditions, whose shape the preservation/exit shortcuts rely on.
+        A single loop's posts must also be _row_wise over its relation."""
         from . import synth  # import here: synth imports this module
 
-        if self.bounds.rel_size < (2 if self.outer.rel == self.inner.rel else 1):
+        if self.inner is None:
+            if self.bounds.rel_size < 1:
+                return False
+            oi, rel = self.outer.index, self.outer.rel
+            if not all(_row_wise(e, rel, oi) for _, e in candidate.posts):
+                return False
+        elif self.bounds.rel_size < (2 if self.outer.rel == self.inner.rel else 1):
             return False
         if any(_has_top(e) for _, e in candidate.posts):
             return False
@@ -486,10 +531,14 @@ class _Checker:
         return all(self._input_only(c) for c in children(node))
 
     def _body_cancellative(self, stmts) -> bool:
-        """Every effect of the body is appending input-determined rows or
-        folding input-determined values into an accumulator with an
-        associative update, so the change one iteration makes is a function
-        of the current rows alone."""
+        """Every effect of the body is appending input-determined rows to a
+        list (whose post is a relation: any other fails Initiation first) or
+        folding an input-determined value into an accumulator with the
+        update its post's aggregate makes: Add for sum and count, MinMax(op)
+        for op. So the change one iteration makes is a function of the
+        current rows alone, and checking it from the empty prefix decides it
+        from every prefix: appending and adding cancel, and min/max (absent
+        as identity) are associative. A Break fails the walk."""
         for s in stmts:
             if isinstance(s, If):
                 if not self._input_only(s.cond):
@@ -501,7 +550,13 @@ class _Checker:
                     return False
             elif isinstance(s, Assign):
                 e = s.expr
-                if not isinstance(e, (Add, MinMax)):
+                post = self.post_exprs.get(s.target)
+                if not isinstance(post, tor.AggOf):
+                    return False
+                if isinstance(e, Add):
+                    if post.kind not in ("sum", "count"):
+                        return False
+                elif not isinstance(e, MinMax) or post.kind != e.op:
                     return False
                 if isinstance(e.left, VarRef) and e.left.name == s.target:
                     other = e.right
@@ -679,64 +734,66 @@ class _Checker:
         # relation is the relation); then the exit condition is an identity.
         oi = self.outer.index
         size = tor.SizeOf(tor.Query(self.outer.rel))
-        posts = {r.var: r.expr for r in self.posts}
         for recon in self.recons[oi]:
             inv = _subst_index(recon.expr, oi, size)
-            post = posts.get(recon.var)
+            post = self.post_exprs.get(recon.var)
             if inv is None or post is None:
                 return None
             if tor.simplify(inv) != tor.simplify(post):
                 return None
         return instance_count(vc, self.tp, self.bounds), None
 
-    def _pair_scan(self):
-        """Check one inner-loop iteration per (outer row, inner row, scalar
-        values) combination. With a cancellative body and derived
-        invariants, the change an iteration makes and the change the
-        invariant expects are both functions of that combination alone, so
-        these checks decide every preservation instance. Returns
-        (all_ok, instances checked, first counterexample or None)."""
-        if self._pairs is not None:
-            return self._pairs
-        oi, ij = self.outer.index, self.inner.index
-        lsch = self.tp.relations[self.outer.rel]
-        rsch = self.tp.relations[self.inner.rel]
-        same = self.outer.rel == self.inner.rel
+    def _row_scan(self):
+        """Check one iteration of the innermost loop per combination of one
+        row of each loop's relation and the scalar parameter values, from
+        the empty prefix (R = [rl, rs] at i = 0, j = 1 when both loops scan
+        R); relation parameters no loop scans are empty. Under the row-local
+        premise (_row_local; see the module docstring) these checks decide
+        every preservation instance. Returns (instances checked, first
+        counterexample or None)."""
+        if self._scan is not None:
+            return self._scan
+        loops = self.tp.loops
+        scanned = [(l.rel, self.tp.relations[l.rel]) for l in loops]
+        others = {
+            p.name: OrderedRelation(p.ty, ())
+            for p in self.prog.params
+            if isinstance(p.ty, Schema) and p.name not in dict(scanned)
+        }
         domains = [
             self.bounds.int_domain
             if self.tp.var_types[n] == INT
             else self.bounds.text_domain
             for n in self._scalar_names
         ]
-        vc = VC(PRESERVATION, ij)
-        checked = 0
-        result = None
-        for rl, rs, sc in itertools.product(
-            _row_domain(lsch, self.bounds),
-            _row_domain(rsch, self.bounds),
+        same = self.inner is not None and self.inner.rel == self.outer.rel
+        if same:
+            indices = {self.outer.index: 0, self.inner.index: 1}
+        else:
+            indices = {l.index: 0 for l in loops}
+        vc = VC(PRESERVATION, loops[-1].index)
+        checked, cex = 0, None
+        for *rows, sc in itertools.product(
+            *[_row_domain(sch, self.bounds) for _, sch in scanned],
             tuple(itertools.product(*domains)),
         ):
             checked += 1
-            inputs = dict(zip(self._scalar_names, sc))
+            inputs = dict(zip(self._scalar_names, sc), **others)
             if same:
-                inputs[self.outer.rel] = OrderedRelation(lsch, (rl, rs))
-                indices = {oi: 0, ij: 1}
+                rel, sch = scanned[0]
+                inputs[rel] = OrderedRelation(sch, tuple(rows))
             else:
-                inputs[self.outer.rel] = OrderedRelation(lsch, (rl,))
-                inputs[self.inner.rel] = OrderedRelation(rsch, (rs,))
-                indices = {oi: 0, ij: 0}
+                for (rel, sch), row in zip(scanned, rows):
+                    inputs[rel] = OrderedRelation(sch, (row,))
             cex = self.instance(vc, inputs, indices)
             if cex is not None:
-                result = (False, checked, cex)
                 break
-        if result is None:
-            result = (True, checked, None)
-        self._pairs = result
-        return result
+        self._scan = (checked, cex)
+        return self._scan
 
     def _fast_pres(self, vc: VC):
-        ok, checked, cex = self._pair_scan()
-        if ok:
+        checked, cex = self._row_scan()
+        if cex is None:
             return instance_count(vc, self.tp, self.bounds), None
         return checked, cex
 
@@ -748,7 +805,14 @@ class _Checker:
             return self._fast_init_outer(vc)
         if vc.loop == oi and vc.kind == EXIT:
             return self._fast_exit_outer(vc)
-        if self.inner is None or not self._derived:
+        if self.inner is None:
+            if vc.kind != PRESERVATION or not self._row_local:
+                return None
+            # the single-loop scan only ever says Valid: on a violation the
+            # sweep decides, so the counts and counterexample are its own
+            found = self._fast_pres(vc)
+            return found if found[1] is None else None
+        if not self._derived:
             return None
         if vc.loop == self.inner.index:
             if vc.kind == INITIATION:
@@ -769,12 +833,12 @@ class _Checker:
                     if not self.suffix
                     else None
                 )
-            if vc.kind == PRESERVATION and self._cancellative:
+            if vc.kind == PRESERVATION and self._row_local:
                 return self._fast_pres(vc)
             return None
         if (
             vc.kind == PRESERVATION
-            and self._cancellative
+            and self._row_local
             and not self.prefix
             and not self.suffix
         ):

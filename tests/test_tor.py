@@ -123,7 +123,9 @@ def _sel(pred):
 # exception class schema_of and compile_rel raise. schema_of is the schema
 # half of compile_rel, so it also compiles a Top bound: the malformed bound
 # below made compile_rel raise before, while schema_of ignored the bound and
-# returned R's schema.
+# returned R's schema. An appended record must have as many values as the
+# relation has fields, as eval_rel requires; compile_rel used to accept one
+# of any width.
 MALFORMED = {
     "unknown relation": (q("missing"), tor.UnboundName),
     "proj of a missing field": (tor.Proj(("z",), q()), SchemaError),
@@ -140,6 +142,14 @@ MALFORMED = {
     "non-predicate under sel": (_sel(tor.IntConst(1)), SchemaError),
     "scalar for a relation": (tor.Sel(tor.TruePred(), tor.SizeOf(q())), SchemaError),
     "malformed top bound": (tor.Top(q(), tor.FieldRef("a")), SchemaError),
+    "record wider than the relation": (
+        tor.AppendRow(tor.EmptyRel(A), tor.RecordConst((1, "x"))),
+        SchemaError,
+    ),
+    "row of another width": (
+        tor.AppendRow(q("S"), tor.GetRow(q(), tor.IntConst(0))),
+        SchemaError,
+    ),
 }
 
 
@@ -508,3 +518,28 @@ def test_axioms_hold_at_small_bounds():
     for name, (checked, violations) in res.items():
         assert checked > 0, name
         assert violations == [], name
+
+
+def test_row_scan_lemmas_hold_with_pinned_counts():
+    """L1-L3, which the verifier's row-local scan needs besides A1-A7, hold
+    for every relation of up to 3 rows over ints {0,1,2} and text {a,b}, cut
+    at every position; the counts are pinned so the check cannot shrink."""
+    res = axioms.check_lemmas(Bounds())
+    assert {name: n for name, (n, _) in res.items()} == {
+        "L1": 726,
+        "L2": 9850,
+        "L3": 2955,
+    }
+    for name, (_, violations) in res.items():
+        assert violations == [], f"{name}: {violations[:2]}"
+
+
+def test_distribution_check_catches_a_law_that_fails():
+    # Top(1, Concat(l, r)) is not Concat(Top(1, l), Top(1, r)) once both
+    # parts have a row, so the shared checker must report it
+    def top(k, e):
+        return tor.Top(e, tor.IntConst(k))
+
+    checked, violations = axioms._distributes("Top", top, (1,), Bounds())
+    assert checked == 985
+    assert violations and violations[0]["lemma"] == "Top"

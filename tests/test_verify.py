@@ -31,6 +31,8 @@ from tests.conftest import load_benchmark
 SMALL = Bounds(rel_size=2, int_domain=(0, 1), text_domain=("a",))
 # wide enough for the selection benchmark's mined constant 2
 SMALL3 = Bounds(rel_size=2, int_domain=(0, 1, 2), text_domain=("a",))
+# the row-local scan checks one-row relations; the sweep checks up to four rows
+WIDE4 = Bounds(rel_size=4, int_domain=(0, 1, 2), text_domain=("a",))
 
 
 def candidate_for(tp, post_by_var):
@@ -209,6 +211,14 @@ FAST_SLOW_BENCHMARKS = [
     ("cross_join", SMALL),
     ("equi_join", SMALL),
     ("join_select_project", SMALL),
+    ("identity", WIDE4),
+    ("selection", WIDE4),
+    ("projection", WIDE4),
+    ("select_project", WIDE4),
+    ("sum", WIDE4),
+    ("count", WIDE4),
+    ("max_value", WIDE4),
+    ("min_value", WIDE4),
 ]
 
 
@@ -256,6 +266,146 @@ def test_fast_valid_verdicts_match_default_bounds():
         assert res.instances == sum(
             instance_count(vc, tp, Bounds()) for vc in gen_vcs(tp)
         )
+
+
+def _agree(tp, cand, inv, bounds):
+    """fast and sweep give the same verdict, count and counterexample."""
+    fast = validate(tp, cand, inv, bounds, fast=True)
+    slow = validate(tp, cand, inv, bounds, fast=False)
+    assert (fast.status, fast.instances, fast.vcs) == (
+        slow.status,
+        slow.instances,
+        slow.vcs,
+    )
+    assert fast.counterexample == slow.counterexample
+    return fast
+
+
+def _single_loop(body, params="R: rel(a: int)", decl="m: int = 0"):
+    """A one-loop program over R that declares decl and returns it."""
+    return typecheck(parse(f"""
+fn f({params}) {{
+    var {decl};
+    for i in 0 .. size(R) {{
+        {body}
+    }}
+    return {decl.split(":")[0]};
+}}
+"""))
+
+
+R_A = tor.Query("R")
+MAX_INTO_SUM_NESTED = """
+fn f(R: rel(a: int), S: rel(w: int)) {
+    var m: int = 0;
+    for i in 0 .. size(R) {
+        for j in 0 .. size(S) {
+            m = max(m, S[j].w);
+        }
+    }
+    return m;
+}
+"""
+
+
+def test_nested_scan_refuses_an_update_that_is_not_the_posts_aggregate():
+    # max(m, w) from m = 0 agrees with the running sum on one row, so a
+    # scan from the empty prefix alone passes; from m = 1 it does not
+    tp = typecheck(parse(MAX_INTO_SUM_NESTED))
+    post = tor.AggOf(
+        "sum", "r.w", tor.Join(tor.Query("R"), tor.Query("S"), tor.TruePred())
+    )
+    cand = candidate_for(tp, {"m": post})
+    inv = derive_invariants(tp, cand)
+    res = _agree(tp, cand, inv, Bounds())
+    assert res.status == VIOLATED
+    assert res.instances == 5693
+    cex = res.counterexample
+    assert (cex.vc, cex.indices) == (VC(PRESERVATION, "j"), {"i": 0, "j": 1})
+    assert cex.inputs["S"].rows == ((1,), (1,))
+    assert (cex.expected, cex.actual) == (2, 1)
+
+
+# (program, posts, bounds, whether the row-local scan's premise holds). The
+# scan decides single-loop preservation only when it holds, and only as
+# Valid; every row must agree with the sweep either way.
+ROW_SCAN_CASES = {
+    "post over a join": (
+        _single_loop("m = m + 0;", "R: rel(a: int), S: rel(b: int)"),
+        {"m": tor.AggOf("count", None, tor.Join(R_A, tor.Query("S"), tor.TruePred()))},
+        SMALL3,
+        False,
+    ),
+    "unused second relation": (
+        _single_loop("m = m + R[i].a;", "R: rel(a: int), S: rel(b: int)"),
+        {"m": tor.AggOf("sum", "a", R_A)},
+        SMALL3,
+        True,
+    ),
+    "scalar parameter in the guard": (
+        _single_loop(
+            "if R[i].a > k { out.append(R[i]); }",
+            "R: rel(a: int), k: int",
+            "out: list(a: int)",
+        ),
+        {"out": tor.Sel(tor.CmpAtom(">", tor.FieldRef("a"), tor.ParamRef("k")), R_A)},
+        SMALL3,
+        True,
+    ),
+    "guard and post disagree past the first k": (
+        _single_loop(
+            "if R[i].a > k { out.append(R[i]); }",
+            "k: int, R: rel(a: int)",  # k varies slowest in the sweep
+            "out: list(a: int)",
+        ),
+        {"out": tor.Sel(tor.CmpAtom(">", tor.FieldRef("a"), tor.IntConst(0)), R_A)},
+        SMALL3,
+        True,
+    ),
+    "max update for a sum post": (
+        _single_loop("m = max(m, R[i].a);"),
+        {"m": tor.AggOf("sum", "a", R_A)},
+        SMALL3,
+        False,
+    ),
+    "min update for a max post": (
+        _single_loop("m = min(m, R[i].a);", decl="m: int = none"),
+        {"m": tor.AggOf("max", "a", R_A)},
+        SMALL3,
+        False,
+    ),
+    "break": ("top_k", None, SMALL3, False),
+    "no rows to scan": ("sum", None, Bounds(rel_size=0), False),
+}
+
+
+@pytest.mark.parametrize("case", ROW_SCAN_CASES)
+def test_row_scan_premise_cases_agree_with_sweep(case):
+    tp, posts, bounds, row_local = ROW_SCAN_CASES[case]
+    if isinstance(tp, str):
+        tp = load_benchmark(tp)
+        sol = first_valid(tp)
+        cand, inv = sol.candidate, sol.invariants
+    else:
+        cand = candidate_for(tp, posts)
+        inv = derive_invariants(tp, cand)
+    assert verify._Checker(tp, cand, inv, bounds)._row_local == row_local
+    _agree(tp, cand, inv, bounds)
+
+
+def test_single_loop_scan_decides_preservation_from_one_row():
+    tp = load_benchmark("sum")
+    sol = first_valid(tp)
+    bounds = Bounds(rel_size=5)
+    checker = verify._Checker(tp, sol.candidate, sol.invariants, bounds)
+    calls = []
+    check = checker.check
+    checker.check = lambda *args, **kw: calls.append(args) or check(*args, **kw)
+    vc = VC(PRESERVATION, "i")
+    assert checker.run_vc(vc) == (44790, None)
+    assert instance_count(vc, tp, bounds) == 44790
+    assert len(calls) <= 6  # one per row of R(a: int, b: text)
+    assert all(len(inputs["R"].rows) == 1 for _, inputs, _, _ in calls)
 
 
 INPUT_ONLY_PROBE = """
