@@ -17,13 +17,16 @@ simplifier's ground truth.
         row j at output position i * Size(r) + j (left-major law)
 
 A second registry, LEMMA_CHECKS, holds the lemmas the verifier's row-local
-preservation scan rests on besides A3 and A6 (verify._row_wise). Each is
-checked for every relation up to rel_size rows, split at every position
-into l and r where it concatenates two:
+preservation scan (verify._row_wise; L1-L3, besides A3 and A6) and its
+prover over Top prefixes (verify._Checker._prefix; L1, L4, L5, besides A1)
+rest on. Each is checked for every relation up to rel_size rows, split at
+every position into l and r where it concatenates two:
 
     L1  Top(e, i+1) = Append(Top(e, i), Get(e, i)) for 0 <= i < Size(e)
     L2  Sel(p, Concat(l, r)) = Concat(Sel(p, l), Sel(p, r))
     L3  Proj(F, Concat(l, r)) = Concat(Proj(F, l), Proj(F, r))
+    L4  Top(Top(e, a), b) = Top(e, min(a, b)) for a, b in -1 .. rel_size+1
+    L5  Top(e, a) is empty for a in -1 .. 0
 """
 
 from __future__ import annotations
@@ -285,10 +288,45 @@ def check_l3(bounds: Bounds = Bounds()):
     return _distributes("L3", tor.Proj, projections, bounds)
 
 
+def _top_bounds(bounds: Bounds) -> range:
+    return range(-1, bounds.rel_size + 2)
+
+
+def check_l4(bounds: Bounds = Bounds()):
+    checked, violations = 0, []
+    r = tor.Query("R")
+    for v in relation_values(MIXED_SCHEMA, bounds):
+        env = {"R": v}
+        for a, b in itertools.product(_top_bounds(bounds), repeat=2):
+            checked += 1
+            nested = tor.eval_rel(
+                tor.Top(tor.Top(r, tor.IntConst(a)), tor.IntConst(b)), env
+            )
+            once = tor.eval_rel(tor.Top(r, tor.IntConst(min(a, b))), env)
+            if nested.rows != once.rows:
+                violations.append(
+                    {"lemma": "L4", "relation": v.rows, "a": a, "b": b}
+                )
+    return checked, violations
+
+
+def check_l5(bounds: Bounds = Bounds()):
+    checked, violations = 0, []
+    for v in relation_values(MIXED_SCHEMA, bounds):
+        for a in (-1, 0):
+            checked += 1
+            got = tor.eval_rel(tor.Top(tor.Query("R"), tor.IntConst(a)), {"R": v})
+            if got.rows:
+                violations.append({"lemma": "L5", "relation": v.rows, "a": a})
+    return checked, violations
+
+
 LEMMA_CHECKS = (
     ("L1", check_l1),
     ("L2", check_l2),
     ("L3", check_l3),
+    ("L4", check_l4),
+    ("L5", check_l5),
 )
 
 

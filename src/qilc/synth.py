@@ -435,6 +435,8 @@ def _outer_prefix(i: str):
 
 def _current_row_prefix(i: str, j: str, outer_schema: Schema):
     def f(base):
+        if not isinstance(base, tor.Join):
+            raise ValueError(f"not a two-loop postcondition base: {base!r}")
         left = tor.AppendRow(
             tor.EmptyRel(outer_schema), tor.GetRow(base.left, tor.IndexRef(i))
         )

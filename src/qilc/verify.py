@@ -41,7 +41,8 @@ is wasteful for the invariant family the synthesizer derives, so the
 checker takes sound shortcuts when their premises hold: an exit condition
 whose two sides are the same expression once the loop bound is substituted
 for the index, an initiation condition that reduces to comparing
-constants, and preservation conditions decided by the row-local scan.
+constants, preservation conditions decided by the row-local scan, and a
+single loop's preservation and break-exit conditions proved symbolically.
 
 The row-local scan (_row_scan) runs one iteration of the innermost loop
 per combination of one row of each loop's relation and the scalar
@@ -59,14 +60,38 @@ combination (lemmas L1-L3 in axioms.LEMMA_CHECKS, with A3 and A6), and the
 update cancels the prefix, so the scan decides every preservation
 instance.
 
+The prover (_proves) takes a single loop's Preservation or BreakExit with
+the invariants as given, derived or hand-written, and proves it for every
+int without reading the bounds. Its fragment: the body is If over a
+comparison (<, <=, > or >=; == and != are refused, one branch of each
+being a disjunction), Append(var, R[i]) of the loop's row and the guarded
+Break, and no Assign; guard operands are x + c with x the loop index, an
+int parameter or 0, written with IntLit and Add. The body splits into one
+path per If outcome (a body of more than _MAX_PATHS paths is refused),
+each carrying its guard literals (or their negations) and
+0 <= i <= |R| - 1, |R| >= 0 as a difference-bound matrix over {0, i, int
+parameters, |R|} closed by Floyd-Warshall (Miné, PADO 2001); a negative
+cycle marks a path infeasible, which holds vacuously. Along each path a
+list starts as its invariant term and an Append makes it
+AppendRow(term, GetRow(R, i)). Every relation term is rewritten to
+Top(R, M), M a set of linear terms read as their minimum: Query(R) is
+{|R|}, EmptyRel {0}, Top(X, a) adds a to X's set (L4, L5), and
+AppendRow(Top(R, M), GetRow(R, t)) is {t + 1} when the matrix proves
+min M = t and 0 <= t < |R| (L1). Two sides agree when the matrix proves
+their minimums equal, or both >= |R| (A1), or both <= 0 (L5). Breaking
+paths decide BreakExit against the posts, the others Preservation against
+the invariants at i + 1; every invariant must also rewrite at i on every
+path, since the sweep evaluates it there. Any other shape refuses.
+
 Every shortcut is exact on the verdict: it reports Valid with the full
 analytic instance count exactly when the sweep would pass every instance.
-A single loop's scan only ever says Valid: when it finds a violation the
-sweep decides the condition, so the counts and the counterexample are the
-sweep's. The other shortcuts report a violation with the counterexample of
-the first failing instance their scan checks, which may differ from the
-sweep's first hit, and count only the instances checked. fast=False forces
-the definitional sweep; agreement is property-tested.
+A single loop's scan and the prover only ever say Valid: when the scan
+finds a violation or the prover refuses, the sweep decides the condition,
+so the counts and the counterexample are the sweep's. The other shortcuts
+report a violation with the counterexample of the first failing instance
+their scan checks, which may differ from the sweep's first hit, and count
+only the instances checked. fast=False forces the definitional sweep;
+agreement is property-tested.
 """
 
 from __future__ import annotations
@@ -81,8 +106,11 @@ from .frontend import (
     Add,
     Append,
     Assign,
+    Break,
+    Cmp,
     FieldAccess,
     If,
+    IntLit,
     MinMax,
     RowRef,
     TypedProgram,
@@ -417,6 +445,12 @@ def _always_empty(e) -> bool:
     return False
 
 
+def _empty_at(e) -> bool:
+    """_always_empty of the expression as it stands, or else of its
+    simplified form; the first test is cheap and usually decides."""
+    return _always_empty(e) or _always_empty(tor.simplify(e))
+
+
 def _has_top(e) -> bool:
     return isinstance(e, tor.Top) or any(_has_top(c) for c in tor.children(e))
 
@@ -434,6 +468,79 @@ def _row_wise(post, rel: str, index: str) -> bool:
             return False
         post = post.of
     return post == tor.Query(rel)
+
+
+# ---------------------------------------------------------------------------
+# The prover's arithmetic. A linear term is a pair (x, c) read as x + c,
+# where x names a DBM variable: _ZERO for the constant 0, _SIZE for the
+# size of the loop's relation, the loop index or an int parameter.
+# ---------------------------------------------------------------------------
+
+_ZERO, _SIZE = "0", "#"  # not identifiers, so no parameter shadows them
+
+# the guard that holds on an If's false branch
+_NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+# each If doubles the paths through a body; past this many the prover
+# refuses, and the sweep, linear in the body, decides
+_MAX_PATHS = 64
+
+
+class _Refuse(Exception):
+    """The condition is outside the prover's fragment or not provable."""
+
+
+def _bound(op: str, a: tuple, b: tuple) -> tuple:
+    """The difference constraint (x, y, c), x - y <= c, that the integer
+    comparison a op b of linear terms means."""
+    if op in (">", ">="):
+        op, a, b = ("<" if op == ">" else "<="), b, a
+    return a[0], b[0], b[1] - a[1] - (op == "<")
+
+
+class _Dbm:
+    """A difference-bound matrix (Miné, PADO 2001): d[x][y] is the tightest
+    c with x - y <= c implied by the constraints, after Floyd-Warshall
+    closure. A negative cycle leaves some d[x][x] < 0: no integers satisfy
+    the constraints."""
+
+    def __init__(self, names: tuple, constraints):
+        at = {v: n for n, v in enumerate(names)}
+        inf = float("inf")
+        d = [[0 if x == y else inf for y in names] for x in names]
+        for x, y, c in constraints:
+            d[at[x]][at[y]] = min(d[at[x]][at[y]], c)
+        for k in range(len(names)):
+            dk = d[k]
+            for dx in d:
+                via = dx[k]
+                if via != inf:
+                    for y, ky in enumerate(dk):
+                        if via + ky < dx[y]:
+                            dx[y] = via + ky
+        self.at, self.d = at, d
+        self.feasible = all(d[n][n] >= 0 for n in range(len(names)))
+
+    def le(self, s: tuple, t: tuple) -> bool:
+        """Proves s <= t."""
+        return self.d[self.at[s[0]]][self.at[t[0]]] <= t[1] - s[1]
+
+    def min_le(self, m1: tuple, m2: tuple) -> bool:
+        """Proves min m1 <= min m2: every term of m2 has one of m1 below it."""
+        return all(any(self.le(a, b) for a in m1) for b in m2)
+
+    def same_prefix(self, m1: tuple, m2: tuple) -> bool:
+        """Proves Top(R, min m1) = Top(R, min m2): the minimums are equal,
+        or both cover R (A1), or both are at most 0 (L5)."""
+        size, zero = (_SIZE, 0), (_ZERO, 0)
+        return (
+            (self.min_le(m1, m2) and self.min_le(m2, m1))
+            or all(self.le(size, a) for a in m1 + m2)
+            or (
+                any(self.le(a, zero) for a in m1)
+                and any(self.le(b, zero) for b in m2)
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +575,9 @@ class _Checker:
         self._scalar_names = [
             p.name for p in self.prog.params if not isinstance(p.ty, Schema)
         ]
+        self._int_params = tuple(p.name for p in self.prog.params if p.ty == INT)
         self._scan = None
+        self._paths = None
         self._derived = False
         self._row_local = False
         if self.inner is not None:
@@ -689,15 +798,15 @@ class _Checker:
         if e0 is None:
             return None
         if isinstance(e0, tor.REL_NODES):
-            if _always_empty(tor.simplify(e0)):
+            if _empty_at(e0):
                 return ("rel", ())
             return None
         if isinstance(e0, tor.AggOf):
-            if not _always_empty(tor.simplify(e0.of)):
+            if not _empty_at(e0.of):
                 return None
             return ("scalar", 0 if e0.kind in ("sum", "count") else None)
         if isinstance(e0, tor.SizeOf):
-            if _always_empty(tor.simplify(e0.of)):
+            if _empty_at(e0.of):
                 return ("scalar", 0)
             return None
         if isinstance(e0, tor.IntConst):
@@ -797,6 +906,151 @@ class _Checker:
             return instance_count(vc, self.tp, self.bounds), None
         return checked, cex
 
+    # -- the prover ---------------------------------------------------------------
+
+    def _proves(self, vc: VC) -> bool:
+        """Single-loop Preservation or BreakExit holds for every int (see
+        the module docstring). False is no verdict."""
+        oi = self.outer.index
+        invs = [(r.var, r.expr) for r in self.recons[oi]]
+        row = tor.GetRow(tor.Query(self.outer.rel), tor.IndexRef(oi))
+        if vc.kind == BREAK_EXIT:
+            want, shift = [(r.var, r.expr) for r in self.posts], None
+        else:
+            want, shift = invs, 1
+        try:
+            for dbm, appends, broke in self._body_paths():
+                # every instance takes one feasible path, and on it the
+                # sweep evaluates each invariant at i, whichever VC it checks
+                for _, e in invs:
+                    self._prefix(e, 0, dbm)
+                if broke != (vc.kind == BREAK_EXIT):
+                    continue
+                terms = dict(invs)
+                for var in appends:
+                    if var not in terms:
+                        raise _Refuse
+                    terms[var] = tor.AppendRow(terms[var], row)
+                for var, e in want:
+                    if var not in terms:
+                        raise _Refuse
+                    got = self._prefix(terms[var], 0, dbm)
+                    if not dbm.same_prefix(got, self._prefix(e, shift, dbm)):
+                        return False
+        except _Refuse:
+            return False
+        return True
+
+    def _body_paths(self) -> list:
+        """(dbm, appended variables, broke) for each feasible path through
+        the loop body; raises _Refuse when the body is outside the
+        fragment."""
+        if self._paths is None:
+            oi = self.outer.index
+            # 0 <= i <= |R| - 1 and |R| >= 0
+            facts = ((_ZERO, oi, 0), (oi, _SIZE, -1), (_ZERO, _SIZE, 0))
+            names = (_ZERO, oi, _SIZE, *self._int_params)
+            try:
+                paths = list(
+                    itertools.islice(
+                        self._split(self.outer.node.body, facts, ()),
+                        _MAX_PATHS + 1,
+                    )
+                )
+                if len(paths) > _MAX_PATHS:
+                    raise _Refuse
+                self._paths = [
+                    (dbm, appends, broke)
+                    for cons, appends, broke in paths
+                    if (dbm := _Dbm(names, cons)).feasible
+                ]
+            except _Refuse:
+                self._paths = False
+        if self._paths is False:
+            raise _Refuse
+        return self._paths
+
+    def _split(self, stmts, facts: tuple, appends: tuple):
+        """Yield (facts, appends, broke) for each path through stmts: an If
+        adds its guard's constraint to one path and the negation's to the
+        other."""
+        if not stmts:
+            yield facts, appends, False
+            return
+        s, rest = stmts[0], stmts[1:]
+        if isinstance(s, Break):
+            yield facts, appends, True
+        elif isinstance(s, Append) and s.record == RowRef(
+            self.outer.rel, self.outer.index
+        ):
+            yield from self._split(rest, facts, appends + (s.target,))
+        elif isinstance(s, If) and isinstance(s.cond, Cmp) and s.cond.op in _NEGATE:
+            op = s.cond.op
+            a, b = self._guard_term(s.cond.left), self._guard_term(s.cond.right)
+            yield from self._split(s.body + rest, facts + (_bound(op, a, b),), appends)
+            yield from self._split(rest, facts + (_bound(_NEGATE[op], a, b),), appends)
+        else:
+            raise _Refuse
+
+    def _guard_term(self, e) -> tuple:
+        """A guard operand as a linear term: an IntLit, the loop index, an
+        int parameter, or an Add chain with at most one of the latter two."""
+        if isinstance(e, IntLit):
+            return _ZERO, e.value
+        if isinstance(e, VarRef) and (
+            e.name == self.outer.index or e.name in self._int_params
+        ):
+            return e.name, 0
+        if isinstance(e, Add):
+            (x, a), (y, b) = self._guard_term(e.left), self._guard_term(e.right)
+            if x != _ZERO and y != _ZERO:
+                raise _Refuse
+            return (y if x == _ZERO else x), a + b
+        raise _Refuse
+
+    def _term(self, e, shift) -> tuple:
+        """A Top bound or row position as a linear term. shift advances the
+        loop index; None means no index is bound (a post is evaluated after
+        the loop)."""
+        if isinstance(e, tor.IntConst):
+            return _ZERO, e.value
+        if isinstance(e, tor.IndexRef) and e.name == self.outer.index:
+            if shift is None:
+                raise _Refuse
+            return e.name, e.offset + shift
+        if isinstance(e, tor.ParamRef) and e.name in self._int_params:
+            return e.name, 0
+        if e == tor.SizeOf(tor.Query(self.outer.rel)):
+            return _SIZE, 0
+        raise _Refuse
+
+    def _prefix(self, e, shift, dbm: _Dbm) -> tuple:
+        """The bounds M, a tuple of linear terms, with e = Top(R, min M)
+        for the loop's relation R (L4); refuses any other shape."""
+        rel = tor.Query(self.outer.rel)
+        if e == rel:
+            return ((_SIZE, 0),)
+        if isinstance(e, tor.EmptyRel):
+            return ((_ZERO, 0),)  # L5
+        if isinstance(e, tor.Top):
+            return self._prefix(e.of, shift, dbm) + (self._term(e.k, shift),)
+        if (
+            isinstance(e, tor.AppendRow)
+            and isinstance(e.rec, tor.GetRow)
+            and e.rec.of == rel
+        ):
+            # L1: Append(Top(R, t), Get(R, t)) = Top(R, t + 1), 0 <= t < |R|
+            t = self._term(e.rec.idx, shift)
+            m = self._prefix(e.of, shift, dbm)
+            if (
+                dbm.le((_ZERO, 0), t)
+                and dbm.le(t, (_SIZE, -1))
+                and dbm.min_le(m, (t,))
+                and dbm.min_le((t,), m)
+            ):
+                return ((t[0], t[1] + 1),)
+        raise _Refuse
+
     def _fast_result(self, vc: VC):
         if not self.fast:
             return None
@@ -806,6 +1060,8 @@ class _Checker:
         if vc.loop == oi and vc.kind == EXIT:
             return self._fast_exit_outer(vc)
         if self.inner is None:
+            if vc.kind in (PRESERVATION, BREAK_EXIT) and self._proves(vc):
+                return instance_count(vc, self.tp, self.bounds), None
             if vc.kind != PRESERVATION or not self._row_local:
                 return None
             # the single-loop scan only ever says Valid: on a violation the

@@ -521,14 +521,17 @@ def test_axioms_hold_at_small_bounds():
 
 
 def test_row_scan_lemmas_hold_with_pinned_counts():
-    """L1-L3, which the verifier's row-local scan needs besides A1-A7, hold
-    for every relation of up to 3 rows over ints {0,1,2} and text {a,b}, cut
-    at every position; the counts are pinned so the check cannot shrink."""
+    """L1-L5, which the verifier's row-local scan and prover need besides
+    A1-A7, hold for every relation of up to 3 rows over ints {0,1,2} and
+    text {a,b}, cut at every position (L4 and L5 with bounds -1 .. 4 and
+    -1 .. 0); the counts are pinned so the check cannot shrink."""
     res = axioms.check_lemmas(Bounds())
     assert {name: n for name, (n, _) in res.items()} == {
         "L1": 726,
         "L2": 9850,
         "L3": 2955,
+        "L4": 9324,
+        "L5": 518,
     }
     for name, (_, violations) in res.items():
         assert violations == [], f"{name}: {violations[:2]}"

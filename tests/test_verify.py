@@ -219,6 +219,7 @@ FAST_SLOW_BENCHMARKS = [
     ("count", WIDE4),
     ("max_value", WIDE4),
     ("min_value", WIDE4),
+    ("top_k", WIDE4),
 ]
 
 
@@ -326,6 +327,19 @@ def test_nested_scan_refuses_an_update_that_is_not_the_posts_aggregate():
     assert (cex.expected, cex.actual) == (2, 1)
 
 
+def test_nested_post_over_one_relation_gets_no_derived_invariant():
+    # a two-loop post must read both relations; a single-relation base is
+    # refused with ValueError, so validate skips the shortcuts and sweeps
+    tp = load_benchmark("cross_join")
+    cand = candidate_for(tp, {"out": tor.Proj(("a",), tor.Query("R"))})
+    with pytest.raises(ValueError, match="two-loop"):
+        derive_invariants(tp, cand)
+    sol = first_valid(tp)
+    assert not verify._Checker(tp, cand, sol.invariants, SMALL)._derived
+    res = _agree(tp, cand, sol.invariants, SMALL)
+    assert (res.status, res.counterexample.vc) == (VIOLATED, VC(EXIT, "i"))
+
+
 # (program, posts, bounds, whether the row-local scan's premise holds). The
 # scan decides single-loop preservation only when it holds, and only as
 # Valid; every row must agree with the sweep either way.
@@ -406,6 +420,125 @@ def test_single_loop_scan_decides_preservation_from_one_row():
     assert instance_count(vc, tp, bounds) == 44790
     assert len(calls) <= 6  # one per row of R(a: int, b: text)
     assert all(len(inputs["R"].rows) == 1 for _, inputs, _, _ in calls)
+
+
+def test_prover_decides_top_k_without_checking_an_instance():
+    tp = load_benchmark("top_k")
+    sol = first_valid(tp)
+    bounds = Bounds(rel_size=5)
+    checker = verify._Checker(tp, sol.candidate, sol.invariants, bounds)
+    calls = []
+    check = checker.check
+    checker.check = lambda *args, **kw: calls.append(args) or check(*args, **kw)
+    for kind in (PRESERVATION, BREAK_EXIT):
+        vc = VC(kind, "i")
+        assert checker.run_vc(vc) == (instance_count(vc, tp, bounds), None)
+    assert instance_count(VC(PRESERVATION, "i"), tp, bounds) == 134370
+    assert calls == []
+
+
+def _top_k_guarded(guard):
+    """top_k with its append guarded by guard instead of i < k."""
+    return _single_loop(
+        f"if {guard} {{ out.append(R[i]); }} if i + 1 >= k {{ break; }}",
+        "R: rel(a: int), k: int",
+        "out: list(a: int)",
+    )
+
+
+TOP_K = tor.Top(R_A, tor.ParamRef("k"))
+# (program, post, invariant or None for the derived one, the VCs the prover
+# proves). Each candidate is wrong, and the prover must refuse the VC the
+# sweep finds violated; the one it proves hold for every int.
+PROVER_MUTANTS = {
+    "invariant one row ahead": (
+        "top_k",
+        TOP_K,
+        tor.Top(tor.Top(R_A, tor.IndexRef("i", 1)), tor.ParamRef("k")),
+        set(),
+    ),
+    "Top(R, i) under a Top(R, k) post": (
+        "top_k",
+        TOP_K,
+        tor.Top(R_A, tor.IndexRef("i")),
+        {PRESERVATION},
+    ),
+    "append while i <= k": (_top_k_guarded("i <= k"), TOP_K, None, {PRESERVATION}),
+    "append while i >= k": (_top_k_guarded("i >= k"), TOP_K, None, set()),
+    "append while i + 1 > k": (_top_k_guarded("i + 1 > k"), TOP_K, None, set()),
+    # wrong only at i = 1, on the false branch of i < 1
+    "append while i < 1 under a Top(R, 2) post": (
+        _single_loop("if i < 1 { out.append(R[i]); }", decl="out: list(a: int)"),
+        tor.Top(R_A, tor.IntConst(2)),
+        None,
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PROVER_MUTANTS)
+def test_prover_refuses_what_does_not_hold(case):
+    tp, post, inv, proved = PROVER_MUTANTS[case]
+    if isinstance(tp, str):
+        tp = load_benchmark(tp)
+    cand = candidate_for(tp, {"out": post})
+    inv = derive_invariants(tp, cand) if inv is None else {"i": (("out", inv),)}
+    checker = verify._Checker(tp, cand, inv, SMALL3)
+    vcs = [vc for vc in gen_vcs(tp) if vc.kind in (PRESERVATION, BREAK_EXIT)]
+    assert {vc.kind for vc in vcs if checker._proves(vc)} == proved
+    res = _agree(tp, cand, inv, SMALL3)
+    assert res.status == VIOLATED
+    assert res.counterexample.vc.kind not in proved
+
+
+def test_prover_appends_a_row_only_where_the_prefix_ends():
+    """L1 rewrites Append(Top(R, M), Get(R, t)) to Top(R, t + 1) only when
+    min M = t and 0 <= t < |R| are proved."""
+    tp = load_benchmark("top_k")
+    sol = first_valid(tp)
+    checker = verify._Checker(tp, sol.candidate, sol.invariants, SMALL3)
+    zero, size = verify._ZERO, verify._SIZE
+    in_range = ((zero, "i", 0), ("i", size, -1), (zero, size, 0))
+
+    def rewrite(e, *facts):  # each fact (x, y, c) is x - y <= c
+        dbm = verify._Dbm((zero, "i", size, "k"), in_range + facts)
+        try:
+            return checker._prefix(e, 0, dbm)
+        except verify._Refuse:
+            return None
+
+    R = tor.Query("R")
+    i = tor.IndexRef("i")
+    at_k = tor.AppendRow(tor.Top(R, tor.ParamRef("k")), tor.GetRow(R, i))
+    assert rewrite(at_k, ("k", "i", 0), ("i", "k", 0)) == (("i", 1),)
+    assert rewrite(at_k, ("k", "i", 0)) is None  # the prefix may end before i
+    assert rewrite(at_k, ("i", "k", 0)) is None  # or after it
+    for t in (tor.IndexRef("i", -1), tor.IndexRef("i", 1)):  # may be -1 or |R|
+        assert rewrite(tor.AppendRow(tor.Top(R, t), tor.GetRow(R, t))) is None
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "if i != k { out.append(R[i]); }",
+        "if i == k { out.append(R[i]); }",
+        "if i < k && i < 2 { out.append(R[i]); }",
+        "if !(i >= k) { out.append(R[i]); }",
+        "if i < n { out.append(R[i]); }",
+        "if i < k { out.append(R[i]); } n = n + 1;",
+        "if i + k < 2 { out.append(R[i]); }",
+        "if R[i].a < k { out.append(R[i]); }",
+        " ".join(["if i < k { out.append(R[i]); }"] * 7),  # 128 paths
+    ],
+)
+def test_prover_refuses_a_body_outside_its_fragment(body):
+    tp = _single_loop(
+        body, "R: rel(a: int), k: int", "out: list(a: int); var n: int = 0"
+    )
+    cand = candidate_for(tp, {"out": tor.Top(R_A, tor.ParamRef("k"))})
+    inv = derive_invariants(tp, cand)
+    assert not verify._Checker(tp, cand, inv, SMALL3)._proves(VC(PRESERVATION, "i"))
+    _agree(tp, cand, inv, SMALL3)
 
 
 INPUT_ONLY_PROBE = """
