@@ -17,7 +17,7 @@ from .axioms import check_all
 from .difftest import DiffResult, SplitMix64, draw_case, replay_case, run_cases
 from .emit import MiniDb, NotTranslatable, eval_sql, parse_sql, render, to_sql
 from .frontend import ParseError, TypeCheckError, parse, typecheck
-from .interp import run, trace
+from .interp import run
 from .relation import INT, TEXT, OrderedRelation, Schema, values_agree
 from .synth import Failure, Options, Solution, enumerate_candidates, synthesize
 from .verify import Bounds, gen_vcs, recheck, validate
@@ -59,7 +59,6 @@ __all__ = [
     "run_cases",
     "synthesize",
     "to_sql",
-    "trace",
     "typecheck",
     "validate",
     "values_agree",

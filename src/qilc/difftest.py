@@ -52,26 +52,33 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
-    """Consume one case's draws and return parameter bindings."""
-    inputs = {}
+def _draw_plan(tp: TypedProgram) -> tuple:
+    """(name, schema, int_fields) per relation parameter, (name, None, is_int)
+    per scalar one, in declaration order; int_fields holds one bool per
+    field."""
+    plan = []
     for p in tp.ast.params:
         if isinstance(p.ty, Schema):
-            size = gen.next() % 6
-            rows = []
-            for _ in range(size):
-                row = []
-                for t in p.ty.types:
-                    if t == INT:
-                        row.append(gen.next() % 5)
-                    else:
-                        row.append(ALPHABET[gen.next() % 3])
-                rows.append(tuple(row))
-            inputs[p.name] = OrderedRelation(p.ty, tuple(rows))
-        elif p.ty == INT:
-            inputs[p.name] = gen.next() % 5
+            plan.append((p.name, p.ty, tuple(t == INT for t in p.ty.types)))
         else:
-            inputs[p.name] = ALPHABET[gen.next() % 3]
+            plan.append((p.name, None, p.ty == INT))
+    return tuple(plan)
+
+
+def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
+    """Consume one case's draws and return parameter bindings."""
+    draw = gen.next
+    inputs = {}
+    for name, schema, ints in tp.derived(_draw_plan):
+        if schema is None:
+            inputs[name] = draw() % 5 if ints else ALPHABET[draw() % 3]
+            continue
+        rows = []
+        for _ in range(draw() % 6):
+            rows.append(
+                tuple([draw() % 5 if is_int else ALPHABET[draw() % 3] for is_int in ints])
+            )
+        inputs[name] = OrderedRelation(schema, tuple(rows))
     return inputs
 
 

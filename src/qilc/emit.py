@@ -1,4 +1,4 @@
-"""SQL emission and a reference SQL evaluator.
+"""SQL emission and a reference SQL evaluator (MiniDb and eval_sql).
 
 A relation expression is *translatable* when rewriting brings it to the
 canonical single-SELECT shape
@@ -24,11 +24,19 @@ Rendering is canonical and byte stable: uppercase keywords, single spaces,
 every record query ordered by the hidden rid columns of its sources. A
 table's rid is the 0-based position of the row; it never appears in SELECT
 output. parse_sql inverts render exactly on rendered output.
+
+eval_sql compiles a query once per tuple of source schemas into a plan
+(columns resolved to row positions, WHERE to a closure, the output schema
+precomputed) and keeps it on the query, so a difftest case only forms the
+product of the rows, filters it, and aggregates or applies LIMIT. The
+plain tree evaluator tor.eval_* stays the reference that the emission
+oracle checks eval_sql against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union
 
 from . import tor
@@ -133,6 +141,8 @@ class SqlQuery:
     sources: tuple[SqlSource, ...]
     where: Optional[SqlPred] = None
     limit: Optional[SqlOperand] = None
+    # eval_sql's compiled plans, keyed by the sources' schemas
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -147,6 +157,8 @@ class SqlScalar:
     arg: Optional[SCol]  # None only for count
     sources: tuple[SqlSource, ...]
     where: Optional[SqlPred] = None
+    # eval_sql's compiled plans, keyed by the sources' schemas
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 Sql = Union[SqlQuery, SqlScalar]
@@ -663,104 +675,151 @@ class MiniDb:
         return db
 
 
-def _resolve_sources(q: Sql, db: MiniDb):
-    out = []
-    for s in q.sources:
-        if s.table not in db.tables:
-            raise UnknownTable(s.table)
-        out.append((s.alias, db.tables[s.table]))
-    return out
-
-
-def _sql_operand_value(o: SqlOperand, env: dict, db: MiniDb):
-    if isinstance(o, SCol):
-        try:
-            return env[(o.alias, o.name)]
-        except KeyError:
-            raise UnknownColumn(f"{o.alias}.{o.name}") from None
-    if isinstance(o, (SInt, SText)):
-        return o.value
-    if isinstance(o, SParam):
-        if o.name not in db.params:
-            raise UnknownParam(o.name)
-        return db.params[o.name]
-    raise SchemaError(f"not a SQL operand: {o!r}")
-
-
-def _sql_pred_holds(p: SqlPred, env: dict, db: MiniDb) -> bool:
-    if isinstance(p, SCmp):
-        a = _sql_operand_value(p.lhs, env, db)
-        b = _sql_operand_value(p.rhs, env, db)
-        return _SQL_CMP[p.op](a, b)
-    if isinstance(p, SAnd):
-        return _sql_pred_holds(p.left, env, db) and _sql_pred_holds(p.right, env, db)
-    if isinstance(p, SOr):
-        return _sql_pred_holds(p.left, env, db) or _sql_pred_holds(p.right, env, db)
-    if isinstance(p, SNot):
-        return not _sql_pred_holds(p.operand, env, db)
-    raise SchemaError(f"not a SQL predicate: {p!r}")
-
-
-def _product(sources, q: Sql, db: MiniDb):
-    """Surviving combinations as (rid tuple, env) in left-major rid order."""
-    combos = [((), {})]
-    for alias, rel in sources:
-        nxt = []
-        for rids, env in combos:
-            for rid, row in enumerate(rel.rows):
-                env2 = dict(env)
-                for name, v in zip(rel.schema.names, row):
-                    env2[(alias, name)] = v
-                env2[(alias, "rid")] = rid
-                nxt.append((rids + (rid,), env2))
-        combos = nxt
-    if q.where is not None:
-        combos = [(r, e) for r, e in combos if _sql_pred_holds(q.where, e, db)]
-    return combos
-
-
 def eval_sql(q: Sql, db: MiniDb):
     """Evaluate against a MiniDb: relations for record queries (ordered by
     the source rids), ints or None for aggregates. LIMIT clamps at 0."""
-    sources = _resolve_sources(q, db)
-    combos = _product(sources, q, db)
-    if isinstance(q, SqlScalar):
-        if q.func == "count":
-            return len(combos)
-        values = [_sql_operand_value(q.arg, env, db) for _, env in combos]
-        if q.func == "sum":
-            return sum(values)
-        if not values:
-            return None
-        return min(values) if q.func == "min" else max(values)
+    rels = []
+    for s in q.sources:
+        if s.table not in db.tables:
+            raise UnknownTable(s.table)
+        rels.append(db.tables[s.table])
+    schemas = tuple(rel.schema for rel in rels)
+    plan = q.plans.get(schemas)
+    if plan is None:
+        plan = q.plans[schemas] = _Plan(q, schemas)
+    return plan.run(rels, db.params)
 
-    combos.sort(key=lambda pair: pair[0])
-    if q.limit is not None:
-        k = _sql_operand_value(q.limit, {}, db)
-        combos = combos[: max(k, 0)]
 
-    schemas = {alias: rel.schema for alias, rel in sources}
-    cols: list[tuple[str, str, str]] = []  # alias, column, type
+class _Plan:
+    """A query compiled against its sources' schemas, built once per (query,
+    schemas) and kept on the query.
+
+    A row combination is one flat tuple, (rid, row) for each source in FROM
+    order; each column reference is resolved to its place in it. A column,
+    parameter or node that cannot be resolved compiles to a closure that
+    raises when it is evaluated, so WHERE and aggregate arguments fail only
+    on a row they are evaluated on, as a tree walk would. The SELECT list is
+    resolved here too; when it fails, run() resolves it again to raise.
+    """
+
+    def __init__(self, q: Sql, schemas: tuple):
+        self.q = q
+        self.schemas = schemas
+        # a repeated alias names its last source
+        self.slots = {s.alias: n for n, s in enumerate(q.sources)}
+        self.where = None if q.where is None else _plan_pred(q.where, self.slots, schemas)
+        if isinstance(q, SqlScalar):
+            self.arg = _plan_operand(q.arg, self.slots, schemas)
+            return
+        self.limit = None if q.limit is None else _plan_operand(q.limit, {}, ())
+        try:
+            self.schema, self.out = _plan_select(q, self.slots, schemas)
+        except (UnknownTable, UnknownColumn, SchemaError):
+            self.schema = None
+
+    def run(self, rels: list, params: dict):
+        combos = [()]
+        for rel in rels:
+            numbered = tuple(enumerate(rel.rows))
+            combos = [c + r for c in combos for r in numbered]
+        where = self.where
+        if where is not None:
+            combos = [c for c in combos if where(c, params)]
+        q = self.q
+        if isinstance(q, SqlScalar):
+            if q.func == "count":
+                return len(combos)
+            arg = self.arg
+            values = [arg(c, params) for c in combos]
+            if q.func == "sum":
+                return sum(values)
+            if not values:
+                return None
+            return min(values) if q.func == "min" else max(values)
+        # the product is already in rid order, left-major
+        if self.limit is not None:
+            combos = combos[: max(self.limit((), params), 0)]
+        if self.schema is None:
+            _plan_select(q, self.slots, self.schemas)  # raises
+        out = self.out
+        return OrderedRelation(self.schema, tuple([out(c) for c in combos]))
+
+
+def _fails(exc_type, arg):
+    def fail(c, params):
+        raise exc_type(arg)
+
+    return fail
+
+
+def _plan_operand(o, slots: dict, schemas: tuple):
+    """Closure (combination, params) -> value of one SQL operand."""
+    if isinstance(o, SCol):
+        n = slots.get(o.alias)
+        if n is not None and o.name == "rid":
+            at = 2 * n
+            return lambda c, params: c[at]
+        if n is None or not schemas[n].has(o.name):
+            return _fails(UnknownColumn, f"{o.alias}.{o.name}")
+        at, k = 2 * n + 1, schemas[n].index_of(o.name)
+        return lambda c, params: c[at][k]
+    if isinstance(o, (SInt, SText)):
+        value = o.value
+        return lambda c, params: value
+    if isinstance(o, SParam):
+        name = o.name
+
+        def param(c, params):
+            if name not in params:
+                raise UnknownParam(name)
+            return params[name]
+
+        return param
+    return _fails(SchemaError, f"not a SQL operand: {o!r}")
+
+
+def _plan_pred(p, slots: dict, schemas: tuple):
+    """Closure (combination, params) -> bool of one SQL predicate."""
+    if isinstance(p, SCmp):
+        f = _SQL_CMP[p.op]
+        a, b = _plan_operand(p.lhs, slots, schemas), _plan_operand(p.rhs, slots, schemas)
+        return lambda c, params: f(a(c, params), b(c, params))
+    if isinstance(p, (SAnd, SOr)):
+        a, b = _plan_pred(p.left, slots, schemas), _plan_pred(p.right, slots, schemas)
+        if isinstance(p, SAnd):
+            return lambda c, params: a(c, params) and b(c, params)
+        return lambda c, params: a(c, params) or b(c, params)
+    if isinstance(p, SNot):
+        a = _plan_pred(p.operand, slots, schemas)
+        return lambda c, params: not a(c, params)
+    return _fails(SchemaError, f"not a SQL predicate: {p!r}")
+
+
+def _plan_select(q: SqlQuery, slots: dict, schemas: tuple):
+    """The output schema and a closure combination -> output row. Output
+    names are the plain column names, or alias.name for every column when
+    the plain names repeat."""
+    cols: list[tuple[int, int, str, str, str]] = []  # slot, field, alias, name, type
     for it in q.items:
+        if it.alias not in slots:
+            raise UnknownTable(it.alias)
+        n = slots[it.alias]
+        sch = schemas[n]
         if isinstance(it, SqlStar):
-            if it.alias not in schemas:
-                raise UnknownTable(it.alias)
-            for name, ty in schemas[it.alias].fields:
-                cols.append((it.alias, name, ty))
+            for k, (name, ty) in enumerate(sch.fields):
+                cols.append((2 * n + 1, k, it.alias, name, ty))
         else:
-            if it.alias not in schemas:
-                raise UnknownTable(it.alias)
-            sch = schemas[it.alias]
             if not sch.has(it.name):
                 raise UnknownColumn(f"{it.alias}.{it.name}")
-            cols.append((it.alias, it.name, sch.type_of(it.name)))
-    plain = [name for _, name, _ in cols]
+            k = sch.index_of(it.name)
+            cols.append((2 * n + 1, k, it.alias, it.name, sch.types[k]))
+    plain = [name for _, _, _, name, _ in cols]
     if len(set(plain)) == len(plain):
         names = plain
     else:
-        names = [f"{alias}.{name}" for alias, name, _ in cols]
-    schema = Schema(tuple((n, ty) for n, (_, _, ty) in zip(names, cols)))
-    rows = tuple(
-        tuple(env[(alias, name)] for alias, name, _ in cols) for _, env in combos
-    )
-    return OrderedRelation(schema, rows)
+        names = [f"{alias}.{name}" for _, _, alias, name, _ in cols]
+    schema = Schema(tuple((name, c[4]) for name, c in zip(names, cols)))
+    if len(q.items) == 1 and isinstance(q.items[0], SqlStar):
+        return schema, itemgetter(2 * slots[q.items[0].alias] + 1)
+    picks = tuple((at, k) for at, k, _, _, _ in cols)
+    return schema, lambda c: tuple([c[at][k] for at, k in picks])

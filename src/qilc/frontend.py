@@ -674,10 +674,20 @@ class TypedProgram:
     pre_loop: tuple  # statements before the top-level loop
     agg_updates: dict  # accumulator name -> "sum" | "count" | "min" | "max"
     relations: dict  # relation parameter name -> Schema
+    # what later passes build from the program once (interp's compiled
+    # statements, difftest's draw plan), keyed by the builder; see derived
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def name(self) -> str:
         return self.ast.name
+
+    def derived(self, build):
+        """build(self), built on first use and kept with the program."""
+        memo = self.memo
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
 
 
 class _Checker:

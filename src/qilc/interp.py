@@ -6,42 +6,27 @@ order, appends accumulate in visit order, min/max accumulators start absent
 truth that synthesized queries are verified and differentially tested
 against.
 
-The verifier reuses the statement executor to run single loop-body
-iterations from reconstructed stores; see exec_stmts.
+Each statement sequence is compiled once per program into one closure over
+a mutable store (closure compilation: Feeley and Lapalme, "Using closures
+for code generation", Computer Languages 1987). The Executor holding the
+closures is kept on the TypedProgram, so a difftest case or a verifier
+instance only runs them. The verifier runs single loop-body iterations from
+reconstructed stores through Executor.block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from . import frontend as F
 from .relation import INT, OrderedRelation, Schema
 from .tor import CMP_OPS
-
-NORMAL = "normal"
-BREAK = "break"
 
 _CMP = {("==" if op == "=" else op): f for op, f in CMP_OPS.items()}
 
 
 class InputError(ValueError):
     """Provided bindings do not match the program's parameters."""
-
-
-@dataclass
-class LoopHeadState:
-    """One observation: a loop-head visit, or the final exit state.
-
-    Loop heads are visited once per index value including the failing guard
-    check (a loop over a 2-row relation yields heads at i=0,1,2). kind is
-    "head" or "exit"; indices holds every active loop index; vars snapshots
-    every declared local (lists as OrderedRelation).
-    """
-
-    kind: str
-    loop: str | None
-    indices: dict
-    vars: dict
 
 
 def check_inputs(prog: F.TypedProgram, inputs: dict) -> None:
@@ -74,123 +59,52 @@ def check_inputs(prog: F.TypedProgram, inputs: dict) -> None:
                 raise InputError(f"{p.name!r} must be text")
 
 
-def init_store(prog: F.TypedProgram, inputs: dict) -> dict:
-    """Store at program entry: parameters plus declared locals.
+class Executor:
+    """One program's statements compiled to closures, built once per program
+    (see executor).
 
-    List locals are held as mutable Python lists of row tuples while the
-    program runs; snapshot_store converts them back to relations.
+    A compiled statement sequence takes the store, a dict from names to
+    values in which list locals are Python lists of row tuples, and returns
+    a true value when a break fired (the enclosing loop must stop). A loop
+    inside the sequence runs to completion; its own break does not escape
+    it, and its index is gone from the store afterwards.
     """
-    store = dict(inputs)
-    for d in prog.ast.decls:
-        if isinstance(d, F.ListDecl):
-            store[d.name] = []
-        else:
-            store[d.name] = d.init
-    return store
+
+    def __init__(self, prog: F.TypedProgram):
+        self.prog = prog
+        self._blocks: dict = {}
+        self._decls = tuple(
+            (d.name, isinstance(d, F.ListDecl), d.init if isinstance(d, F.ScalarDecl) else None)
+            for d in prog.ast.decls
+        )
+        result = next(d for d in prog.ast.decls if d.name == prog.ast.result)
+        self._result = result.name
+        self._result_schema = result.schema if isinstance(result, F.ListDecl) else None
+        self.body = self.block(prog.ast.body)
+
+    def block(self, stmts: tuple):
+        """The closure for a statement sequence of this program."""
+        if stmts not in self._blocks:
+            self._blocks[stmts] = _block(self.prog, stmts)
+        return self._blocks[stmts]
+
+    def init_store(self, inputs: dict) -> dict:
+        """Store at program entry: parameters plus declared locals."""
+        store = dict(inputs)
+        for name, is_list, init in self._decls:
+            store[name] = [] if is_list else init
+        return store
+
+    def result(self, store: dict):
+        v = store[self._result]
+        if self._result_schema is None:
+            return v
+        return OrderedRelation(self._result_schema, tuple(v))
 
 
-def snapshot_store(prog: F.TypedProgram, store: dict) -> dict:
-    out = {}
-    for d in prog.ast.decls:
-        v = store[d.name]
-        if isinstance(d, F.ListDecl):
-            out[d.name] = OrderedRelation(d.schema, tuple(v))
-        else:
-            out[d.name] = v
-    return out
-
-
-def eval_expr(prog: F.TypedProgram, e, store: dict):
-    if isinstance(e, F.IntLit):
-        return e.value
-    if isinstance(e, F.TextLit):
-        return e.value
-    if isinstance(e, F.VarRef):
-        return store[e.name]
-    if isinstance(e, F.FieldAccess):
-        rel: OrderedRelation = store[e.rel]
-        row = rel.rows[store[e.index]]
-        return row[prog.relations[e.rel].index_of(e.fieldname)]
-    if isinstance(e, F.Add):
-        return eval_expr(prog, e.left, store) + eval_expr(prog, e.right, store)
-    if isinstance(e, F.MinMax):
-        a = eval_expr(prog, e.left, store)
-        b = eval_expr(prog, e.right, store)
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b) if e.op == "min" else max(a, b)
-    raise AssertionError(f"unhandled expression {e!r}")
-
-
-def eval_pred(prog: F.TypedProgram, p, store: dict) -> bool:
-    if isinstance(p, F.Cmp):
-        a = eval_expr(prog, p.left, store)
-        b = eval_expr(prog, p.right, store)
-        return _CMP[p.op](a, b)
-    if isinstance(p, F.BoolOp):
-        if p.op == "and":
-            return eval_pred(prog, p.left, store) and eval_pred(prog, p.right, store)
-        return eval_pred(prog, p.left, store) or eval_pred(prog, p.right, store)
-    if isinstance(p, F.NotOp):
-        return not eval_pred(prog, p.operand, store)
-    raise AssertionError(f"unhandled predicate {p!r}")
-
-
-def eval_record(prog: F.TypedProgram, rec, store: dict) -> tuple:
-    if isinstance(rec, F.RowRef):
-        rel: OrderedRelation = store[rec.rel]
-        return rel.rows[store[rec.index]]
-    return tuple(eval_expr(prog, e, store) for _, e in rec.items)
-
-
-def exec_stmts(prog: F.TypedProgram, stmts, store: dict, observer=None) -> str:
-    """Run a statement sequence against a mutable store.
-
-    Returns BREAK if a break fired (the enclosing loop must stop), NORMAL
-    otherwise. Nested loops run to completion here; their own breaks do not
-    escape past their loop.
-    """
-    for st in stmts:
-        if isinstance(st, F.Assign):
-            store[st.target] = eval_expr(prog, st.expr, store)
-        elif isinstance(st, F.Append):
-            store[st.target].append(eval_record(prog, st.record, store))
-        elif isinstance(st, F.If):
-            if eval_pred(prog, st.cond, store):
-                sig = exec_stmts(prog, st.body, store, observer)
-                if sig == BREAK:
-                    return BREAK
-        elif isinstance(st, F.Break):
-            return BREAK
-        elif isinstance(st, F.For):
-            exec_loop(prog, st, store, observer)
-        else:
-            raise AssertionError(f"unhandled statement {st!r}")
-    return NORMAL
-
-
-def exec_loop(prog: F.TypedProgram, loop: F.For, store: dict, observer=None) -> None:
-    """Run one counted loop to completion (its break stops only itself).
-
-    The loop head is visited once per index value 0..size inclusive; the
-    final visit is the one whose guard fails, unless a break cut the loop
-    short.
-    """
-    size = store[loop.rel].size
-    store[loop.index] = 0
-    while True:
-        i = store[loop.index]
-        if observer is not None:
-            observer(loop, store)
-        if i >= size:
-            break
-        sig = exec_stmts(prog, loop.body, store, observer)
-        if sig == BREAK:
-            break
-        store[loop.index] = i + 1
-    del store[loop.index]
+def executor(prog: F.TypedProgram) -> Executor:
+    """The program's Executor, built on first use and kept on the program."""
+    return prog.derived(Executor)
 
 
 def run(prog: F.TypedProgram, inputs: dict):
@@ -198,30 +112,116 @@ def run(prog: F.TypedProgram, inputs: dict):
     list results, an int/str for accumulators, None for a min/max accumulator
     that was never updated)."""
     check_inputs(prog, inputs)
-    store = init_store(prog, inputs)
-    exec_stmts(prog, prog.ast.body, store)
-    return snapshot_store(prog, store)[prog.ast.result]
+    ex = executor(prog)
+    store = ex.init_store(inputs)
+    ex.body(store)
+    return ex.result(store)
 
 
-def trace(prog: F.TypedProgram, inputs: dict) -> list[LoopHeadState]:
-    """Execute while recording every loop-head visit, then the exit state."""
-    check_inputs(prog, inputs)
-    store = init_store(prog, inputs)
-    states: list[LoopHeadState] = []
-    index_names = [li.index for li in prog.loops]
+# ---------------------------------------------------------------------------
+# Compilation: each function returns the closure for one node, store -> value
+# ---------------------------------------------------------------------------
 
-    def observer(loop: F.For, st: dict) -> None:
-        states.append(
-            LoopHeadState(
-                kind="head",
-                loop=loop.index,
-                indices={n: st[n] for n in index_names if n in st},
-                vars=snapshot_store(prog, st),
-            )
-        )
 
-    exec_stmts(prog, prog.ast.body, store, observer)
-    states.append(
-        LoopHeadState(kind="exit", loop=None, indices={}, vars=snapshot_store(prog, store))
-    )
-    return states
+def _expr(prog: F.TypedProgram, e):
+    if isinstance(e, (F.IntLit, F.TextLit)):
+        value = e.value
+        return lambda s: value
+    if isinstance(e, F.VarRef):
+        return itemgetter(e.name)
+    if isinstance(e, F.FieldAccess):
+        rel, index = e.rel, e.index
+        k = prog.relations[rel].index_of(e.fieldname)
+        return lambda s: s[rel].rows[s[index]][k]
+    if isinstance(e, F.Add):
+        a, b = _expr(prog, e.left), _expr(prog, e.right)
+        return lambda s: a(s) + b(s)
+    if isinstance(e, F.MinMax):
+        a, b = _expr(prog, e.left), _expr(prog, e.right)
+        pick = min if e.op == "min" else max
+
+        def minmax(s):
+            x, y = a(s), b(s)
+            if x is None:
+                return y
+            if y is None:
+                return x
+            return pick(x, y)
+
+        return minmax
+    raise AssertionError(f"unhandled expression {e!r}")
+
+
+def _pred(prog: F.TypedProgram, p):
+    if isinstance(p, F.Cmp):
+        f, a, b = _CMP[p.op], _expr(prog, p.left), _expr(prog, p.right)
+        return lambda s: f(a(s), b(s))
+    if isinstance(p, F.BoolOp):
+        a, b = _pred(prog, p.left), _pred(prog, p.right)
+        if p.op == "and":
+            return lambda s: a(s) and b(s)
+        return lambda s: a(s) or b(s)
+    if isinstance(p, F.NotOp):
+        a = _pred(prog, p.operand)
+        return lambda s: not a(s)
+    raise AssertionError(f"unhandled predicate {p!r}")
+
+
+def _record(prog: F.TypedProgram, rec):
+    if isinstance(rec, F.RowRef):
+        rel, index = rec.rel, rec.index
+        return lambda s: s[rel].rows[s[index]]
+    items = tuple(_expr(prog, e) for _, e in rec.items)
+    return lambda s: tuple([f(s) for f in items])
+
+
+def _stmt(prog: F.TypedProgram, st):
+    if isinstance(st, F.Assign):
+        target, f = st.target, _expr(prog, st.expr)
+
+        def assign(s):
+            s[target] = f(s)
+
+        return assign
+    if isinstance(st, F.Append):
+        target, rec = st.target, _record(prog, st.record)
+        return lambda s: s[target].append(rec(s))
+    if isinstance(st, F.If):
+        cond = _pred(prog, st.cond)
+        if len(st.body) == 1 and isinstance(st.body[0], F.Break):
+            return cond
+        body = _block(prog, st.body)
+        return lambda s: cond(s) and body(s)
+    if isinstance(st, F.Break):
+        return lambda s: True
+    if isinstance(st, F.For):
+        return _loop(prog, st)
+    raise AssertionError(f"unhandled statement {st!r}")
+
+
+def _loop(prog: F.TypedProgram, loop: F.For):
+    """A counted loop run to completion; its break stops only itself."""
+    rel, index, body = loop.rel, loop.index, _block(prog, loop.body)
+
+    def run_loop(s):
+        for i in range(s[rel].size):
+            s[index] = i
+            if body(s):
+                break
+        s.pop(index, None)
+
+    return run_loop
+
+
+def _block(prog: F.TypedProgram, stmts: tuple):
+    steps = tuple(_stmt(prog, st) for st in stmts)
+    if len(steps) == 1:
+        return steps[0]
+
+    def block(s):
+        for step in steps:
+            if step(s):
+                return True
+        return False
+
+    return block

@@ -9,7 +9,7 @@ same rows in a different order are different values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 INT = "int"
@@ -36,36 +36,36 @@ class Schema:
     """
 
     fields: tuple[tuple[str, str], ...]
+    # Lookups derived from fields once, at construction; equality, hash and
+    # repr use fields only.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    types: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.fields:
             raise SchemaError("schema must have at least one field")
-        names = [n for n, _ in self.fields]
+        names = tuple(n for n, _ in self.fields)
         if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate field names in schema: {names}")
+            raise SchemaError(f"duplicate field names in schema: {list(names)}")
         for name, ty in self.fields:
             if ty not in (INT, TEXT):
                 raise SchemaError(f"field {name!r} has unknown type {ty!r}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.fields)
-
-    @property
-    def types(self) -> tuple[str, ...]:
-        return tuple(t for _, t in self.fields)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "types", tuple(t for _, t in self.fields))
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     def index_of(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.fields):
-            if n == name:
-                return i
-        raise SchemaError(f"no field {name!r} in schema {self.names}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise SchemaError(f"no field {name!r} in schema {self.names}") from None
 
     def type_of(self, name: str) -> str:
-        return self.fields[self.index_of(name)][1]
+        return self.types[self.index_of(name)]
 
     def has(self, name: str) -> bool:
-        return name in self.names
+        return name in self._index
 
     def restrict(self, names: Iterable[str]) -> "Schema":
         """Schema of a projection onto the given fields, in the given order."""

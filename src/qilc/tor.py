@@ -205,11 +205,13 @@ def children(e) -> list:
 
 
 def map_children(e, f):
-    """e rebuilt with every child c replaced by f(c)."""
+    """e rebuilt with every child c replaced by f(c); e itself when f returns
+    every child unchanged, so a subtree f leaves alone is not copied."""
     values = [getattr(e, n) for n in _field_names(type(e))]
-    if not any(isinstance(v, Node) for v in values):
+    mapped = [f(v) if isinstance(v, Node) else v for v in values]
+    if all(m is v for m, v in zip(mapped, values)):
         return e
-    return type(e)(*(f(v) if isinstance(v, Node) else v for v in values))
+    return type(e)(*mapped)
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,7 @@ def _subst_index(e, name: str, repl):
 
 
 def _subst(e, name: str, repl):
+    """e with the index replaced; e itself when it does not mention it."""
     if isinstance(e, tor.IndexRef) and e.name == name:
         if e.offset == 0:
             return repl
@@ -563,6 +564,9 @@ class _Checker:
         self.fast = fast
         self.outer = tp.loops[0]
         self.inner = tp.loops[1] if len(tp.loops) == 2 else None
+        self._exec = interp.executor(tp)
+        self._run_pre_loop = self._exec.block(tp.pre_loop)
+        self._run_outer = self._exec.block(self.outer.node.body)
         schemas = tp.relations
         self.posts = [
             _VarRecon(v, e, schemas) for v, e in candidate.posts
@@ -596,6 +600,9 @@ class _Checker:
             at = next(i for i, s in enumerate(body) if s is self.inner.node)
             self.prefix = body[:at]
             self.suffix = body[at + 1 :]
+            self._run_prefix = self._exec.block(self.prefix)
+            self._run_suffix = self._exec.block(self.suffix)
+            self._run_inner = self._exec.block(self.inner.node.body)
         if fast:
             self._derived = self._derived_shape(candidate, invariants)
             # the row-local premise of _row_scan
@@ -684,9 +691,8 @@ class _Checker:
     def _entry(self, inputs: dict) -> dict:
         """The store at the loop head: declared locals, then the pre-loop
         statements."""
-        store0 = interp.init_store(self.tp, inputs)
-        if self.tp.pre_loop:
-            interp.exec_stmts(self.tp, self.tp.pre_loop, store0)
+        store0 = self._exec.init_store(inputs)
+        self._run_pre_loop(store0)
         return store0
 
     def _inputs(self):
@@ -743,7 +749,7 @@ class _Checker:
             store = self._restore(store0, recons, env, indices)
             if vc.kind == EXIT:
                 return self._mismatch(vc, inputs, indices, self.posts, store, inputs)
-            broke = interp.exec_stmts(self.tp, self.outer.node.body, store) == interp.BREAK
+            broke = bool(self._run_outer(store))
             if broke != (vc.kind == BREAK_EXIT):
                 return None
             if broke:
@@ -755,18 +761,16 @@ class _Checker:
         irecons = self.recons[ij]
         if vc.kind == INITIATION:
             store = self._restore(store0, self.recons[oi], env, {oi: indices[oi]})
-            if self.prefix:
-                interp.exec_stmts(self.tp, self.prefix, store)
+            self._run_prefix(store)
             return self._mismatch(vc, inputs, indices, irecons, store, env)
         if vc.kind == EXIT:
             store = self._restore(store0, irecons, env, {oi: indices[oi]}, p1s)
-            if self.suffix:
-                interp.exec_stmts(self.tp, self.suffix, store)
+            self._run_suffix(store)
             env2 = {**inputs, oi: indices[oi] + 1}
             return self._mismatch(vc, inputs, indices, self.recons[oi], store, env2)
         # inner preservation
         store = self._restore(store0, irecons, env, indices, p1s)
-        if interp.exec_stmts(self.tp, self.inner.node.body, store) == interp.BREAK:
+        if self._run_inner(store):
             return None
         env[ij] += 1
         return self._mismatch(vc, inputs, indices, irecons, store, env, p1s)

@@ -1,6 +1,6 @@
 """Seeded case generation and interpreter-vs-SQL comparison."""
 
-from qilc import difftest, emit
+from qilc import difftest, emit, interp
 from qilc.difftest import DiffResult, SplitMix64, draw_case, replay_case, run_cases
 from tests.conftest import load_benchmark
 
@@ -125,3 +125,25 @@ def test_mismatch_json_shape():
     assert set(data) == {"case", "inputs", "program", "query"}
     assert isinstance(data["case"], int)
     assert "R" in data["inputs"]
+
+
+def test_program_and_query_compiled_once_per_run(monkeypatch):
+    tp = load_benchmark("select_project")
+    sql = emit.parse_sql("SELECT R.b FROM R WHERE R.a > 1 ORDER BY R.rid")
+    built = {"executor": 0, "plan": 0}
+
+    class CountedExecutor(interp.Executor):
+        def __init__(self, prog):
+            built["executor"] += 1
+            super().__init__(prog)
+
+    class CountedPlan(emit._Plan):
+        def __init__(self, q, schemas):
+            built["plan"] += 1
+            super().__init__(q, schemas)
+
+    monkeypatch.setattr(interp, "Executor", CountedExecutor)
+    monkeypatch.setattr(emit, "_Plan", CountedPlan)
+    result = run_cases(tp, sql, seed=7, cases=200)
+    assert result.cases == 200 and result.ok
+    assert built == {"executor": 1, "plan": 1}

@@ -249,6 +249,44 @@ def test_eval_unknown_names():
         eval_sql(parse_sql("SELECT R.* FROM R ORDER BY R.rid LIMIT :k"), db(R=R_DATA))
 
 
+def test_eval_unknown_column_in_where_or_aggregate_needs_a_row():
+    empty = db(R=OrderedRelation(AB, ()))
+    where = parse_sql("SELECT R.* FROM R WHERE R.c > 1 ORDER BY R.rid")
+    assert eval_sql(where, empty).rows == ()
+    assert eval_sql(parse_sql("SELECT MIN(R.c) FROM R"), empty) is None
+    with pytest.raises(emit.UnknownColumn):
+        eval_sql(where, db(R=R_DATA))
+    with pytest.raises(emit.UnknownColumn):
+        eval_sql(parse_sql("SELECT MIN(R.c) FROM R"), db(R=R_DATA))
+
+
+def test_eval_unknown_column_in_select_raises_on_an_empty_table():
+    empty = db(R=OrderedRelation(AB, ()))
+    with pytest.raises(emit.UnknownColumn):
+        eval_sql(parse_sql("SELECT R.c FROM R ORDER BY R.rid"), empty)
+    with pytest.raises(emit.UnknownColumn):
+        eval_sql(parse_sql("SELECT R.c FROM R WHERE R.a > 9 ORDER BY R.rid"), db(R=R_DATA))
+
+
+def test_eval_self_join_qualifies_repeated_names():
+    r = OrderedRelation(AB, ((1, "x"), (2, "y")))
+    out = eval_sql(
+        parse_sql("SELECT R.*, R2.* FROM R, R R2 ORDER BY R.rid, R2.rid"), db(R=r)
+    )
+    assert out.schema.names == ("R.a", "R.b", "R2.a", "R2.b")
+    assert out.rows == (
+        (1, "x", 1, "x"),
+        (1, "x", 2, "y"),
+        (2, "y", 1, "x"),
+        (2, "y", 2, "y"),
+    )
+    picked = eval_sql(
+        parse_sql("SELECT R.a, R2.b FROM R, R R2 WHERE R.a < R2.a ORDER BY R.rid, R2.rid"),
+        db(R=r),
+    )
+    assert picked.schema.names == ("a", "b") and picked.rows == ((1, "y"),)
+
+
 def test_emitted_sql_matches_algebra_semantics():
     # spot check on one nontrivial expression; the acceptance suite sweeps
     # the whole translatable space to depth 4

@@ -88,38 +88,37 @@ def test_top_k_break(k, expected):
     assert interp.run(tp, {"R": r, "k": k}).rows == expected
 
 
-def test_trace_head_counts():
-    # a loop over n rows visits its head n+1 times, plus one exit state
-    tp = load_benchmark("selection")
-    r = rel(AB, (1, "x"), (3, "y"))
-    states = interp.trace(tp, {"R": r})
-    heads = [s for s in states if s.kind == "head"]
-    exits = [s for s in states if s.kind == "exit"]
-    assert len(heads) == 3 and len(exits) == 1
-    assert [s.indices["i"] for s in heads] == [0, 1, 2]
-    assert heads[0].vars["out"].rows == ()
-    assert heads[2].vars["out"].rows == ((3, "y"),)
-    assert exits[0].vars["out"].rows == ((3, "y"),)
+def test_break_in_inner_loop_stops_only_the_inner_loop():
+    src = """
+fn f(R: rel(a: int), S: rel(b: int)) {
+    var out: list(a: int, b: int);
+    for i in 0 .. size(R) {
+        for j in 0 .. size(S) {
+            out.append({a: R[i].a, b: S[j].b});
+            if S[j].b >= R[i].a {
+                break;
+            }
+        }
+    }
+    return out;
+}
+"""
+    tp = typecheck(parse(src))
+    r = rel(Schema((("a", "int"),)), (2,), (0,), (5,))
+    s = rel(Schema((("b", "int"),)), (1,), (3,), (2,))
+    out = interp.run(tp, {"R": r, "S": s})
+    # a = 2 stops after b = 3, a = 0 after b = 1, a = 5 never stops
+    assert out.rows == ((2, 1), (2, 3), (0, 1), (5, 1), (5, 3), (5, 2))
 
 
-def test_trace_nested_head_counts():
+def test_loops_over_an_empty_relation_run_no_iteration():
     tp = load_benchmark("cross_join")
-    r = rel(Schema((("a", "int"),)), (1,), (2,))
-    s = rel(Schema((("b", "int"),)), (5,),)
-    states = interp.trace(tp, {"R": r, "S": s})
-    outer_heads = [st for st in states if st.kind == "head" and st.loop == "i"]
-    inner_heads = [st for st in states if st.kind == "head" and st.loop == "j"]
-    assert len(outer_heads) == 3  # i = 0, 1, 2
-    assert len(inner_heads) == 4  # j = 0, 1 for each of the two outer rows
-
-
-def test_top_k_trace_stops_at_break():
-    tp = load_benchmark("top_k")
-    r = rel(AB, (1, "x"), (3, "y"), (2, "z"))
-    states = interp.trace(tp, {"R": r, "k": 1})
-    heads = [s.indices["i"] for s in states if s.kind == "head"]
-    # the break in iteration 0 means the head at i=1 is never reached
-    assert heads == [0]
+    one = Schema((("a", "int"),))
+    other = Schema((("b", "int"),))
+    assert interp.run(tp, {"R": rel(one, (1,), (2,)), "S": rel(other)}).rows == ()
+    assert interp.run(tp, {"R": rel(one), "S": rel(other, (5,))}).rows == ()
+    top_k = load_benchmark("top_k")
+    assert interp.run(top_k, {"R": rel(AB), "k": 2}).rows == ()
 
 
 def test_check_inputs_rejects_mismatches():
