@@ -13,7 +13,6 @@ from pathlib import Path
 
 __version__ = "0.1.0"
 
-from .axioms import check_all
 from .difftest import DiffResult, SplitMix64, draw_case, replay_case, run_cases
 from .emit import MiniDb, NotTranslatable, eval_sql, parse_sql, render, to_sql
 from .frontend import ParseError, TypeCheckError, parse, typecheck
@@ -21,6 +20,16 @@ from .interp import run
 from .relation import INT, TEXT, OrderedRelation, Schema, values_agree
 from .synth import Failure, Options, Solution, enumerate_candidates, synthesize
 from .verify import Bounds, gen_vcs, recheck, validate
+
+
+def __getattr__(name: str):
+    # the axiom suite is a test of the algebra that the pipeline never
+    # runs, so it is imported on first use, not with the package (PEP 562)
+    if name == "check_all":
+        from .axioms import check_all
+
+        return check_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def benchmarks_dir() -> Path:

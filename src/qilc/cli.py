@@ -25,7 +25,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import difftest, emit, frontend, interp, report
-from .relation import load_bindings, value_to_json, values_agree
+from .relation import SchemaError, load_bindings, value_to_json, values_agree
 from .synth import Options, Solution, synthesize
 
 DEFAULT_SEED = 20260816
@@ -202,7 +202,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             query = emit.parse_sql(args.sql.strip())
             db = emit.MiniDb.from_values(inputs)
             sql_value = emit.eval_sql(query, db)
-        except (emit.SqlSyntaxError, emit.UnknownTable, emit.UnknownColumn, emit.UnknownParam) as exc:
+        except (
+            emit.SqlSyntaxError,
+            emit.UnknownTable,
+            emit.UnknownColumn,
+            emit.UnknownParam,
+            SchemaError,  # a SELECT list whose output names repeat
+        ) as exc:
             print(f"qilc: {exc}", file=sys.stderr)
             return 1
         except TypeError as exc:  # a comparison that orders an int against a text

@@ -8,6 +8,7 @@ same rows in a different order are different values.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -69,16 +70,31 @@ class Schema:
 
     def restrict(self, names: Iterable[str]) -> "Schema":
         """Schema of a projection onto the given fields, in the given order."""
-        picked = tuple(names)
-        if len(set(picked)) != len(picked):
-            raise SchemaError(f"projection repeats a field: {picked}")
-        return Schema(tuple((n, self.type_of(n)) for n in picked))
+        return _restricted(self, tuple(names))
 
     def joined_with(self, other: "Schema") -> "Schema":
         """Schema of a join: both field lists, disambiguated as l.f / r.f."""
-        left = tuple((f"l.{n}", t) for n, t in self.fields)
-        right = tuple((f"r.{n}", t) for n, t in other.fields)
-        return Schema(left + right)
+        return _joined(self, other)
+
+
+# Schemas are immutable, and compiling the candidates of one program builds
+# the same few projections and joins over and over, so each is built once.
+# A failing call raises again each time: lru_cache keeps no exception.
+
+
+@functools.lru_cache(maxsize=1024)
+def _restricted(schema: Schema, picked: tuple) -> Schema:
+    if len(set(picked)) != len(picked):
+        raise SchemaError(f"projection repeats a field: {picked}")
+    return Schema(tuple((n, schema.type_of(n)) for n in picked))
+
+
+@functools.lru_cache(maxsize=1024)
+def _joined(left: Schema, right: Schema) -> Schema:
+    return Schema(
+        tuple((f"l.{n}", t) for n, t in left.fields)
+        + tuple((f"r.{n}", t) for n, t in right.fields)
+    )
 
 
 @dataclass(frozen=True)

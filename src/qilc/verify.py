@@ -36,6 +36,18 @@ from: the sweep calls it on each instance in enumeration order, the
 shortcuts' scans on the instances they pick, and replay (recheck) on a
 recorded counterexample, so all three mean the same condition.
 
+The search checks thousands of candidates of one program and rejects most
+at their first failing VC, so the checker's state is built at three times.
+Once per program (_Program, kept on the TypedProgram): the compiled
+statement blocks, the split of the outer body around the inner loop, the
+parameter names, the prover's body paths and the half of the row-local
+premise that reads the body alone. Once per candidate (_Checker): an
+uncompiled _VarRecon per post and invariant equality, whether the
+invariants are the derived ones, and whether each accumulator update
+matches its post. Once per VC (_ready, when instance or the sweep starts):
+the closures of the invariants and posts that VC reads, so a candidate
+rejected at its first checked VC compiles nothing else.
+
 Sweeping every instance one at a time is the semantic definition, but it
 is wasteful for the invariant family the synthesizer derives, so the
 checker takes sound shortcuts when their premises hold: an exit condition
@@ -311,12 +323,18 @@ def _instance_count(vc: VC, loops: tuple, params: tuple, bounds: Bounds) -> int:
 
 class _VarRecon:
     """Evaluates one invariant equality, with the finished-part value of a
-    Concat cacheable across inner-index instances."""
+    Concat cacheable across inner-index instances. Built per candidate and
+    compiled (compile) only when a VC that reads it runs."""
 
-    def __init__(self, var: str, expr, schemas: dict):
+    def __init__(self, var: str, expr):
         self.var = var
         self.expr = expr
-        self.p1_static = True  # may the finished part be cached across indices?
+        # a plain attribute: the sweep reads it once per variable per instance
+        self.is_rel = isinstance(expr, tor.REL_NODES)
+        self.kind = None  # set by compile
+
+    def compile(self, schemas: dict) -> None:
+        expr = self.expr
         if isinstance(expr, tor.AggOf) and isinstance(expr.of, tor.Concat):
             self.kind = "agg2"
             sch, self._f1 = tor.compile_rel(expr.of.left, schemas)
@@ -333,8 +351,6 @@ class _VarRecon:
         else:
             self.kind = "scalar"
             self._f = tor.compile_scalar(expr, schemas)
-        # a plain attribute: the sweep reads it once per variable per instance
-        self.is_rel = self.kind in ("rel", "rel2")
 
     def part1(self, env):
         if self.kind in ("rel2", "agg2"):
@@ -452,6 +468,28 @@ def _empty_at(e) -> bool:
     return _always_empty(e) or _always_empty(tor.simplify(e))
 
 
+def _empty_at_zero(e, name: str) -> bool:
+    """_always_empty of e with 0 for the index name, read off e itself: a
+    Top bounded by the index at an offset <= 0 is empty there. True implies
+    _empty_at(_subst_index(e, name, IntConst(0)))."""
+    if isinstance(e, tor.EmptyRel):
+        return True
+    if isinstance(e, tor.Top):
+        k = e.k
+        if isinstance(k, tor.IndexRef) and k.name == name and k.offset <= 0:
+            return True
+        if isinstance(k, tor.IntConst) and k.value <= 0:
+            return True
+        return _empty_at_zero(e.of, name)
+    if isinstance(e, (tor.Sel, tor.Proj)):
+        return _empty_at_zero(e.of, name)
+    if isinstance(e, tor.Join):
+        return _empty_at_zero(e.left, name) or _empty_at_zero(e.right, name)
+    if isinstance(e, tor.Concat):
+        return _empty_at_zero(e.left, name) and _empty_at_zero(e.right, name)
+    return False
+
+
 def _has_top(e) -> bool:
     return isinstance(e, tor.Top) or any(_has_top(c) for c in tor.children(e))
 
@@ -549,7 +587,158 @@ class _Dbm:
 # ---------------------------------------------------------------------------
 
 
+class _Program:
+    """What checking reads of the program alone, whichever the candidate:
+    the compiled statement blocks, the split of the outer body around the
+    inner loop, the parameter names, the prover's body paths and the
+    candidate-independent half of the row-local premise. Built once per
+    TypedProgram (tp.derived(_Program))."""
+
+    def __init__(self, tp: TypedProgram):
+        self.tp = tp
+        self.outer = outer = tp.loops[0]
+        self.inner = inner = tp.loops[1] if len(tp.loops) == 2 else None
+        self.exec = ex = interp.executor(tp)
+        self.run_pre_loop = ex.block(tp.pre_loop)
+        self.run_outer = ex.block(outer.node.body)
+        params = tp.ast.params
+        self.scalar_names = tuple(p.name for p in params if not isinstance(p.ty, Schema))
+        self.int_params = tuple(p.name for p in params if p.ty == INT)
+        if inner is not None:
+            body = outer.node.body
+            at = next(i for i, s in enumerate(body) if s is inner.node)
+            self.prefix = body[:at]
+            self.suffix = body[at + 1 :]
+            self.run_prefix = ex.block(self.prefix)
+            self.run_suffix = ex.block(self.suffix)
+            self.run_inner = ex.block(inner.node.body)
+        self.updates = self.accumulator_updates(tp.loops[-1].node.body)
+        self._paths = None
+
+    def input_only(self, node) -> bool:
+        """The expression, record or predicate reads inputs and loop rows
+        only, so its value is a function of the rows at the current indices
+        and the parameters."""
+        if isinstance(node, VarRef):
+            return node.name in self.scalar_names
+        if isinstance(node, (FieldAccess, RowRef)):
+            return any(
+                l.index == node.index and l.rel == node.rel for l in self.tp.loops
+            )
+        return all(self.input_only(c) for c in children(node))
+
+    def accumulator_updates(self, stmts):
+        """The row-local premise on the body, up to the posts: every guard
+        and appended record is input-only, there is no Break, and every
+        Assign folds an input-only value into its target with Add or
+        MinMax. Returns each Assign's (target, "add" or the MinMax op), for
+        the checker to match against the posts, or None."""
+        updates = []
+        for s in stmts:
+            if isinstance(s, If):
+                if not self.input_only(s.cond):
+                    return None
+                inner = self.accumulator_updates(s.body)
+                if inner is None:
+                    return None
+                updates += inner
+            elif isinstance(s, Append):
+                if not self.input_only(s.record):
+                    return None
+            elif isinstance(s, Assign):
+                e = s.expr
+                if isinstance(e, Add):
+                    op = "add"
+                elif isinstance(e, MinMax):
+                    op = e.op
+                else:
+                    return None
+                if isinstance(e.left, VarRef) and e.left.name == s.target:
+                    other = e.right
+                elif isinstance(e.right, VarRef) and e.right.name == s.target:
+                    other = e.left
+                else:
+                    return None
+                if not self.input_only(other):
+                    return None
+                updates.append((s.target, op))
+            else:
+                return None
+        return tuple(updates)
+
+    def body_paths(self) -> list:
+        """(dbm, appended variables, broke) for each feasible path through
+        the outer loop's body; raises _Refuse when the body is outside the
+        prover's fragment."""
+        if self._paths is None:
+            oi = self.outer.index
+            # 0 <= i <= |R| - 1 and |R| >= 0
+            facts = ((_ZERO, oi, 0), (oi, _SIZE, -1), (_ZERO, _SIZE, 0))
+            names = (_ZERO, oi, _SIZE, *self.int_params)
+            try:
+                paths = list(
+                    itertools.islice(
+                        self._split(self.outer.node.body, facts, ()),
+                        _MAX_PATHS + 1,
+                    )
+                )
+                if len(paths) > _MAX_PATHS:
+                    raise _Refuse
+                self._paths = [
+                    (dbm, appends, broke)
+                    for cons, appends, broke in paths
+                    if (dbm := _Dbm(names, cons)).feasible
+                ]
+            except _Refuse:
+                self._paths = False
+        if self._paths is False:
+            raise _Refuse
+        return self._paths
+
+    def _split(self, stmts, facts: tuple, appends: tuple):
+        """Yield (facts, appends, broke) for each path through stmts: an If
+        adds its guard's constraint to one path and the negation's to the
+        other."""
+        if not stmts:
+            yield facts, appends, False
+            return
+        s, rest = stmts[0], stmts[1:]
+        if isinstance(s, Break):
+            yield facts, appends, True
+        elif isinstance(s, Append) and s.record == RowRef(
+            self.outer.rel, self.outer.index
+        ):
+            yield from self._split(rest, facts, appends + (s.target,))
+        elif isinstance(s, If) and isinstance(s.cond, Cmp) and s.cond.op in _NEGATE:
+            op = s.cond.op
+            a, b = self._guard_term(s.cond.left), self._guard_term(s.cond.right)
+            yield from self._split(s.body + rest, facts + (_bound(op, a, b),), appends)
+            yield from self._split(rest, facts + (_bound(_NEGATE[op], a, b),), appends)
+        else:
+            raise _Refuse
+
+    def _guard_term(self, e) -> tuple:
+        """A guard operand as a linear term: an IntLit, the loop index, an
+        int parameter, or an Add chain with at most one of the latter two."""
+        if isinstance(e, IntLit):
+            return _ZERO, e.value
+        if isinstance(e, VarRef) and (
+            e.name == self.outer.index or e.name in self.int_params
+        ):
+            return e.name, 0
+        if isinstance(e, Add):
+            (x, a), (y, b) = self._guard_term(e.left), self._guard_term(e.right)
+            if x != _ZERO and y != _ZERO:
+                raise _Refuse
+            return (y if x == _ZERO else x), a + b
+        raise _Refuse
+
+
 class _Checker:
+    """One candidate's check, over its program's _Program. An invariant or
+    post is compiled when the first VC that reads it starts (_ready), so a
+    candidate rejected early compiles only what its deciding VC reads."""
+
     def __init__(
         self,
         tp: TypedProgram,
@@ -559,56 +748,38 @@ class _Checker:
         fast: bool = True,
     ):
         self.tp = tp
-        self.prog = tp.ast
+        self.program = program = tp.derived(_Program)
         self.bounds = bounds
         self.fast = fast
-        self.outer = tp.loops[0]
-        self.inner = tp.loops[1] if len(tp.loops) == 2 else None
-        self._exec = interp.executor(tp)
-        self._run_pre_loop = self._exec.block(tp.pre_loop)
-        self._run_outer = self._exec.block(self.outer.node.body)
-        schemas = tp.relations
-        self.posts = [
-            _VarRecon(v, e, schemas) for v, e in candidate.posts
-        ]
+        self.outer = program.outer
+        self.inner = program.inner
+        self.posts = [_VarRecon(v, e) for v, e in candidate.posts]
         self.post_exprs = dict(candidate.posts)
         self.recons = {
-            loop: [_VarRecon(v, e, schemas) for v, e in eqs]
+            loop: [_VarRecon(v, e) for v, e in eqs]
             for loop, eqs in invariants.items()
         }
-        self._scalar_names = [
-            p.name for p in self.prog.params if not isinstance(p.ty, Schema)
-        ]
-        self._int_params = tuple(p.name for p in self.prog.params if p.ty == INT)
+        self._p1_static = None
         self._scan = None
-        self._paths = None
         self._derived = False
         self._row_local = False
-        if self.inner is not None:
-            # the preservation sweep caches a split invariant's finished
-            # part across inner indices; that is sound only when the part
-            # cannot depend on the inner index
-            for r in self.recons.get(self.inner.index, ()):
-                e = r.expr
-                if isinstance(e, tor.AggOf):
-                    e = e.of
-                if isinstance(e, tor.Concat) and _mentions_index(
-                    e.left, self.inner.index
-                ):
-                    r.p1_static = False
-            body = self.outer.node.body
-            at = next(i for i, s in enumerate(body) if s is self.inner.node)
-            self.prefix = body[:at]
-            self.suffix = body[at + 1 :]
-            self._run_prefix = self._exec.block(self.prefix)
-            self._run_suffix = self._exec.block(self.suffix)
-            self._run_inner = self._exec.block(self.inner.node.body)
         if fast:
             self._derived = self._derived_shape(candidate, invariants)
             # the row-local premise of _row_scan
-            self._row_local = self._derived and self._body_cancellative(
-                self.tp.loops[-1].node.body
-            )
+            self._row_local = self._derived and self._updates_match(program.updates)
+
+    def _ready(self, vc: VC) -> None:
+        """Compile the invariants and posts that checking vc reads."""
+        oi = self.outer.index
+        reads = [self.recons[vc.loop]]
+        if vc.loop == oi and vc.kind in (EXIT, BREAK_EXIT):
+            reads.append(self.posts)
+        elif vc.loop != oi and vc.kind != PRESERVATION:
+            reads.append(self.recons[oi])
+        for recons in reads:
+            for r in recons:
+                if r.kind is None:
+                    r.compile(self.tp.relations)
 
     # -- fast-path applicability ----------------------------------------------
 
@@ -635,16 +806,21 @@ class _Checker:
         return derived == invariants
 
     def _input_only(self, node) -> bool:
-        """The expression, record or predicate reads inputs and loop rows
-        only, so its value is a function of the rows at the current indices
-        and the parameters."""
-        if isinstance(node, VarRef):
-            return node.name in self._scalar_names
-        if isinstance(node, (FieldAccess, RowRef)):
-            return any(
-                l.index == node.index and l.rel == node.rel for l in self.tp.loops
-            )
-        return all(self._input_only(c) for c in children(node))
+        return self.program.input_only(node)
+
+    def _updates_match(self, updates) -> bool:
+        """updates, from _Program.accumulator_updates, is not None and each
+        accumulator update is the one its post's aggregate makes: Add for
+        sum and count, MinMax(op) for op."""
+        if updates is None:
+            return False
+        for target, op in updates:
+            post = self.post_exprs.get(target)
+            if not isinstance(post, tor.AggOf):
+                return False
+            if post.kind not in (("sum", "count") if op == "add" else (op,)):
+                return False
+        return True
 
     def _body_cancellative(self, stmts) -> bool:
         """Every effect of the body is appending input-determined rows to a
@@ -655,50 +831,22 @@ class _Checker:
         current rows alone, and checking it from the empty prefix decides it
         from every prefix: appending and adding cancel, and min/max (absent
         as identity) are associative. A Break fails the walk."""
-        for s in stmts:
-            if isinstance(s, If):
-                if not self._input_only(s.cond):
-                    return False
-                if not self._body_cancellative(s.body):
-                    return False
-            elif isinstance(s, Append):
-                if not self._input_only(s.record):
-                    return False
-            elif isinstance(s, Assign):
-                e = s.expr
-                post = self.post_exprs.get(s.target)
-                if not isinstance(post, tor.AggOf):
-                    return False
-                if isinstance(e, Add):
-                    if post.kind not in ("sum", "count"):
-                        return False
-                elif not isinstance(e, MinMax) or post.kind != e.op:
-                    return False
-                if isinstance(e.left, VarRef) and e.left.name == s.target:
-                    other = e.right
-                elif isinstance(e.right, VarRef) and e.right.name == s.target:
-                    other = e.left
-                else:
-                    return False
-                if not self._input_only(other):
-                    return False
-            else:
-                return False
-        return True
+        return self._updates_match(self.program.accumulator_updates(stmts))
 
     # -- shared pieces ------------------------------------------------------
 
     def _entry(self, inputs: dict) -> dict:
         """The store at the loop head: declared locals, then the pre-loop
         statements."""
-        store0 = self._exec.init_store(inputs)
-        self._run_pre_loop(store0)
+        program = self.program
+        store0 = program.exec.init_store(inputs)
+        program.run_pre_loop(store0)
         return store0
 
     def _inputs(self):
         lists = []
         names = []
-        for p in self.prog.params:
+        for p in self.tp.ast.params:
             names.append(p.name)
             if isinstance(p.ty, Schema):
                 lists.append(relation_values(p.ty, self.bounds))
@@ -734,6 +882,7 @@ class _Checker:
 
     def instance(self, vc: VC, inputs: dict, indices: dict):
         """Check one (inputs, indices) instance; Counterexample or None."""
+        self._ready(vc)
         return self.check(vc, inputs, self._entry(inputs), indices)
 
     def check(self, vc: VC, inputs: dict, store0: dict, indices: dict, p1s=None):
@@ -749,7 +898,7 @@ class _Checker:
             store = self._restore(store0, recons, env, indices)
             if vc.kind == EXIT:
                 return self._mismatch(vc, inputs, indices, self.posts, store, inputs)
-            broke = bool(self._run_outer(store))
+            broke = bool(self.program.run_outer(store))
             if broke != (vc.kind == BREAK_EXIT):
                 return None
             if broke:
@@ -761,16 +910,16 @@ class _Checker:
         irecons = self.recons[ij]
         if vc.kind == INITIATION:
             store = self._restore(store0, self.recons[oi], env, {oi: indices[oi]})
-            self._run_prefix(store)
+            self.program.run_prefix(store)
             return self._mismatch(vc, inputs, indices, irecons, store, env)
         if vc.kind == EXIT:
             store = self._restore(store0, irecons, env, {oi: indices[oi]}, p1s)
-            self._run_suffix(store)
+            self.program.run_suffix(store)
             env2 = {**inputs, oi: indices[oi] + 1}
             return self._mismatch(vc, inputs, indices, self.recons[oi], store, env2)
         # inner preservation
         store = self._restore(store0, irecons, env, indices, p1s)
-        if self._run_inner(store):
+        if self.program.run_inner(store):
             return None
         env[ij] += 1
         return self._mismatch(vc, inputs, indices, irecons, store, env, p1s)
@@ -786,7 +935,7 @@ class _Checker:
     def _minimal_inputs(self) -> dict:
         """The first inputs combination in canonical enumeration order."""
         inputs = {}
-        for p in self.prog.params:
+        for p in self.tp.ast.params:
             if isinstance(p.ty, Schema):
                 inputs[p.name] = OrderedRelation(p.ty, ())
             elif p.ty == INT:
@@ -798,7 +947,16 @@ class _Checker:
     def _const_at_zero(self, recon, name: str):
         """("rel"|"scalar", value) when the invariant at index 0 denotes the
         same constant in every environment, else None."""
-        e0 = _subst_index(recon.expr, name, tor.IntConst(0))
+        e = recon.expr
+        # the usual answer, the empty relation, read off e without
+        # substituting; when the walk says no, substitute and simplify
+        if isinstance(e, tor.REL_NODES) and _empty_at_zero(e, name):
+            return ("rel", ())
+        if isinstance(e, tor.AggOf) and _empty_at_zero(e.of, name):
+            return ("scalar", 0 if e.kind in ("sum", "count") else None)
+        if isinstance(e, tor.SizeOf) and _empty_at_zero(e.of, name):
+            return ("scalar", 0)
+        e0 = _subst_index(e, name, tor.IntConst(0))
         if e0 is None:
             return None
         if isinstance(e0, tor.REL_NODES):
@@ -870,14 +1028,14 @@ class _Checker:
         scanned = [(l.rel, self.tp.relations[l.rel]) for l in loops]
         others = {
             p.name: OrderedRelation(p.ty, ())
-            for p in self.prog.params
+            for p in self.tp.ast.params
             if isinstance(p.ty, Schema) and p.name not in dict(scanned)
         }
         domains = [
             self.bounds.int_domain
             if self.tp.var_types[n] == INT
             else self.bounds.text_domain
-            for n in self._scalar_names
+            for n in self.program.scalar_names
         ]
         same = self.inner is not None and self.inner.rel == self.outer.rel
         if same:
@@ -891,7 +1049,7 @@ class _Checker:
             tuple(itertools.product(*domains)),
         ):
             checked += 1
-            inputs = dict(zip(self._scalar_names, sc), **others)
+            inputs = dict(zip(self.program.scalar_names, sc), **others)
             if same:
                 rel, sch = scanned[0]
                 inputs[rel] = OrderedRelation(sch, tuple(rows))
@@ -923,7 +1081,7 @@ class _Checker:
         else:
             want, shift = invs, 1
         try:
-            for dbm, appends, broke in self._body_paths():
+            for dbm, appends, broke in self.program.body_paths():
                 # every instance takes one feasible path, and on it the
                 # sweep evaluates each invariant at i, whichever VC it checks
                 for _, e in invs:
@@ -945,73 +1103,6 @@ class _Checker:
             return False
         return True
 
-    def _body_paths(self) -> list:
-        """(dbm, appended variables, broke) for each feasible path through
-        the loop body; raises _Refuse when the body is outside the
-        fragment."""
-        if self._paths is None:
-            oi = self.outer.index
-            # 0 <= i <= |R| - 1 and |R| >= 0
-            facts = ((_ZERO, oi, 0), (oi, _SIZE, -1), (_ZERO, _SIZE, 0))
-            names = (_ZERO, oi, _SIZE, *self._int_params)
-            try:
-                paths = list(
-                    itertools.islice(
-                        self._split(self.outer.node.body, facts, ()),
-                        _MAX_PATHS + 1,
-                    )
-                )
-                if len(paths) > _MAX_PATHS:
-                    raise _Refuse
-                self._paths = [
-                    (dbm, appends, broke)
-                    for cons, appends, broke in paths
-                    if (dbm := _Dbm(names, cons)).feasible
-                ]
-            except _Refuse:
-                self._paths = False
-        if self._paths is False:
-            raise _Refuse
-        return self._paths
-
-    def _split(self, stmts, facts: tuple, appends: tuple):
-        """Yield (facts, appends, broke) for each path through stmts: an If
-        adds its guard's constraint to one path and the negation's to the
-        other."""
-        if not stmts:
-            yield facts, appends, False
-            return
-        s, rest = stmts[0], stmts[1:]
-        if isinstance(s, Break):
-            yield facts, appends, True
-        elif isinstance(s, Append) and s.record == RowRef(
-            self.outer.rel, self.outer.index
-        ):
-            yield from self._split(rest, facts, appends + (s.target,))
-        elif isinstance(s, If) and isinstance(s.cond, Cmp) and s.cond.op in _NEGATE:
-            op = s.cond.op
-            a, b = self._guard_term(s.cond.left), self._guard_term(s.cond.right)
-            yield from self._split(s.body + rest, facts + (_bound(op, a, b),), appends)
-            yield from self._split(rest, facts + (_bound(_NEGATE[op], a, b),), appends)
-        else:
-            raise _Refuse
-
-    def _guard_term(self, e) -> tuple:
-        """A guard operand as a linear term: an IntLit, the loop index, an
-        int parameter, or an Add chain with at most one of the latter two."""
-        if isinstance(e, IntLit):
-            return _ZERO, e.value
-        if isinstance(e, VarRef) and (
-            e.name == self.outer.index or e.name in self._int_params
-        ):
-            return e.name, 0
-        if isinstance(e, Add):
-            (x, a), (y, b) = self._guard_term(e.left), self._guard_term(e.right)
-            if x != _ZERO and y != _ZERO:
-                raise _Refuse
-            return (y if x == _ZERO else x), a + b
-        raise _Refuse
-
     def _term(self, e, shift) -> tuple:
         """A Top bound or row position as a linear term. shift advances the
         loop index; None means no index is bound (a post is evaluated after
@@ -1022,7 +1113,7 @@ class _Checker:
             if shift is None:
                 raise _Refuse
             return e.name, e.offset + shift
-        if isinstance(e, tor.ParamRef) and e.name in self._int_params:
+        if isinstance(e, tor.ParamRef) and e.name in self.program.int_params:
             return e.name, 0
         if e == tor.SizeOf(tor.Query(self.outer.rel)):
             return _SIZE, 0
@@ -1082,7 +1173,7 @@ class _Checker:
                 # identity.
                 return (
                     (instance_count(vc, self.tp, self.bounds), None)
-                    if not self.prefix
+                    if not self.program.prefix
                     else None
                 )
             if vc.kind == EXIT:
@@ -1090,7 +1181,7 @@ class _Checker:
                 # is exactly the outer invariant's increment from i to i+1.
                 return (
                     (instance_count(vc, self.tp, self.bounds), None)
-                    if not self.suffix
+                    if not self.program.suffix
                     else None
                 )
             if vc.kind == PRESERVATION and self._row_local:
@@ -1099,8 +1190,8 @@ class _Checker:
         if (
             vc.kind == PRESERVATION
             and self._row_local
-            and not self.prefix
-            and not self.suffix
+            and not self.program.prefix
+            and not self.program.suffix
         ):
             return self._fast_pres(vc)
         return None
@@ -1132,14 +1223,32 @@ class _Checker:
                 yield {oi: i, ij: isize}, None
             else:
                 env = {**inputs, oi: i, ij: 0}
-                p1s = [r.part1(env) if r.p1_static else None for r in irecons]
+                p1s = [
+                    r.part1(env) if static else None
+                    for r, static in zip(irecons, self._static_parts())
+                ]
                 for j in range(isize):
                     yield {oi: i, ij: j}, p1s
+
+    def _static_parts(self) -> list:
+        """For each inner invariant, whether the preservation sweep may
+        cache its split finished part across inner indices: sound only when
+        that part cannot read the inner index."""
+        if self._p1_static is None:
+            ij = self.inner.index
+            self._p1_static = []
+            for r in self.recons[ij]:
+                e = r.expr.of if isinstance(r.expr, tor.AggOf) else r.expr
+                self._p1_static.append(
+                    not (isinstance(e, tor.Concat) and _mentions_index(e.left, ij))
+                )
+        return self._p1_static
 
     def run_vc(self, vc: VC):
         shortcut = self._fast_result(vc)
         if shortcut is not None:
             return shortcut
+        self._ready(vc)
         count = 0
         for inputs, store0 in self._inputs():
             for indices, p1s in self._assignments(vc, inputs):

@@ -426,28 +426,22 @@ def test_replay_rejects_int_ordered_against_text(capsys, bindings_file):
 
 
 def test_replay_rejects_bad_sql(capsys, bindings_file):
-    code, out, err = run_cli(
-        capsys,
-        "replay",
-        qil_path("selection"),
-        "--input", bindings_file,
-        "--sql", "DELETE FROM R",
-    )
-    assert code == 1
-    assert out == ""
-    assert "qilc:" in err
-
     nested = "SELECT R.* FROM R WHERE " + "(" * 400 + "R.a > 2" + ")" * 400
-    code, out, err = run_cli(
-        capsys,
-        "replay",
-        qil_path("selection"),
-        "--input", bindings_file,
-        "--sql", nested + " ORDER BY R.rid",
-    )
-    assert code == 1
-    assert out == ""
-    assert "qilc:" in err and "Traceback" not in err
+    for sql in (
+        "DELETE FROM R",
+        nested + " ORDER BY R.rid",
+        "SELECT R.a, R.a FROM R ORDER BY R.rid",  # repeated output names
+    ):
+        code, out, err = run_cli(
+            capsys,
+            "replay",
+            qil_path("selection"),
+            "--input", bindings_file,
+            "--sql", sql,
+        )
+        assert code == 1, sql
+        assert out == ""
+        assert "qilc:" in err and "Traceback" not in err
 
 
 # --- report construction ----------------------------------------------------

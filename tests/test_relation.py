@@ -34,6 +34,19 @@ def test_schema_restrict_and_join():
     assert j.names == ("l.a", "l.b", "r.c")
 
 
+def test_schema_restrict_and_join_build_each_schema_once():
+    # equal arguments give the one schema built the first time; a call
+    # that fails raises again every time
+    C = Schema((("c", "int"),))
+    assert AB.restrict(("b", "a")) is AB.restrict(["b", "a"])
+    assert AB.joined_with(C) is Schema(AB.fields).joined_with(Schema(C.fields))
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="repeats"):
+            AB.restrict(["a", "a"])
+        with pytest.raises(SchemaError, match="no field"):
+            AB.restrict(["z"])
+
+
 def test_relation_rejects_wrong_arity():
     with pytest.raises(SchemaError):
         OrderedRelation(AB, ((1,),))

@@ -1,10 +1,15 @@
 """Algebra semantics, simplifier soundness, serialization, and cost."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qilc
 from qilc import axioms, tor, verify
 from qilc.relation import OrderedRelation, Schema, SchemaError
 from qilc.verify import Bounds, relation_values
@@ -518,6 +523,25 @@ def test_axioms_hold_at_small_bounds():
     for name, (checked, violations) in res.items():
         assert checked > 0, name
         assert violations == [], name
+
+
+def test_package_loads_the_axiom_suite_only_when_asked():
+    # the pipeline never runs the suite, so `import qilc` leaves it out;
+    # qilc.check_all and a star import still reach it
+    code = (
+        "import sys, qilc; assert 'qilc.axioms' not in sys.modules; "
+        "from qilc import *; assert check_all is sys.modules['qilc.axioms'].check_all"
+    )
+    src = str(Path(qilc.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=60,
+    )
+    assert qilc.check_all is axioms.check_all
+    one_row = Bounds(rel_size=1, int_domain=(0,), text_domain=("a",))
+    assert all(v == [] for _, v in qilc.check_all(one_row).values())
 
 
 def test_row_scan_lemmas_hold_with_pinned_counts():

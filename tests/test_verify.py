@@ -665,3 +665,101 @@ def test_replay_matches_sweep_on_every_vc_branch(name, kind, loop):
     back = counterexample_from_json(json.loads(json.dumps(cex.to_json())))
     assert back == cex
     assert checker.instance(back.vc, back.inputs, back.indices) == cex
+
+
+# --- per-program state, per-candidate state, per-VC compilation ---------------
+
+
+def test_program_state_is_built_once_and_a_rejection_compiles_what_it_reads(
+    monkeypatch,
+):
+    """One synthesis builds the per-program part once; a candidate rejected
+    at Preservation(j) by the row-local scan compiles only the inner
+    invariant, not its post or the outer invariant."""
+    tp = load_benchmark("join_select_project")
+    built, compiled = [], []
+    init, compile_recon = verify._Program.__init__, verify._VarRecon.compile
+    monkeypatch.setattr(
+        verify._Program,
+        "__init__",
+        lambda self, tp: built.append(tp) or init(self, tp),
+    )
+    monkeypatch.setattr(
+        verify._VarRecon,
+        "compile",
+        lambda self, schemas: compiled.append(self.expr) or compile_recon(self, schemas),
+    )
+    sol = first_valid(tp)
+    assert (sol.rank, sol.stats.tried, sol.stats.rejected) == (1660, 1661, 1660)
+    assert built == [tp]
+    cand = next(iter(enumerate_candidates(tp, extract_template(tp), 24)))
+    inv = derive_invariants(tp, cand)
+    compiled.clear()
+    res = validate(tp, cand, inv)
+    assert (res.status, res.counterexample.vc) == (VIOLATED, VC(PRESERVATION, "j"))
+    assert compiled == [e for _, e in inv["j"]]
+    assert built == [tp]
+
+
+def test_candidates_of_one_program_do_not_share_the_row_local_verdict():
+    # the body's shape is the program's, the match of its update against
+    # the post is the candidate's: s = s + R[i].a fits a sum post only
+    tp = load_benchmark("sum")
+    programs = []
+    for kind, row_local in (("sum", True), ("max", False)):
+        cand = candidate_for(tp, {"s": tor.AggOf(kind, "a", R_A)})
+        inv = derive_invariants(tp, cand)
+        checker = verify._Checker(tp, cand, inv, SMALL3)
+        assert checker._row_local == row_local, kind
+        programs.append(checker.program)
+        _agree(tp, cand, inv, SMALL3)
+    assert programs[0] is programs[1]
+
+
+def _empty_at_zero_by_substitution(e, name):
+    return verify._empty_at(verify._subst_index(e, name, tor.IntConst(0)))
+
+
+def test_empty_at_zero_agrees_with_substitution_on_the_corpus(benchmarks):
+    checked = 0
+    for tp in benchmarks.values():
+        cands = enumerate_candidates(tp, extract_template(tp), 24)
+        for cand in itertools.islice(cands, 200):
+            for eqs in derive_invariants(tp, cand).values():
+                for _, e in eqs:
+                    if isinstance(e, (tor.AggOf, tor.SizeOf)):
+                        e = e.of
+                    if not isinstance(e, tor.REL_NODES):
+                        continue
+                    for loop in tp.loops:
+                        assert verify._empty_at_zero(
+                            e, loop.index
+                        ) == _empty_at_zero_by_substitution(e, loop.index), (
+                            tor.to_sexpr(e)
+                        )
+                        checked += 1
+    assert checked > 1000
+
+
+S_B = tor.Query("S")
+R_I = tor.Top(R_A, tor.IndexRef("i"))  # empty at i = 0
+
+
+@pytest.mark.parametrize(
+    "e, empty",
+    [
+        (tor.Top(R_A, tor.IndexRef("i", -1)), True),
+        (tor.Top(R_A, tor.IndexRef("i", +1)), False),
+        (tor.Top(R_A, tor.IndexRef("j")), False),  # another loop's index
+        (tor.Top(tor.Top(R_A, tor.IndexRef("i", +1)), tor.IntConst(0)), True),
+        (tor.Concat(R_I, R_A), False),
+        (tor.Concat(R_I, tor.Top(S_B, tor.IndexRef("i"))), True),
+        (tor.Join(R_A, tor.Top(S_B, tor.IndexRef("i")), tor.TruePred()), True),
+        (tor.Join(R_A, S_B, tor.TruePred()), False),
+        (tor.Proj(("a",), tor.Sel(tor.TruePred(), R_I)), True),
+        (tor.AppendRow(R_I, tor.GetRow(R_A, tor.IndexRef("i"))), False),
+    ],
+)
+def test_empty_at_zero_on_hand_built_invariants(e, empty):
+    assert verify._empty_at_zero(e, "i") == empty
+    assert _empty_at_zero_by_substitution(e, "i") == empty
