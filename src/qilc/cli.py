@@ -185,7 +185,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         tp = _load_program(args.file)
         inputs = load_bindings(args.input.read_text(encoding="utf-8"))
-        interp.check_inputs(tp, inputs)
         program_value = interp.run(tp, inputs)
     except (OSError, ValueError, KeyError, frontend.ParseError, frontend.TypeCheckError, interp.InputError) as exc:
         print(f"qilc: {exc}", file=sys.stderr)

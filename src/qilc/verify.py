@@ -42,19 +42,36 @@ Once per program (_Program, kept on the TypedProgram): the compiled
 statement blocks, the split of the outer body around the inner loop, the
 parameter names, the prover's body paths and the half of the row-local
 premise that reads the body alone. Once per candidate (_Checker): an
-uncompiled _VarRecon per post and invariant equality, whether the
-invariants are the derived ones, and whether each accumulator update
-matches its post. Once per VC (_ready, when instance or the sweep starts):
-the closures of the invariants and posts that VC reads, so a candidate
-rejected at its first checked VC compiles nothing else.
+uncompiled _VarRecon per post and invariant equality and, when a decider
+first asks, whether the invariants are the derived ones and whether each
+accumulator update matches its post. Once per VC (_ready, when instance
+or the sweep starts): the closures of the invariants and posts that VC
+reads, so a candidate rejected at its first checked VC compiles nothing
+else.
 
 Sweeping every instance one at a time is the semantic definition, but it
-is wasteful for the invariant family the synthesizer derives, so the
-checker takes sound shortcuts when their premises hold: an exit condition
-whose two sides are the same expression once the loop bound is substituted
-for the index, an initiation condition that reduces to comparing
-constants, preservation conditions decided by the row-local scan, and a
-single loop's preservation and break-exit conditions proved symbolically.
+is wasteful for the invariant family the synthesizer derives. So run_vc
+first tries the deciders that _DECIDERS lists for the VC, in order; the
+first whose premise holds settles it, the sweep decides the rest, and
+run_vc returns the name of what settled the VC with its instance count and
+counterexample:
+
+    init-const           Initiation(i): with no statements ahead of the
+                         loop, every outer invariant is a constant at
+                         i = 0 (read off it by _empty_at_zero), so the
+                         first instance decides every instance
+    exit-identity        Exit(i): each outer invariant with |R| for i
+                         simplifies to its post
+    inner-init-identity  Initiation(j): the invariants are the derived ones
+                         and no statement runs between the loop heads
+    inner-exit-identity  Exit(j): the invariants are the derived ones and
+                         no statement follows the inner loop
+    prover               a single loop's Preservation and BreakExit,
+                         proved for every int (_proves)
+    row-scan             Preservation under the row-local premise
+                         (_row_scan); a nested loop's Preservation(i) also
+                         needs nothing before or after the inner loop
+    sweep                every instance, in enumeration order
 
 The row-local scan (_row_scan) runs one iteration of the innermost loop
 per combination of one row of each loop's relation and the scalar
@@ -95,15 +112,17 @@ paths decide BreakExit against the posts, the others Preservation against
 the invariants at i + 1; every invariant must also rewrite at i on every
 path, since the sweep evaluates it there. Any other shape refuses.
 
-Every shortcut is exact on the verdict: it reports Valid with the full
+Every decider is exact on the verdict: it reports Valid with the full
 analytic instance count exactly when the sweep would pass every instance.
-A single loop's scan and the prover only ever say Valid: when the scan
-finds a violation or the prover refuses, the sweep decides the condition,
-so the counts and the counterexample are the sweep's. The other shortcuts
-report a violation with the counterexample of the first failing instance
-their scan checks, which may differ from the sweep's first hit, and count
-only the instances checked. fast=False forces the definitional sweep;
-agreement is property-tested.
+The identities, the prover and a single loop's row-scan only ever say
+Valid: when one refuses, or the single-loop scan finds a violation, the
+next decider or the sweep decides, so the counts and the counterexample
+are the sweep's. init-const and a nested loop's row-scan report their own
+violation, counting only the instances they checked. init-const checks
+the sweep's first instance, so its counterexample is the sweep's; the
+scan's is the first failing instance it checks, which may differ from the
+sweep's first hit. fast=False forces the sweep; agreement is
+property-tested.
 """
 
 from __future__ import annotations
@@ -123,7 +142,6 @@ from .frontend import (
     FieldAccess,
     If,
     IntLit,
-    MinMax,
     RowRef,
     TypedProgram,
     VarRef,
@@ -410,9 +428,9 @@ def _non_checkable_reason(tp, candidate, bounds: Bounds) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic helpers for the fast paths. _subst_index replaces a loop index
+# Symbolic helpers for the deciders. _subst_index replaces a loop index
 # with a scalar expression (None when the replacement cannot absorb an
-# index offset); _always_empty and _has_top are conservative shape facts.
+# index offset); _empty_at_zero and _has_top are conservative shape facts.
 # ---------------------------------------------------------------------------
 
 
@@ -444,34 +462,10 @@ def _subst(e, name: str, repl):
     return tor.map_children(e, lambda c: _subst(c, name, repl))
 
 
-def _always_empty(e) -> bool:
-    """True only when the expression denotes the empty relation in every
-    environment."""
-    if isinstance(e, tor.EmptyRel):
-        return True
-    if isinstance(e, tor.Top):
-        if isinstance(e.k, tor.IntConst) and e.k.value <= 0:
-            return True
-        return _always_empty(e.of)
-    if isinstance(e, (tor.Sel, tor.Proj)):
-        return _always_empty(e.of)
-    if isinstance(e, tor.Join):
-        return _always_empty(e.left) or _always_empty(e.right)
-    if isinstance(e, tor.Concat):
-        return _always_empty(e.left) and _always_empty(e.right)
-    return False
-
-
-def _empty_at(e) -> bool:
-    """_always_empty of the expression as it stands, or else of its
-    simplified form; the first test is cheap and usually decides."""
-    return _always_empty(e) or _always_empty(tor.simplify(e))
-
-
 def _empty_at_zero(e, name: str) -> bool:
-    """_always_empty of e with 0 for the index name, read off e itself: a
-    Top bounded by the index at an offset <= 0 is empty there. True implies
-    _empty_at(_subst_index(e, name, IntConst(0)))."""
+    """True only when e denotes the empty relation in every environment
+    that binds the index name to 0: a Top bounded by the index at an offset
+    <= 0, or by a constant <= 0, is empty there."""
     if isinstance(e, tor.EmptyRel):
         return True
     if isinstance(e, tor.Top):
@@ -492,6 +486,15 @@ def _empty_at_zero(e, name: str) -> bool:
 
 def _has_top(e) -> bool:
     return isinstance(e, tor.Top) or any(_has_top(c) for c in tor.children(e))
+
+
+# the post aggregates that each fold of tp.agg_updates makes
+_FOLDS = {
+    "sum": ("sum", "count"),
+    "count": ("sum", "count"),
+    "min": ("min",),
+    "max": ("max",),
+}
 
 
 def _row_wise(post, rel: str, index: str) -> bool:
@@ -630,9 +633,10 @@ class _Program:
     def accumulator_updates(self, stmts):
         """The row-local premise on the body, up to the posts: every guard
         and appended record is input-only, there is no Break, and every
-        Assign folds an input-only value into its target with Add or
-        MinMax. Returns each Assign's (target, "add" or the MinMax op), for
-        the checker to match against the posts, or None."""
+        Assign folds an input-only value into its target. The typechecker
+        admits only v = v + e and v = min/max(v, e) in a loop body and
+        records each target's fold in tp.agg_updates. Returns the Assigns'
+        targets, for the checker to match against the posts, or None."""
         updates = []
         for s in stmts:
             if isinstance(s, If):
@@ -646,22 +650,9 @@ class _Program:
                 if not self.input_only(s.record):
                     return None
             elif isinstance(s, Assign):
-                e = s.expr
-                if isinstance(e, Add):
-                    op = "add"
-                elif isinstance(e, MinMax):
-                    op = e.op
-                else:
+                if not self.input_only(s.expr.right):
                     return None
-                if isinstance(e.left, VarRef) and e.left.name == s.target:
-                    other = e.right
-                elif isinstance(e.right, VarRef) and e.right.name == s.target:
-                    other = e.left
-                else:
-                    return None
-                if not self.input_only(other):
-                    return None
-                updates.append((s.target, op))
+                updates.append(s.target)
             else:
                 return None
         return tuple(updates)
@@ -753,6 +744,8 @@ class _Checker:
         self.fast = fast
         self.outer = program.outer
         self.inner = program.inner
+        self.candidate = candidate
+        self.invariants = invariants
         self.posts = [_VarRecon(v, e) for v, e in candidate.posts]
         self.post_exprs = dict(candidate.posts)
         self.recons = {
@@ -761,12 +754,6 @@ class _Checker:
         }
         self._p1_static = None
         self._scan = None
-        self._derived = False
-        self._row_local = False
-        if fast:
-            self._derived = self._derived_shape(candidate, invariants)
-            # the row-local premise of _row_scan
-            self._row_local = self._derived and self._updates_match(program.updates)
 
     def _ready(self, vc: VC) -> None:
         """Compile the invariants and posts that checking vc reads."""
@@ -781,57 +768,54 @@ class _Checker:
                 if r.kind is None:
                     r.compile(self.tp.relations)
 
-    # -- fast-path applicability ----------------------------------------------
+    # -- the deciders' premises, computed when a decider first asks ----------
 
-    def _derived_shape(self, candidate, invariants) -> bool:
+    @functools.cached_property
+    def _derived(self) -> bool:
         """The invariants are exactly the mechanical derivation from the
-        postconditions, whose shape the preservation/exit shortcuts rely on.
-        A single loop's posts must also be _row_wise over its relation."""
+        postconditions, whose shape the identities and the row-local scan
+        rely on. A single loop's posts must also be _row_wise over its
+        relation."""
         from . import synth  # import here: synth imports this module
 
+        posts = self.candidate.posts
         if self.inner is None:
             if self.bounds.rel_size < 1:
                 return False
             oi, rel = self.outer.index, self.outer.rel
-            if not all(_row_wise(e, rel, oi) for _, e in candidate.posts):
+            if not all(_row_wise(e, rel, oi) for _, e in posts):
                 return False
         elif self.bounds.rel_size < (2 if self.outer.rel == self.inner.rel else 1):
             return False
-        if any(_has_top(e) for _, e in candidate.posts):
+        if any(_has_top(e) for _, e in posts):
             return False
         try:
-            derived = synth.derive_invariants(self.tp, candidate)
+            derived = synth.derive_invariants(self.tp, self.candidate)
         except ValueError:
             return False
-        return derived == invariants
+        return derived == self.invariants
 
-    def _input_only(self, node) -> bool:
-        return self.program.input_only(node)
+    @functools.cached_property
+    def _row_local(self) -> bool:
+        """The row-local premise of _row_scan: the invariants are derived
+        and every update of the body matches its post."""
+        return self._derived and self._updates_match()
 
-    def _updates_match(self, updates) -> bool:
-        """updates, from _Program.accumulator_updates, is not None and each
-        accumulator update is the one its post's aggregate makes: Add for
-        sum and count, MinMax(op) for op."""
+    def _updates_match(self) -> bool:
+        """Each accumulator update of the body is the fold its post's
+        aggregate makes (_FOLDS): appending and adding cancel the prefix,
+        and min/max (absent as identity) are associative, so the change an
+        iteration makes is a function of the current rows alone."""
+        updates = self.program.updates
         if updates is None:
             return False
-        for target, op in updates:
+        for target in updates:
             post = self.post_exprs.get(target)
             if not isinstance(post, tor.AggOf):
                 return False
-            if post.kind not in (("sum", "count") if op == "add" else (op,)):
+            if post.kind not in _FOLDS[self.tp.agg_updates[target]]:
                 return False
         return True
-
-    def _body_cancellative(self, stmts) -> bool:
-        """Every effect of the body is appending input-determined rows to a
-        list (whose post is a relation: any other fails Initiation first) or
-        folding an input-determined value into an accumulator with the
-        update its post's aggregate makes: Add for sum and count, MinMax(op)
-        for op. So the change one iteration makes is a function of the
-        current rows alone, and checking it from the empty prefix decides it
-        from every prefix: appending and adding cancel, and min/max (absent
-        as identity) are associative. A Break fails the walk."""
-        return self._updates_match(self.program.accumulator_updates(stmts))
 
     # -- shared pieces ------------------------------------------------------
 
@@ -924,12 +908,13 @@ class _Checker:
         env[ij] += 1
         return self._mismatch(vc, inputs, indices, irecons, store, env, p1s)
 
-    # -- fast paths -------------------------------------------------------------
+    # -- the deciders -------------------------------------------------------------
     #
-    # Each returns (instances, counterexample-or-None), or None when its
-    # premise does not hold and the sweep must run. A pass is reported with
-    # the analytic count of instances the shortcut covers; a violation is
-    # reported with the instances the shortcut actually checked and a
+    # Each is one row of _DECIDERS. It checks its own premise and returns
+    # (instances, counterexample-or-None), or None when the premise does not
+    # hold and the next decider or the sweep must decide. A pass is reported
+    # with the analytic count of instances the decider covers; a violation
+    # is reported with the instances it actually checked and a
     # counterexample produced by instance(), so it replays like any other.
 
     def _minimal_inputs(self) -> dict:
@@ -945,37 +930,19 @@ class _Checker:
         return inputs
 
     def _const_at_zero(self, recon, name: str):
-        """("rel"|"scalar", value) when the invariant at index 0 denotes the
-        same constant in every environment, else None."""
+        """("rel"|"scalar", value) when the invariant at index 0 is over a
+        relation that _empty_at_zero reads as empty, so it denotes the same
+        constant in every environment, else None."""
         e = recon.expr
-        # the usual answer, the empty relation, read off e without
-        # substituting; when the walk says no, substitute and simplify
-        if isinstance(e, tor.REL_NODES) and _empty_at_zero(e, name):
-            return ("rel", ())
-        if isinstance(e, tor.AggOf) and _empty_at_zero(e.of, name):
-            return ("scalar", 0 if e.kind in ("sum", "count") else None)
-        if isinstance(e, tor.SizeOf) and _empty_at_zero(e.of, name):
+        if isinstance(e, tor.REL_NODES):
+            return ("rel", ()) if _empty_at_zero(e, name) else None
+        if isinstance(e, (tor.AggOf, tor.SizeOf)) and _empty_at_zero(e.of, name):
+            if isinstance(e, tor.AggOf) and e.kind in ("min", "max"):
+                return ("scalar", None)
             return ("scalar", 0)
-        e0 = _subst_index(e, name, tor.IntConst(0))
-        if e0 is None:
-            return None
-        if isinstance(e0, tor.REL_NODES):
-            if _empty_at(e0):
-                return ("rel", ())
-            return None
-        if isinstance(e0, tor.AggOf):
-            if not _empty_at(e0.of):
-                return None
-            return ("scalar", 0 if e0.kind in ("sum", "count") else None)
-        if isinstance(e0, tor.SizeOf):
-            if _empty_at(e0.of):
-                return ("scalar", 0)
-            return None
-        if isinstance(e0, tor.IntConst):
-            return ("scalar", e0.value)
         return None
 
-    def _fast_init_outer(self, vc: VC):
+    def _decide_init_const(self, vc: VC):
         # With no statements ahead of the loop the initial store is the
         # declared constants, so when the invariant at 0 is a constant too
         # the outcome is the same for every input.
@@ -999,7 +966,7 @@ class _Checker:
                 return 1, cex
         return instance_count(vc, self.tp, self.bounds), None
 
-    def _fast_exit_outer(self, vc: VC):
+    def _decide_exit_identity(self, vc: VC):
         # At i = |R| the invariant and the postcondition are often the same
         # expression once the index is substituted away (Top of a whole
         # relation is the relation); then the exit condition is an identity.
@@ -1062,11 +1029,43 @@ class _Checker:
         self._scan = (checked, cex)
         return self._scan
 
-    def _fast_pres(self, vc: VC):
+    def _decide_inner_init_identity(self, vc: VC):
+        # The finished part of the inner invariant is the outer invariant
+        # expression and the running part starts empty, so with nothing
+        # between the loop heads the condition is an identity.
+        if self._derived and not self.program.prefix:
+            return instance_count(vc, self.tp, self.bounds), None
+        return None
+
+    def _decide_inner_exit_identity(self, vc: VC):
+        # At j = |S| the running part has consumed all of S, which is
+        # exactly the outer invariant's increment from i to i+1.
+        if self._derived and not self.program.suffix:
+            return instance_count(vc, self.tp, self.bounds), None
+        return None
+
+    def _decide_row_scan(self, vc: VC):
+        program = self.program
+        if self.inner is not None and vc.loop == self.outer.index:
+            # Preservation(i) runs the whole outer body, which the scan of
+            # the inner body covers only when nothing is around the loop
+            if program.prefix or program.suffix:
+                return None
+        if not self._row_local:
+            return None
         checked, cex = self._row_scan()
         if cex is None:
             return instance_count(vc, self.tp, self.bounds), None
+        if self.inner is None:
+            # the single-loop scan only ever says Valid: on a violation the
+            # sweep decides, so the counts and counterexample are its own
+            return None
         return checked, cex
+
+    def _decide_prover(self, vc: VC):
+        if self._proves(vc):
+            return instance_count(vc, self.tp, self.bounds), None
+        return None
 
     # -- the prover ---------------------------------------------------------------
 
@@ -1146,56 +1145,6 @@ class _Checker:
                 return ((t[0], t[1] + 1),)
         raise _Refuse
 
-    def _fast_result(self, vc: VC):
-        if not self.fast:
-            return None
-        oi = self.outer.index
-        if vc.loop == oi and vc.kind == INITIATION:
-            return self._fast_init_outer(vc)
-        if vc.loop == oi and vc.kind == EXIT:
-            return self._fast_exit_outer(vc)
-        if self.inner is None:
-            if vc.kind in (PRESERVATION, BREAK_EXIT) and self._proves(vc):
-                return instance_count(vc, self.tp, self.bounds), None
-            if vc.kind != PRESERVATION or not self._row_local:
-                return None
-            # the single-loop scan only ever says Valid: on a violation the
-            # sweep decides, so the counts and counterexample are its own
-            found = self._fast_pres(vc)
-            return found if found[1] is None else None
-        if not self._derived:
-            return None
-        if vc.loop == self.inner.index:
-            if vc.kind == INITIATION:
-                # The finished part of the inner invariant is the outer
-                # invariant expression and the running part starts empty, so
-                # with nothing between the loop heads the condition is an
-                # identity.
-                return (
-                    (instance_count(vc, self.tp, self.bounds), None)
-                    if not self.program.prefix
-                    else None
-                )
-            if vc.kind == EXIT:
-                # At j = |S| the running part has consumed all of S, which
-                # is exactly the outer invariant's increment from i to i+1.
-                return (
-                    (instance_count(vc, self.tp, self.bounds), None)
-                    if not self.program.suffix
-                    else None
-                )
-            if vc.kind == PRESERVATION and self._row_local:
-                return self._fast_pres(vc)
-            return None
-        if (
-            vc.kind == PRESERVATION
-            and self._row_local
-            and not self.program.prefix
-            and not self.program.suffix
-        ):
-            return self._fast_pres(vc)
-        return None
-
     # -- the sweep --------------------------------------------------------------
 
     def _assignments(self, vc: VC, inputs: dict):
@@ -1245,9 +1194,15 @@ class _Checker:
         return self._p1_static
 
     def run_vc(self, vc: VC):
-        shortcut = self._fast_result(vc)
-        if shortcut is not None:
-            return shortcut
+        """(decider, instances, counterexample-or-None): the first of vc's
+        deciders in _DECIDERS that answers, else the sweep. fast=False
+        skips the deciders."""
+        if self.fast:
+            key = (self.inner is not None, vc.loop == self.outer.index, vc.kind)
+            for name, decide in _DECIDERS[key]:
+                found = decide(self, vc)
+                if found is not None:
+                    return (name, *found)
         self._ready(vc)
         count = 0
         for inputs, store0 in self._inputs():
@@ -1255,8 +1210,35 @@ class _Checker:
                 count += 1
                 cex = self.check(vc, inputs, store0, indices, p1s)
                 if cex is not None:
-                    return count, cex
-        return count, None
+                    return "sweep", count, cex
+        return "sweep", count, None
+
+
+# What may settle each VC before the sweep, tried in order, keyed by
+# (nested, on the outer loop, VC kind); see the module docstring.
+_DECIDE = {
+    "init-const": _Checker._decide_init_const,
+    "exit-identity": _Checker._decide_exit_identity,
+    "inner-init-identity": _Checker._decide_inner_init_identity,
+    "inner-exit-identity": _Checker._decide_inner_exit_identity,
+    "prover": _Checker._decide_prover,
+    "row-scan": _Checker._decide_row_scan,
+}
+_DECIDERS = {
+    key: tuple((name, _DECIDE[name]) for name in names)
+    for key, names in {
+        (False, True, INITIATION): ("init-const",),
+        (False, True, PRESERVATION): ("prover", "row-scan"),
+        (False, True, BREAK_EXIT): ("prover",),
+        (False, True, EXIT): ("exit-identity",),
+        (True, True, INITIATION): ("init-const",),
+        (True, False, INITIATION): ("inner-init-identity",),
+        (True, False, PRESERVATION): ("row-scan",),
+        (True, False, EXIT): ("inner-exit-identity",),
+        (True, True, PRESERVATION): ("row-scan",),
+        (True, True, EXIT): ("exit-identity",),
+    }.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1279,7 +1261,7 @@ def validate(
     total = 0
     done = 0
     for vc in gen_vcs(tp):
-        n, cex = checker.run_vc(vc)
+        _, n, cex = checker.run_vc(vc)
         total += n
         done += 1
         if cex is not None:

@@ -368,13 +368,18 @@ def test_replay_with_mismatching_sql(capsys, bindings_file):
 
 def test_replay_rejects_bad_bindings(capsys, tmp_path):
     path = tmp_path / "inputs.json"
-    path.write_text('{"R": {"schema": [["a", "int"]], "rows": [["x"]]}}')
-    code, out, err = run_cli(
-        capsys, "replay", qil_path("identity"), "--input", str(path)
-    )
-    assert code == 1
-    assert out == ""
-    assert "qilc:" in err
+    for bindings, message in (
+        ('{"R": {"schema": [["a", "int"]], "rows": [["x"]]}}', "qilc:"),
+        ("{}", "qilc: bindings do not match parameters: missing ['R']"),
+        ('{"R": {"schema": [["z", "int"]], "rows": []}}', "expects schema"),
+    ):
+        path.write_text(bindings)
+        code, out, err = run_cli(
+            capsys, "replay", qil_path("identity"), "--input", str(path)
+        )
+        assert code == 1, bindings
+        assert out == ""
+        assert message in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(

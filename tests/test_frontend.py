@@ -156,6 +156,22 @@ fn f(R: rel(a: int)) {{
     assert any(fragment in issue.message for issue in err.value.issues)
 
 
+@pytest.mark.parametrize("update", ["n = R[i].a + n;", "n = min(R[i].a, n);"])
+def test_accumulator_must_be_the_left_operand(update):
+    src = f"""
+fn f(R: rel(a: int)) {{
+    var n: int = 0;
+    for i in 0 .. size(R) {{
+        {update}
+    }}
+    return n;
+}}
+"""
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(parse(src))
+    assert any("accumulator updates" in issue.message for issue in err.value.issues)
+
+
 def test_break_must_be_guarded_and_last():
     src = """
 fn f(R: rel(a: int), k: int) {

@@ -8,6 +8,7 @@ import pytest
 
 from qilc import synth, tor, verify
 from qilc.frontend import parse, typecheck
+from qilc.relation import INT, Schema
 from qilc.synth import Candidate, derive_invariants, enumerate_candidates, extract_template
 from qilc.verify import (
     BREAK_EXIT,
@@ -78,8 +79,6 @@ def test_break_exit_only_with_break():
 
 
 def test_relation_values_count_and_order():
-    from qilc.relation import Schema
-
     vals = relation_values(Schema((("a", "int"),)), SMALL)
     # 2-value domain, sizes 0..2: 1 + 2 + 4 = 7, sizes ascending
     assert len(vals) == 7
@@ -269,6 +268,27 @@ def test_fast_valid_verdicts_match_default_bounds():
         )
 
 
+def test_deciders_settle_every_vc_of_the_corpus_solutions(benchmarks):
+    """At default bounds no sweep runs for the 46 VCs of the 12 accepted
+    solutions: each decider reports Valid with the full instance count."""
+    settled = {}
+    for tp in benchmarks.values():
+        sol = first_valid(tp)
+        checker = verify._Checker(tp, sol.candidate, sol.invariants, Bounds())
+        for vc in gen_vcs(tp):
+            name, n, cex = checker.run_vc(vc)
+            assert (n, cex) == (instance_count(vc, tp, Bounds()), None), (tp.name, vc)
+            settled[name] = settled.get(name, 0) + 1
+    assert settled == {
+        "init-const": 12,
+        "exit-identity": 12,
+        "inner-init-identity": 3,
+        "inner-exit-identity": 3,
+        "prover": 3,
+        "row-scan": 13,
+    }
+
+
 def _agree(tp, cand, inv, bounds):
     """fast and sweep give the same verdict, count and counterexample."""
     fast = validate(tp, cand, inv, bounds, fast=True)
@@ -416,7 +436,7 @@ def test_single_loop_scan_decides_preservation_from_one_row():
     check = checker.check
     checker.check = lambda *args, **kw: calls.append(args) or check(*args, **kw)
     vc = VC(PRESERVATION, "i")
-    assert checker.run_vc(vc) == (44790, None)
+    assert checker.run_vc(vc) == ("row-scan", 44790, None)
     assert instance_count(vc, tp, bounds) == 44790
     assert len(calls) <= 6  # one per row of R(a: int, b: text)
     assert all(len(inputs["R"].rows) == 1 for _, inputs, _, _ in calls)
@@ -432,7 +452,7 @@ def test_prover_decides_top_k_without_checking_an_instance():
     checker.check = lambda *args, **kw: calls.append(args) or check(*args, **kw)
     for kind in (PRESERVATION, BREAK_EXIT):
         vc = VC(kind, "i")
-        assert checker.run_vc(vc) == (instance_count(vc, tp, bounds), None)
+        assert checker.run_vc(vc) == ("prover", instance_count(vc, tp, bounds), None)
     assert instance_count(VC(PRESERVATION, "i"), tp, bounds) == 134370
     assert calls == []
 
@@ -564,14 +584,14 @@ fn probe(R: rel(a: int), S: rel(b: int), k: int) {
 def test_input_only_reads_parameters_and_loop_rows():
     tp = typecheck(parse(INPUT_ONLY_PROBE))
     cand = next(iter(enumerate_candidates(tp, extract_template(tp), 24)))
-    checker = verify._Checker(tp, cand, derive_invariants(tp, cand), SMALL)
+    program = verify._Checker(tp, cand, derive_invariants(tp, cand), SMALL).program
     by_param, by_local, update = tp.loops[1].node.body
-    assert checker._input_only(by_param.cond)
-    assert not checker._input_only(by_local.cond)  # n is a local, under a NotOp
-    assert checker._input_only(by_param.body[0].record)
-    assert checker._input_only(by_local.body[0].record)
-    assert checker._body_cancellative((by_param, update))
-    assert not checker._body_cancellative((by_param, by_local, update))
+    assert program.input_only(by_param.cond)
+    assert not program.input_only(by_local.cond)  # n is a local, under a NotOp
+    assert program.input_only(by_param.body[0].record)
+    assert program.input_only(by_local.body[0].record)
+    assert program.accumulator_updates((by_param, update)) == ("n",)
+    assert program.accumulator_updates((by_param, by_local, update)) is None
 
 
 # --- replay of every VC branch -------------------------------------------------
@@ -716,29 +736,52 @@ def test_candidates_of_one_program_do_not_share_the_row_local_verdict():
     assert programs[0] is programs[1]
 
 
-def _empty_at_zero_by_substitution(e, name):
-    return verify._empty_at(verify._subst_index(e, name, tor.IntConst(0)))
+def _empty_by_eval(e, tp, name, bounds=SMALL):
+    """e has no rows with its index name at 0, over every bounded input of
+    tp and every value of the other loop's index; a GetRow out of range
+    counts as rows, since the expression is then not the empty relation."""
+    params = [
+        relation_values(p.ty, bounds)
+        if isinstance(p.ty, Schema)
+        else bounds.int_domain if p.ty == INT else bounds.text_domain
+        for p in tp.ast.params
+    ]
+    names = [p.name for p in tp.ast.params]
+    others = [l.index for l in tp.loops if l.index != name]
+    for combo in itertools.product(*params):
+        for at in itertools.product(range(bounds.rel_size + 1), repeat=len(others)):
+            env = {**dict(zip(names, combo)), **dict(zip(others, at)), name: 0}
+            try:
+                if tor.eval_rel(e, env).rows:
+                    return False
+            except IndexError:
+                return False
+    return True
 
 
-def test_empty_at_zero_agrees_with_substitution_on_the_corpus(benchmarks):
-    checked = 0
+def test_empty_at_zero_is_sound_on_the_corpus(benchmarks):
+    """Wherever the walk reads an invariant's relation as empty at index 0,
+    evaluating it there gives no rows; and it reads every outer invariant
+    so, which is the premise init-const needs on Initiation(i)."""
+    seen, checked = set(), 0
     for tp in benchmarks.values():
+        outer = tp.loops[0].index
         cands = enumerate_candidates(tp, extract_template(tp), 24)
-        for cand in itertools.islice(cands, 200):
-            for eqs in derive_invariants(tp, cand).values():
+        for cand in itertools.islice(cands, 40):
+            for loop, eqs in derive_invariants(tp, cand).items():
                 for _, e in eqs:
                     if isinstance(e, (tor.AggOf, tor.SizeOf)):
                         e = e.of
-                    if not isinstance(e, tor.REL_NODES):
-                        continue
-                    for loop in tp.loops:
-                        assert verify._empty_at_zero(
-                            e, loop.index
-                        ) == _empty_at_zero_by_substitution(e, loop.index), (
-                            tor.to_sexpr(e)
-                        )
-                        checked += 1
-    assert checked > 1000
+                    if loop == outer:
+                        assert verify._empty_at_zero(e, outer), tor.to_sexpr(e)
+                    for index in (l.index for l in tp.loops):
+                        if (tp.name, e, index) in seen:
+                            continue
+                        seen.add((tp.name, e, index))
+                        if verify._empty_at_zero(e, index):
+                            assert _empty_by_eval(e, tp, index), tor.to_sexpr(e)
+                            checked += 1
+    assert checked > 100
 
 
 S_B = tor.Query("S")
@@ -760,6 +803,7 @@ R_I = tor.Top(R_A, tor.IndexRef("i"))  # empty at i = 0
         (tor.AppendRow(R_I, tor.GetRow(R_A, tor.IndexRef("i"))), False),
     ],
 )
-def test_empty_at_zero_on_hand_built_invariants(e, empty):
+def test_empty_at_zero_on_hand_built_invariants(benchmarks, e, empty):
     assert verify._empty_at_zero(e, "i") == empty
-    assert _empty_at_zero_by_substitution(e, "i") == empty
+    # over cross_join's R(a: int) and S(b: int), with j its inner index
+    assert _empty_by_eval(e, benchmarks["cross_join"], "i") == empty
