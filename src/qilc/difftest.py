@@ -14,6 +14,15 @@ the parameter list in declaration order:
 The program result and the query result are compared positionally; record
 order matters, field names do not, and an absent min/max result agrees
 with SQL NULL.
+
+A case takes one of two paths. The reference path (_run_one, which
+replay_case also takes) runs interp.run, which checks the inputs, and
+eval_sql over a MiniDb, and compares the two result values. A run of more
+than REFERENCE_MAX_CASES cases is planned once instead (_planned): each
+case runs the compiled program and the query's plan on the inputs it drew
+and compares raw rows or scalars, and a case that disagrees is run again
+on the reference path, which builds its Mismatch. Either way a run reports
+the same bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +45,10 @@ ALPHABET = ("a", "b", "c")
 
 _MASK = (1 << 64) - 1
 
+#: Runs this short take the reference path for every case, so they keep
+#: the per-case interp.run and eval_sql calls that tracing counts.
+REFERENCE_MAX_CASES = 100
+
 
 class SplitMix64:
     """splitmix64: state advances by 0x9E3779B97F4A7C15; output mixes with
@@ -52,34 +65,43 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-def _draw_plan(tp: TypedProgram) -> tuple:
-    """(name, schema, int_fields) per relation parameter, (name, None, is_int)
-    per scalar one, in declaration order; int_fields holds one bool per
-    field."""
-    plan = []
-    for p in tp.ast.params:
-        if isinstance(p.ty, Schema):
-            plan.append((p.name, p.ty, tuple(t == INT for t in p.ty.types)))
-        else:
-            plan.append((p.name, None, p.ty == INT))
-    return tuple(plan)
+def _int_cell(draw) -> int:
+    return draw() % 5
+
+
+def _text_cell(draw) -> str:
+    return ALPHABET[draw() % 3]
+
+
+def _relation_drawer(schema: Schema):
+    """draw -> one relation of the schema: its size, then its rows' cells in
+    row-major order. Each row has the schema's arity by construction, so the
+    relation is built trusted."""
+    cells = tuple(_int_cell if t == INT else _text_cell for t in schema.types)
+    trusted = OrderedRelation.trusted
+
+    def draw_relation(draw) -> OrderedRelation:
+        return trusted(schema, tuple([
+            tuple([cell(draw) for cell in cells]) for _ in range(draw() % 6)
+        ]))
+
+    return draw_relation
+
+
+def _drawers(tp: TypedProgram) -> tuple:
+    """(name, drawer) per parameter in declaration order; drawer(draw)
+    consumes the parameter's draws and returns its value."""
+    return tuple(
+        (p.name, _relation_drawer(p.ty) if isinstance(p.ty, Schema)
+         else _int_cell if p.ty == INT else _text_cell)
+        for p in tp.ast.params
+    )
 
 
 def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
     """Consume one case's draws and return parameter bindings."""
     draw = gen.next
-    inputs = {}
-    for name, schema, ints in tp.derived(_draw_plan):
-        if schema is None:
-            inputs[name] = draw() % 5 if ints else ALPHABET[draw() % 3]
-            continue
-        rows = []
-        for _ in range(draw() % 6):
-            rows.append(
-                tuple([draw() % 5 if is_int else ALPHABET[draw() % 3] for is_int in ints])
-            )
-        inputs[name] = OrderedRelation(schema, tuple(rows))
-    return inputs
+    return {name: drawer(draw) for name, drawer in tp.derived(_drawers)}
 
 
 @dataclass(frozen=True)
@@ -121,12 +143,60 @@ def _run_one(tp: TypedProgram, sql, inputs: dict, case: int) -> Optional[Mismatc
     return Mismatch(case, inputs, got_prog, got_sql)
 
 
+def _planned(tp: TypedProgram, sql):
+    """The run's per-case check, agree(inputs) -> bool, built once; None
+    when a FROM table is not a relation parameter, one result is a scalar
+    and the other records, or the result column types differ.
+
+    agree decides what values_agree decides, from the raw values, after
+    the column types were compared here. Drawn inputs bind each parameter
+    to a value of its type, so check_inputs is not run. The closures are
+    the reference path's, so agree raises what it raises, on the same
+    case."""
+    relations = tp.relations
+    tables = tuple(s.table for s in sql.sources)
+    if not all(t in relations for t in tables):
+        return None
+    plan = emit.query_plan(sql, tuple(relations[t] for t in tables))
+    ex = interp.executor(tp)
+    if isinstance(sql, emit.SqlScalar):
+        if ex.result_schema is not None:
+            return None
+    elif (
+        ex.result_schema is None
+        or plan.schema is None
+        or plan.schema.types != ex.result_schema.types
+    ):
+        return None
+    init_store, body, result, raw = ex.init_store, ex.body, ex.result_name, plan.raw
+    scalars = tuple(p.name for p in tp.ast.params if p.name not in relations)
+
+    def agree(inputs: dict) -> bool:
+        store = init_store(inputs)
+        body(store)
+        params = {name: inputs[name] for name in scalars}
+        return store[result] == raw([inputs[t] for t in tables], params)
+
+    return agree
+
+
 def run_cases(tp: TypedProgram, sql, seed: int, cases: int) -> DiffResult:
-    """Run cases 0..cases-1 sequentially; collect every mismatch."""
+    """Run cases 0..cases-1 sequentially; collect every mismatch (see the
+    module docstring for the two paths)."""
     gen = SplitMix64(seed)
+    agree = _planned(tp, sql) if cases > REFERENCE_MAX_CASES else None
     mismatches = []
+    if agree is None:
+        for case in range(cases):
+            m = _run_one(tp, sql, draw_case(gen, tp), case)
+            if m is not None:
+                mismatches.append(m)
+        return DiffResult(seed, cases, tuple(mismatches))
+    draw, drawers = gen.next, tp.derived(_drawers)
     for case in range(cases):
-        inputs = draw_case(gen, tp)
+        inputs = {name: drawer(draw) for name, drawer in drawers}
+        if agree(inputs):
+            continue
         m = _run_one(tp, sql, inputs, case)
         if m is not None:
             mismatches.append(m)

@@ -683,11 +683,16 @@ def eval_sql(q: Sql, db: MiniDb):
         if s.table not in db.tables:
             raise UnknownTable(s.table)
         rels.append(db.tables[s.table])
-    schemas = tuple(rel.schema for rel in rels)
+    return query_plan(q, tuple(rel.schema for rel in rels)).run(rels, db.params)
+
+
+def query_plan(q: Sql, schemas: tuple) -> "_Plan":
+    """The query's plan for its sources' schemas, in FROM order; built once
+    per (query, schemas) and kept on the query."""
     plan = q.plans.get(schemas)
     if plan is None:
         plan = q.plans[schemas] = _Plan(q, schemas)
-    return plan.run(rels, db.params)
+    return plan
 
 
 class _Plan:
@@ -699,7 +704,7 @@ class _Plan:
     parameter or node that cannot be resolved compiles to a closure that
     raises when it is evaluated, so WHERE and aggregate arguments fail only
     on a row they are evaluated on, as a tree walk would. The SELECT list is
-    resolved here too; when it fails, run() resolves it again to raise.
+    resolved here too; when it fails, raw() resolves it again to raise.
     """
 
     def __init__(self, q: Sql, schemas: tuple):
@@ -718,10 +723,22 @@ class _Plan:
             self.schema = None
 
     def run(self, rels: list, params: dict):
-        combos = [()]
-        for rel in rels:
-            numbered = tuple(enumerate(rel.rows))
-            combos = [c + r for c in combos for r in numbered]
+        """The query's value over the relations of its FROM list."""
+        out = self.raw(rels, params)
+        if isinstance(self.q, SqlScalar):
+            return out
+        return OrderedRelation(self.schema, tuple(out))
+
+    def raw(self, rels: list, params: dict):
+        """run() without building the result relation: a list of row tuples
+        for a record query, the aggregate's value for a scalar one."""
+        if len(rels) == 1:
+            combos = list(enumerate(rels[0].rows))
+        else:
+            combos = [()]
+            for rel in rels:
+                numbered = tuple(enumerate(rel.rows))
+                combos = [c + r for c in combos for r in numbered]
         where = self.where
         if where is not None:
             combos = [c for c in combos if where(c, params)]
@@ -742,7 +759,7 @@ class _Plan:
         if self.schema is None:
             _plan_select(q, self.slots, self.schemas)  # raises
         out = self.out
-        return OrderedRelation(self.schema, tuple([out(c) for c in combos]))
+        return [out(c) for c in combos]
 
 
 def _fails(exc_type, arg):

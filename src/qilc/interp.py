@@ -78,8 +78,8 @@ class Executor:
             for d in prog.ast.decls
         )
         result = next(d for d in prog.ast.decls if d.name == prog.ast.result)
-        self._result = result.name
-        self._result_schema = result.schema if isinstance(result, F.ListDecl) else None
+        self.result_name = result.name
+        self.result_schema = result.schema if isinstance(result, F.ListDecl) else None
         self.body = self.block(prog.ast.body)
 
     def block(self, stmts: tuple):
@@ -96,10 +96,10 @@ class Executor:
         return store
 
     def result(self, store: dict):
-        v = store[self._result]
-        if self._result_schema is None:
+        v = store[self.result_name]
+        if self.result_schema is None:
             return v
-        return OrderedRelation(self._result_schema, tuple(v))
+        return OrderedRelation(self.result_schema, tuple(v))
 
 
 def executor(prog: F.TypedProgram) -> Executor:

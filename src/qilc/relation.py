@@ -116,6 +116,15 @@ class OrderedRelation:
                     f"row {r!r} has arity {len(r)}, schema wants {arity}"
                 )
 
+    @classmethod
+    def trusted(cls, schema: Schema, rows: tuple) -> "OrderedRelation":
+        """A relation built without the arity check, for callers whose rows
+        have the schema's arity by construction."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "schema", schema)
+        object.__setattr__(rel, "rows", rows)
+        return rel
+
     @property
     def size(self) -> int:
         return len(self.rows)

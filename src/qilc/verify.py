@@ -725,6 +725,22 @@ class _Program:
         raise _Refuse
 
 
+class _on_first_read:
+    """A method read as an attribute: the first read computes it and stores
+    the value in the instance, where later reads find it before this
+    descriptor. functools.cached_property does the same behind a lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Checker:
     """One candidate's check, over its program's _Program. An invariant or
     post is compiled when the first VC that reads it starts (_ready), so a
@@ -770,7 +786,7 @@ class _Checker:
 
     # -- the deciders' premises, computed when a decider first asks ----------
 
-    @functools.cached_property
+    @_on_first_read
     def _derived(self) -> bool:
         """The invariants are exactly the mechanical derivation from the
         postconditions, whose shape the identities and the row-local scan
@@ -795,7 +811,7 @@ class _Checker:
             return False
         return derived == self.invariants
 
-    @functools.cached_property
+    @_on_first_read
     def _row_local(self) -> bool:
         """The row-local premise of _row_scan: the invariants are derived
         and every update of the body matches its post."""

@@ -1,8 +1,93 @@
 """Seeded case generation and interpreter-vs-SQL comparison."""
 
-from qilc import difftest, emit, interp
+import json
+from pathlib import Path
+
+import pytest
+
+from qilc import difftest, emit, frontend, interp
 from qilc.difftest import DiffResult, SplitMix64, draw_case, replay_case, run_cases
-from tests.conftest import load_benchmark
+from qilc.relation import INT, OrderedRelation, Schema
+from tests.conftest import BENCHMARK_NAMES, load_benchmark
+
+GOLDEN = Path(__file__).parent / "data" / "corpus_bench.json"
+
+# A program beside the corpus: a 3-field relation and a text parameter.
+TAGGED = """
+fn tagged(R: rel(a: int, b: text, c: int), t: text) {
+    var out: list(a: int, b: text, c: int);
+    for i in 0 .. size(R) {
+        if R[i].b == t {
+            out.append(R[i]);
+        }
+    }
+    return out;
+}
+"""
+TAGGED_SQL = "SELECT R.* FROM R WHERE R.b = :t ORDER BY R.rid"
+
+# Wrong queries, each planned: the planned path flags the cases that
+# disagree, and the reference path builds their mismatches.
+SEEDED_WRONG = (
+    ("selection", "SELECT R.* FROM R WHERE R.a > 1 ORDER BY R.rid"),
+    ("equi_join", "SELECT R.v, S.w FROM S, R WHERE R.k = S.k ORDER BY S.rid, R.rid"),
+    ("top_k", "SELECT R.* FROM R ORDER BY R.rid LIMIT 2"),
+    ("tagged", "SELECT R.* FROM R WHERE R.b <> :t ORDER BY R.rid"),
+)
+# Wrong queries that cannot be planned: a scalar against records, records
+# against a scalar, and result column types that differ.
+UNPLANNED_WRONG = (
+    ("identity", "SELECT COUNT(*) FROM R"),
+    ("sum", "SELECT R.a FROM R ORDER BY R.rid"),
+    ("projection", "SELECT R.a FROM R ORDER BY R.rid"),
+)
+
+
+def _program(name: str):
+    if name == "tagged":
+        return frontend.typecheck(frontend.parse(TAGGED))
+    return load_benchmark(name)
+
+
+def _corpus_sql() -> dict:
+    """Each corpus program's synthesized SQL, as the golden report pins it."""
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {b["programName"]: b["solution"]["sql"] for b in data["benchmarks"]}
+
+
+def _reference_run(tp, sql, seed: int, cases: int) -> DiffResult:
+    """run_cases as a loop of reference cases."""
+    gen = SplitMix64(seed)
+    mismatches = []
+    for case in range(cases):
+        m = difftest._run_one(tp, sql, draw_case(gen, tp), case)
+        if m is not None:
+            mismatches.append(m)
+    return DiffResult(seed, cases, tuple(mismatches))
+
+
+def _transcribed_case(gen: SplitMix64, tp) -> dict:
+    """One case, drawn as the Random stream section of docs/formats.md
+    lists the draws."""
+    alphabet = ("a", "b", "c")
+    inputs = {}
+    for p in tp.ast.params:
+        if isinstance(p.ty, Schema):
+            rows = []
+            for _ in range(gen.next() % 6):
+                row = []
+                for ty in p.ty.types:
+                    if ty == INT:
+                        row.append(gen.next() % 5)
+                    else:
+                        row.append(alphabet[gen.next() % 3])
+                rows.append(tuple(row))
+            inputs[p.name] = OrderedRelation(p.ty, tuple(rows))
+        elif p.ty == INT:
+            inputs[p.name] = gen.next() % 5
+        else:
+            inputs[p.name] = alphabet[gen.next() % 3]
+    return inputs
 
 # Reference outputs of the splitmix64 algorithm for seed 0, frozen from the
 # published constants before this implementation produced them.
@@ -147,3 +232,82 @@ def test_program_and_query_compiled_once_per_run(monkeypatch):
     result = run_cases(tp, sql, seed=7, cases=200)
     assert result.cases == 200 and result.ok
     assert built == {"executor": 1, "plan": 1}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES + ["tagged"])
+def test_draw_case_follows_the_documented_stream(name):
+    tp = _program(name)
+    gen, written = SplitMix64(99), SplitMix64(99)
+    for _ in range(2000):
+        assert draw_case(gen, tp) == _transcribed_case(written, tp)
+        assert gen.state == written.state
+
+
+def _counting_reference_cases(monkeypatch) -> list:
+    calls = []
+    run_one = difftest._run_one
+
+    def counted(tp, sql, inputs, case):
+        calls.append(case)
+        return run_one(tp, sql, inputs, case)
+
+    monkeypatch.setattr(difftest, "_run_one", counted)
+    return calls
+
+
+def test_planned_run_matches_reference_on_corpus_solutions(monkeypatch):
+    corpus = _corpus_sql()
+    runs = [(name, corpus[name]) for name in BENCHMARK_NAMES] + [("tagged", TAGGED_SQL)]
+    calls = _counting_reference_cases(monkeypatch)
+    for name, text in runs:
+        tp, sql = _program(name), emit.parse_sql(text)
+        assert difftest._planned(tp, sql) is not None, name
+        planned = run_cases(tp, sql, seed=11, cases=300)
+        assert calls == [], name  # every case agreed on the planned path
+        assert planned == _reference_run(tp, sql, seed=11, cases=300) and planned.ok
+        calls.clear()
+
+
+@pytest.mark.parametrize("name,text", SEEDED_WRONG + UNPLANNED_WRONG)
+def test_planned_run_matches_reference_on_wrong_queries(name, text, monkeypatch):
+    tp, sql = _program(name), emit.parse_sql(text)
+    reference = _reference_run(tp, sql, seed=11, cases=300)
+    calls = _counting_reference_cases(monkeypatch)
+    result = run_cases(tp, sql, seed=11, cases=300)
+    assert result == reference and not result.ok
+    assert [m.to_json() for m in result.mismatches] == [
+        m.to_json() for m in reference.mismatches
+    ]
+    if (name, text) in SEEDED_WRONG:
+        # only the cases that disagree take the reference path
+        assert calls == [m.case for m in result.mismatches] and len(calls) < 300
+    else:
+        assert difftest._planned(tp, sql) is None and len(calls) == 300
+
+
+@pytest.mark.parametrize(
+    "name,text,error",
+    [
+        ("selection", "SELECT T.* FROM T ORDER BY T.rid", emit.UnknownTable),
+        ("top_k", "SELECT R.* FROM R ORDER BY R.rid LIMIT :n", emit.UnknownParam),
+        ("selection", "SELECT R.* FROM R WHERE R.z = 1 ORDER BY R.rid", emit.UnknownColumn),
+        ("selection", "SELECT R.z FROM R ORDER BY R.rid", emit.UnknownColumn),
+    ],
+)
+def test_planned_run_raises_what_the_reference_raises(name, text, error):
+    tp, sql = _program(name), emit.parse_sql(text)
+    with pytest.raises(error) as reference:
+        _reference_run(tp, sql, seed=11, cases=300)
+    with pytest.raises(error) as planned:
+        run_cases(tp, sql, seed=11, cases=300)
+    assert planned.value.args == reference.value.args
+
+
+@pytest.mark.parametrize("name,text", SEEDED_WRONG + UNPLANNED_WRONG)
+def test_replay_agrees_with_run_cases_on_every_mismatch(name, text):
+    tp, sql = _program(name), emit.parse_sql(text)
+    result = run_cases(tp, sql, seed=5, cases=150)
+    assert result.mismatches
+    for m in result.mismatches:
+        again = replay_case(tp, sql, seed=5, case=m.case)
+        assert again == m and again.to_json() == m.to_json()

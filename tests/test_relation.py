@@ -52,6 +52,13 @@ def test_relation_rejects_wrong_arity():
         OrderedRelation(AB, ((1,),))
 
 
+def test_trusted_relation_is_the_checked_relation():
+    rows = ((1, "x"), (2, "y"))
+    trusted, checked = OrderedRelation.trusted(AB, rows), OrderedRelation(AB, rows)
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert trusted.size == 2 and trusted.schema is AB and trusted.rows is rows
+
+
 def test_order_sensitivity():
     x = OrderedRelation(AB, ((1, "x"), (2, "y")))
     y = OrderedRelation(AB, ((2, "y"), (1, "x")))
