@@ -732,13 +732,10 @@ class _Plan:
     def raw(self, rels: list, params: dict):
         """run() without building the result relation: a list of row tuples
         for a record query, the aggregate's value for a scalar one."""
-        if len(rels) == 1:
-            combos = list(enumerate(rels[0].rows))
-        else:
-            combos = [()]
-            for rel in rels:
-                numbered = tuple(enumerate(rel.rows))
-                combos = [c + r for c in combos for r in numbered]
+        combos = [()]
+        for rel in rels:
+            numbered = tuple(enumerate(rel.rows))
+            combos = [c + r for c in combos for r in numbered]
         where = self.where
         if where is not None:
             combos = [c for c in combos if where(c, params)]
