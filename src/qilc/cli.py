@@ -27,6 +27,7 @@ from pathlib import Path
 from . import difftest, emit, frontend, interp, report
 from .relation import SchemaError, load_bindings, value_to_json, values_agree
 from .synth import Options, Solution, synthesize
+from .verify import Bounds
 
 DEFAULT_SEED = 20260816
 
@@ -104,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _options(args: argparse.Namespace) -> Options:
     return Options(
         cost_bound=args.cost_bound,
-        rel_bound=args.rel_bound,
-        int_domain=args.int_domain,
+        bounds=Bounds(rel_size=args.rel_bound, int_domain=args.int_domain),
         timeout=args.timeout,
     )
 

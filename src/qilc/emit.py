@@ -17,7 +17,13 @@ base. The rewrites applied (each an identity of the algebra):
 
 Anything that does not reach the shape (Concat, Append, Get, Empty at the
 root, a selection applied after Top, a Size-valued prefix bound, loop
-indices in predicates) raises NotTranslatable.
+indices in predicates, true under OR or NOT) raises NotTranslatable.
+
+The abstract SQL reuses the algebra's nodes: a WHERE clause is a tor
+predicate (CmpAtom, AndP, OrP, NotP) whose fields are renamed to columns
+(SCol), and a literal, parameter or LIMIT is a tor.IntConst, TextConst or
+ParamRef. Both query kinds share one decomposition of the normalized
+expression into sources, column map and WHERE.
 
 Rendering is canonical and byte stable: uppercase keywords, single spaces,
 ", " separators, scalar parameters as :name, text literals single quoted,
@@ -64,7 +70,8 @@ class SqlSyntaxError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Abstract SQL
+# Abstract SQL. Predicates and operands other than columns are tor nodes, in
+# tor's operator spelling: != becomes <> only in render and parse_sql.
 # ---------------------------------------------------------------------------
 
 
@@ -81,66 +88,18 @@ class SCol:
 
 
 @dataclass(frozen=True)
-class SInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class SText:
-    value: str
-
-
-@dataclass(frozen=True)
-class SParam:
-    name: str
-
-
-SqlOperand = Union[SCol, SInt, SText, SParam]
-
-
-@dataclass(frozen=True)
-class SCmp:
-    op: str  # = <> < <= > >=
-    lhs: SqlOperand
-    rhs: SqlOperand
-
-
-@dataclass(frozen=True)
-class SAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SOr:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SNot:
-    operand: object
-
-
-SqlPred = Union[SCmp, SAnd, SOr, SNot]
-
-
-@dataclass(frozen=True)
 class SqlStar:
     alias: str
-
-
-SelectItem = Union[SqlStar, SCol]
 
 
 @dataclass(frozen=True)
 class SqlQuery:
     """A record query: SELECT items FROM sources [WHERE] ORDER BY rids [LIMIT]."""
 
-    items: tuple[SelectItem, ...]
+    items: tuple  # SqlStar | SCol
     sources: tuple[SqlSource, ...]
-    where: Optional[SqlPred] = None
-    limit: Optional[SqlOperand] = None
+    where: Optional[tor.Node] = None
+    limit: Optional[tor.Node] = None  # tor.IntConst | tor.ParamRef
     # eval_sql's compiled plans, keyed by the sources' schemas
     plans: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -156,7 +115,7 @@ class SqlScalar:
     func: str  # sum | count | min | max
     arg: Optional[SCol]  # None only for count
     sources: tuple[SqlSource, ...]
-    where: Optional[SqlPred] = None
+    where: Optional[tor.Node] = None
     # eval_sql's compiled plans, keyed by the sources' schemas
     plans: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -167,9 +126,6 @@ Sql = Union[SqlQuery, SqlScalar]
 # ---------------------------------------------------------------------------
 # Translation: relation/scalar expression -> abstract SQL
 # ---------------------------------------------------------------------------
-
-_CMP_TO_SQL = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-_SQL_CMP = {sql: tor.CMP_OPS[op] for op, sql in _CMP_TO_SQL.items()}
 
 
 def _prefix_pred(p, prefix: str):
@@ -234,89 +190,75 @@ def _sources_for(base, schemas) -> tuple[tuple[SqlSource, ...], dict]:
     raise NotTranslatable(f"base is not a table or a join of tables: {base!r}")
 
 
-def _operand_to_sql(o, fmap: dict) -> SqlOperand:
+def _column(fmap: dict, name: str) -> SCol:
+    try:
+        return SCol(*fmap[name])
+    except KeyError:
+        raise UnknownColumn(name) from None
+
+
+def _operand_to_sql(o, fmap: dict):
     if isinstance(o, tor.FieldRef):
-        try:
-            alias, col = fmap[o.name]
-        except KeyError:
-            raise UnknownColumn(o.name) from None
-        return SCol(alias, col)
-    if isinstance(o, tor.IntConst):
-        return SInt(o.value)
-    if isinstance(o, tor.TextConst):
-        return SText(o.value)
-    if isinstance(o, tor.ParamRef):
-        return SParam(o.name)
+        return _column(fmap, o.name)
+    if isinstance(o, (tor.IntConst, tor.TextConst, tor.ParamRef)):
+        return o
     if isinstance(o, tor.IndexRef):
         raise NotTranslatable("loop indices cannot appear in emitted SQL")
     raise SchemaError(f"not a predicate operand: {o!r}")
 
 
-def _pred_to_sql(p, fmap: dict) -> Optional[SqlPred]:
+def _pred_to_sql(p, fmap: dict):
+    """p with its fields renamed to columns; None for true."""
     if isinstance(p, tor.TruePred):
         return None
     if isinstance(p, tor.CmpAtom):
-        return SCmp(
-            _CMP_TO_SQL[p.op], _operand_to_sql(p.lhs, fmap), _operand_to_sql(p.rhs, fmap)
+        return tor.CmpAtom(
+            p.op, _operand_to_sql(p.lhs, fmap), _operand_to_sql(p.rhs, fmap)
         )
     if isinstance(p, tor.AndP):
-        a, b = _pred_to_sql(p.left, fmap), _pred_to_sql(p.right, fmap)
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return SAnd(a, b)
-    if isinstance(p, tor.OrP):
-        return SOr(_pred_to_sql(p.left, fmap), _pred_to_sql(p.right, fmap))
-    if isinstance(p, tor.NotP):
-        return SNot(_pred_to_sql(p.operand, fmap))
+        return _conjoin(_pred_to_sql(p.left, fmap), _pred_to_sql(p.right, fmap))
+    if isinstance(p, (tor.OrP, tor.NotP)):
+        parts = [_pred_to_sql(c, fmap) for c in tor.children(p)]
+        if None in parts:
+            raise NotTranslatable("true under OR or NOT has no SQL form")
+        return type(p)(*parts)
     raise SchemaError(f"not a predicate: {p!r}")
 
 
-def _conjoin(a: Optional[SqlPred], b: Optional[SqlPred]) -> Optional[SqlPred]:
+def _conjoin(a, b):
     if a is None:
         return b
     if b is None:
         return a
-    return SAnd(a, b)
+    return tor.AndP(a, b)
 
 
-def _limit_operand(k) -> SqlOperand:
-    if isinstance(k, tor.IntConst):
-        return SInt(k.value)
-    if isinstance(k, tor.ParamRef):
-        return SParam(k.name)
-    raise NotTranslatable(f"prefix bound is not a constant or parameter: {k!r}")
+def _select_parts(e, schemas: dict):
+    """Split a normalized Proj?.Sel?.base into (projected fields or None,
+    sources, map from field to (alias, column), WHERE or None)."""
+    proj = None
+    if isinstance(e, tor.Proj):
+        proj, e = e.fields, e.of
+    pred = tor.TruePred()
+    if isinstance(e, tor.Sel):
+        pred, e = e.pred, e.of
+    sources, fmap = _sources_for(e, schemas)
+    where = _pred_to_sql(pred, fmap)
+    if isinstance(e, tor.Join):
+        where = _conjoin(_pred_to_sql(e.pred, fmap), where)
+    return proj, sources, fmap, where
 
 
 def to_sql(e, schemas: dict) -> Sql:
     """Translate a relation or scalar expression, or raise NotTranslatable."""
+    if isinstance(e, tor.SizeOf):
+        e = tor.AggOf("count", None, e.of)
     if isinstance(e, tor.AggOf):
-        body = _normalize(e.of)
-        pred = tor.TruePred()
-        if isinstance(body, tor.Sel):
-            pred, body = body.pred, body.of
-        if isinstance(body, tor.Proj):
-            if e.field is not None and e.field not in body.fields:
-                raise NotTranslatable("aggregated field projected away")
-            body = body.of
-            if isinstance(body, tor.Sel):
-                pred = tor.AndP(body.pred, pred) if not isinstance(pred, tor.TruePred) else body.pred
-                body = body.of
-        sources, fmap = _sources_for(body, schemas)
-        where = _pred_to_sql(pred, fmap)
-        if isinstance(body, tor.Join):
-            where = _conjoin(_pred_to_sql(body.pred, fmap), where)
-        arg = None
-        if e.field is not None:
-            try:
-                alias, col = fmap[e.field]
-            except KeyError:
-                raise UnknownColumn(e.field) from None
-            arg = SCol(alias, col)
+        tor.compile_scalar(e, schemas)  # validate early
+        # a Top under the aggregate stays the base and is refused there
+        _, sources, fmap, where = _select_parts(_normalize(e.of), schemas)
+        arg = None if e.field is None else _column(fmap, e.field)
         return SqlScalar(e.kind, arg, sources, where)
-    if isinstance(e, (tor.SizeOf,)):
-        return to_sql(tor.AggOf("count", None, e.of), schemas)
     if isinstance(
         e, (tor.IntConst, tor.TextConst, tor.ParamRef, tor.IndexRef, tor.GetRow)
     ):
@@ -324,34 +266,18 @@ def to_sql(e, schemas: dict) -> Sql:
 
     tor.schema_of(e, schemas)  # validate early
     e = _normalize(e)
-
     limit = None
     if isinstance(e, tor.Top):
-        limit = _limit_operand(e.k)
-        e = e.of
-    proj = None
-    if isinstance(e, tor.Proj):
-        proj = e.fields
-        e = e.of
-    pred = tor.TruePred()
-    if isinstance(e, tor.Sel):
-        pred = e.pred
-        e = e.of
-    sources, fmap = _sources_for(e, schemas)
-    where = _pred_to_sql(pred, fmap)
-    if isinstance(e, tor.Join):
-        where = _conjoin(_pred_to_sql(e.pred, fmap), where)
+        limit, e = e.k, e.of
+        if not isinstance(limit, (tor.IntConst, tor.ParamRef)):
+            raise NotTranslatable(
+                f"prefix bound is not a constant or parameter: {limit!r}"
+            )
+    proj, sources, fmap, where = _select_parts(e, schemas)
     if proj is None:
-        items: tuple[SelectItem, ...] = tuple(SqlStar(s.alias) for s in sources)
+        items = tuple(SqlStar(s.alias) for s in sources)
     else:
-        cols = []
-        for name in proj:
-            try:
-                alias, col = fmap[name]
-            except KeyError:
-                raise UnknownColumn(name) from None
-            cols.append(SCol(alias, col))
-        items = tuple(cols)
+        items = tuple(_column(fmap, name) for name in proj)
     return SqlQuery(items, sources, where, limit)
 
 
@@ -360,41 +286,39 @@ def to_sql(e, schemas: dict) -> Sql:
 # ---------------------------------------------------------------------------
 
 
-def _render_operand(o: SqlOperand) -> str:
+def _render_operand(o) -> str:
     if isinstance(o, SCol):
         return f"{o.alias}.{o.name}"
-    if isinstance(o, SInt):
+    if isinstance(o, tor.IntConst):
         return str(o.value)
-    if isinstance(o, SText):
+    if isinstance(o, tor.TextConst):
         return f"'{o.value}'"
-    if isinstance(o, SParam):
+    if isinstance(o, tor.ParamRef):
         return f":{o.name}"
     raise SchemaError(f"not a SQL operand: {o!r}")
 
 
-def _render_pred(p: SqlPred, parent: Optional[str] = None, side: str = "left") -> str:
+def _render_pred(p, parent: Optional[str] = None, side: str = "left") -> str:
     """Left-associative chains of one connective render without parentheses;
     everything else is parenthesized, so parsing is exact."""
-    if isinstance(p, SCmp):
-        return f"{_render_operand(p.lhs)} {p.op} {_render_operand(p.rhs)}"
-    if isinstance(p, SAnd):
-        text = f"{_render_pred(p.left, 'AND', 'left')} AND {_render_pred(p.right, 'AND', 'right')}"
-        bare = parent is None or (parent == "AND" and side == "left")
+    if isinstance(p, tor.CmpAtom):
+        op = "<>" if p.op == "!=" else p.op
+        return f"{_render_operand(p.lhs)} {op} {_render_operand(p.rhs)}"
+    if isinstance(p, (tor.AndP, tor.OrP)):
+        word = "AND" if isinstance(p, tor.AndP) else "OR"
+        text = (
+            f"{_render_pred(p.left, word, 'left')} {word} "
+            f"{_render_pred(p.right, word, 'right')}"
+        )
+        bare = parent is None or (parent == word and side == "left")
         return text if bare else f"({text})"
-    if isinstance(p, SOr):
-        text = f"{_render_pred(p.left, 'OR', 'left')} OR {_render_pred(p.right, 'OR', 'right')}"
-        bare = parent is None or (parent == "OR" and side == "left")
-        return text if bare else f"({text})"
-    if isinstance(p, SNot):
+    if isinstance(p, tor.NotP):
         return f"NOT ({_render_pred(p.operand)})"
     raise SchemaError(f"not a SQL predicate: {p!r}")
 
 
 def render(q: Sql) -> str:
     """Canonical single-line SQL text; identical input gives identical bytes."""
-    src = ", ".join(
-        s.table if s.alias == s.table else f"{s.table} {s.alias}" for s in q.sources
-    )
     if isinstance(q, SqlScalar):
         if q.func == "count":
             head = "COUNT(*)"
@@ -402,17 +326,19 @@ def render(q: Sql) -> str:
             head = f"COALESCE(SUM({_render_operand(q.arg)}), 0)"
         else:
             head = f"{q.func.upper()}({_render_operand(q.arg)})"
-        text = f"SELECT {head} FROM {src}"
-        if q.where is not None:
-            text += f" WHERE {_render_pred(q.where)}"
-        return text
-    items = ", ".join(
-        f"{it.alias}.*" if isinstance(it, SqlStar) else _render_operand(it)
-        for it in q.items
+    else:
+        head = ", ".join(
+            f"{it.alias}.*" if isinstance(it, SqlStar) else _render_operand(it)
+            for it in q.items
+        )
+    src = ", ".join(
+        s.table if s.alias == s.table else f"{s.table} {s.alias}" for s in q.sources
     )
-    text = f"SELECT {items} FROM {src}"
+    text = f"SELECT {head} FROM {src}"
     if q.where is not None:
         text += f" WHERE {_render_pred(q.where)}"
+    if isinstance(q, SqlScalar):
+        return text
     text += " ORDER BY " + ", ".join(f"{s.alias}.rid" for s in q.sources)
     if q.limit is not None:
         text += f" LIMIT {_render_operand(q.limit)}"
@@ -501,18 +427,23 @@ class _SqlParser:
 
     def parse(self) -> Sql:
         self.take("kw", "SELECT")
+        aggregate = None
         if self.at("kw") and self.peek()[1] in _AGG_FUNCS:
-            return self._scalar()
-        items = [self._item()]
-        while self.at("op", ","):
-            self.take()
-            items.append(self._item())
+            aggregate = self._aggregate()
+        else:
+            items = [self._item()]
+            while self.at("op", ","):
+                self.take()
+                items.append(self._item())
         self.take("kw", "FROM")
         sources = self._sources()
         where = None
         if self.at("kw", "WHERE"):
             self.take()
             where = self._pred()
+        if aggregate is not None:
+            self.take("end")
+            return SqlScalar(*aggregate, sources, where)
         if self.at("kw", "ORDER"):
             # the engine produces exactly one order: each source's hidden
             # rid, FROM order. Any other clause would be silently
@@ -531,42 +462,37 @@ class _SqlParser:
         limit = None
         if self.at("kw", "LIMIT"):
             self.take()
-            limit = self._scalar_operand()
+            if not (self.at("int") or self.at("param")):
+                raise SqlSyntaxError("LIMIT takes an integer or a parameter")
+            limit = self._operand()
         self.take("end")
         return SqlQuery(tuple(items), sources, where, limit)
 
-    def _scalar(self) -> SqlScalar:
+    def _aggregate(self) -> tuple:
+        """The SELECT item of an aggregate query, as (func, arg or None).
+        SUM is accepted only as COALESCE(SUM(col), 0), the one form whose
+        value on empty input MiniDb gives."""
         func = self.take("kw")
+        if func == "SUM":
+            raise SqlSyntaxError("SUM is written COALESCE(SUM(col), 0)")
         if func == "COALESCE":
             self.take("op", "(")
-            inner = self.take("kw")
-            if inner != "SUM":
-                raise SqlSyntaxError("COALESCE applies only to SUM here")
+            self.take("kw", "SUM")
             self.take("op", "(")
             arg = self._col()
             self.take("op", ")")
             self.take("op", ",")
-            self.take("int")
+            self.take("int", 0)
             self.take("op", ")")
-            kind, col = "sum", arg
-        elif func == "COUNT":
-            self.take("op", "(")
+            return "sum", arg
+        self.take("op", "(")
+        if func == "COUNT":
             self.take("op", "*")
-            self.take("op", ")")
-            kind, col = "count", None
+            arg = None
         else:
-            self.take("op", "(")
-            col = self._col()
-            self.take("op", ")")
-            kind = func.lower()
-        self.take("kw", "FROM")
-        sources = self._sources()
-        where = None
-        if self.at("kw", "WHERE"):
-            self.take()
-            where = self._pred()
-        self.take("end")
-        return SqlScalar(kind, col, sources, where)
+            arg = self._col()
+        self.take("op", ")")
+        return func.lower(), arg
 
     def _sources(self) -> tuple[SqlSource, ...]:
         out = [self._source()]
@@ -599,14 +525,14 @@ class _SqlParser:
         node = self._and()
         while self.at("kw", "OR"):
             self.take()
-            node = SOr(node, self._and())
+            node = tor.OrP(node, self._and())
         return node
 
     def _and(self):
         node = self._not()
         while self.at("kw", "AND"):
             self.take()
-            node = SAnd(node, self._not())
+            node = tor.AndP(node, self._not())
         return node
 
     def _not(self):
@@ -615,7 +541,7 @@ class _SqlParser:
             self.take("op", "(")
             inner = self._pred()
             self.take("op", ")")
-            return SNot(inner)
+            return tor.NotP(inner)
         if self.at("op", "("):
             self.take()
             inner = self._pred()
@@ -623,26 +549,20 @@ class _SqlParser:
             return inner
         lhs = self._operand()
         k, op = self.peek()
-        if k != "op" or op not in _SQL_CMP:
-            raise SqlSyntaxError(f"expected comparison, found {op!r}")
+        op = "!=" if op == "<>" else op
+        if k != "op" or op not in tor.CMP_OPS:
+            raise SqlSyntaxError(f"expected comparison, found {self.peek()[1]!r}")
         self.take()
-        return SCmp(op, lhs, self._operand())
+        return tor.CmpAtom(op, lhs, self._operand())
 
-    def _operand(self) -> SqlOperand:
+    def _operand(self):
         if self.at("int"):
-            return SInt(self.take("int"))
+            return tor.IntConst(self.take("int"))
         if self.at("text"):
-            return SText(self.take("text"))
+            return tor.TextConst(self.take("text"))
         if self.at("param"):
-            return SParam(self.take("param"))
+            return tor.ParamRef(self.take("param"))
         return self._col()
-
-    def _scalar_operand(self) -> SqlOperand:
-        if self.at("int"):
-            return SInt(self.take("int"))
-        if self.at("param"):
-            return SParam(self.take("param"))
-        raise SqlSyntaxError("LIMIT takes an integer or a parameter")
 
 
 def parse_sql(text: str) -> Sql:
@@ -777,10 +697,10 @@ def _plan_operand(o, slots: dict, schemas: tuple):
             return _fails(UnknownColumn, f"{o.alias}.{o.name}")
         at, k = 2 * n + 1, schemas[n].index_of(o.name)
         return lambda c, params: c[at][k]
-    if isinstance(o, (SInt, SText)):
+    if isinstance(o, (tor.IntConst, tor.TextConst)):
         value = o.value
         return lambda c, params: value
-    if isinstance(o, SParam):
+    if isinstance(o, tor.ParamRef):
         name = o.name
 
         def param(c, params):
@@ -794,16 +714,16 @@ def _plan_operand(o, slots: dict, schemas: tuple):
 
 def _plan_pred(p, slots: dict, schemas: tuple):
     """Closure (combination, params) -> bool of one SQL predicate."""
-    if isinstance(p, SCmp):
-        f = _SQL_CMP[p.op]
+    if isinstance(p, tor.CmpAtom):
+        f = tor.CMP_OPS[p.op]
         a, b = _plan_operand(p.lhs, slots, schemas), _plan_operand(p.rhs, slots, schemas)
         return lambda c, params: f(a(c, params), b(c, params))
-    if isinstance(p, (SAnd, SOr)):
+    if isinstance(p, (tor.AndP, tor.OrP)):
         a, b = _plan_pred(p.left, slots, schemas), _plan_pred(p.right, slots, schemas)
-        if isinstance(p, SAnd):
+        if isinstance(p, tor.AndP):
             return lambda c, params: a(c, params) and b(c, params)
         return lambda c, params: a(c, params) or b(c, params)
-    if isinstance(p, SNot):
+    if isinstance(p, tor.NotP):
         a = _plan_pred(p.operand, slots, schemas)
         return lambda c, params: not a(c, params)
     return _fails(SchemaError, f"not a SQL predicate: {p!r}")

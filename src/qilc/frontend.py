@@ -654,7 +654,6 @@ class LoopInfo:
 
     index: str
     rel: str
-    depth: int  # 1 = outer, 2 = inner
     breaks: bool  # the body ends in a guarded break
     node: For = field(compare=False)
 
@@ -670,7 +669,6 @@ class TypedProgram:
     ast: Program
     var_types: dict
     loops: list[LoopInfo]
-    result_type: object
     pre_loop: tuple  # statements before the top-level loop
     agg_updates: dict  # accumulator name -> "sum" | "count" | "min" | "max"
     relations: dict  # relation parameter name -> Schema
@@ -725,13 +723,10 @@ class _Checker:
         pre_loop = self.check_toplevel(ast.body)
 
         # return target: a declared local
-        rt = self.var_types.get(ast.result)
-        decl_names = {d.name for d in ast.decls}
-        if ast.result not in decl_names:
+        if ast.result not in {d.name for d in ast.decls}:
             self.issue(
                 f"return target {ast.result!r} is not a declared local", ast.loc
             )
-            rt = rt or "int"
 
         if self.issues:
             raise TypeCheckError(self.issues)
@@ -739,7 +734,6 @@ class _Checker:
             ast=ast,
             var_types=self.var_types,
             loops=self.loops,
-            result_type=rt,
             pre_loop=pre_loop,
             agg_updates=self.agg_updates,
             relations={p.name: p.ty for p in ast.params if isinstance(p.ty, Schema)},
@@ -787,7 +781,7 @@ class _Checker:
         self.var_types[st.index] = "index"
         self.loop_rel[st.index] = st.rel
         breaks = any(isinstance(s, If) and self.is_guarded_break(s) for s in st.body)
-        self.loops.append(LoopInfo(st.index, st.rel, depth, breaks, st))
+        self.loops.append(LoopInfo(st.index, st.rel, breaks, st))
         self.check_loop_body(st.body, depth)
 
     def check_loop_body(self, body: tuple, depth: int) -> None:

@@ -20,9 +20,9 @@ def config_echo(options: Options, cases: int, seed: int) -> dict:
     # degree of parallelism, so only result-affecting settings are echoed
     return {
         "costBound": options.cost_bound,
-        "relBound": options.rel_bound,
-        "intDomain": list(options.int_domain),
-        "textDomain": list(options.text_domain),
+        "relBound": options.bounds.rel_size,
+        "intDomain": list(options.bounds.int_domain),
+        "textDomain": list(options.bounds.text_domain),
         "cases": cases,
         "seed": seed,
         "timeoutSeconds": options.timeout,

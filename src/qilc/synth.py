@@ -47,7 +47,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 
-from . import tor
+from . import tor, verify
 from .frontend import (
     Append,
     Assign,
@@ -76,8 +76,6 @@ class Template:
     scalar_params: tuple  # (name, "int" | "text")
     constants: tuple  # mined literals, ints then texts, each sorted
     cmps: tuple  # comparison operators appearing in the program
-    agg_kinds: tuple  # accumulator kinds appearing in the program
-    has_append: bool
     has_break: bool
     loop_relations: tuple  # relation names outermost first, length 1 or 2
 
@@ -86,7 +84,6 @@ def extract_template(tp: TypedProgram) -> Template:
     ints: set = set()
     texts: set = set()
     ops: set = set()
-    has_append = False
     for node in walk(tp.ast.body):
         if isinstance(node, IntLit):
             ints.add(node.value)
@@ -94,8 +91,6 @@ def extract_template(tp: TypedProgram) -> Template:
             texts.add(node.value)
         elif isinstance(node, Cmp):
             ops.add("=" if node.op == "==" else node.op)
-        elif isinstance(node, Append):
-            has_append = True
     return Template(
         relations=tuple(sorted(tp.relations.items())),
         scalar_params=tuple(
@@ -103,8 +98,6 @@ def extract_template(tp: TypedProgram) -> Template:
         ),
         constants=tuple(sorted(ints)) + tuple(sorted(texts)),
         cmps=tuple(op for op in _CMP_ORDER if op in ops),
-        agg_kinds=tuple(k for k in tor.AGG_KINDS if k in set(tp.agg_updates.values())),
-        has_append=has_append,
         has_break=any(l.breaks for l in tp.loops),
         loop_relations=tuple(l.rel for l in tp.loops),
     )
@@ -521,32 +514,25 @@ class Failure:
 @dataclass(frozen=True)
 class Options:
     cost_bound: int = 24
-    rel_bound: int = 3
-    int_domain: tuple = (0, 1, 2)
-    text_domain: tuple = ("a", "b")
+    bounds: verify.Bounds = verify.Bounds()
     timeout: float = 0.0  # seconds; 0 disables
 
 
 def synthesize(tp: TypedProgram, options: Options = Options()):
     """Search candidates in order; return Solution or Failure."""
-    from . import emit, verify
+    from . import emit
 
     template = extract_template(tp)
     if tp.ast.result not in {v.name for v in live_vars(tp)}:
         return Failure("exhausted", SynthStats(0, 0, 0, 0, 0, 0))
     started = time.monotonic()  # the timeout covers enumeration too
     cands = enumerate_candidates(tp, template, options.cost_bound)
-    bounds = verify.Bounds(
-        rel_size=options.rel_bound,
-        int_domain=tuple(options.int_domain),
-        text_domain=tuple(options.text_domain),
-    )
     results: list = []
     for idx, cand in enumerate(cands):
         if options.timeout and time.monotonic() - started > options.timeout:
             return Failure("timeout", _stats(cands, results))
         invariants = derive_invariants(tp, cand)
-        results.append(verify.validate(tp, cand, invariants, bounds))
+        results.append(verify.validate(tp, cand, invariants, options.bounds))
         if results[-1].status == verify.VALID:
             post = dict(cand.posts)[tp.ast.result]
             sql = emit.to_sql(post, tp.relations)
@@ -557,8 +543,6 @@ def synthesize(tp: TypedProgram, options: Options = Options()):
 
 def _stats(cands: CandidateSpace, results: list) -> SynthStats:
     """Statistics over the verdicts of the candidates tried so far."""
-    from . import verify
-
     statuses = [r.status for r in results]
     return SynthStats(
         enumerated=len(cands),

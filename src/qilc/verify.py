@@ -284,35 +284,25 @@ def relation_values(schema: Schema, bounds: Bounds) -> tuple:
     return tuple(values)
 
 
-def _row_domain_size(schema: Schema, bounds: Bounds) -> int:
-    n = 1
-    for t in schema.types:
-        n *= len(bounds.int_domain) if t == INT else len(bounds.text_domain)
-    return n
-
-
 def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
-    """Analytic number of instances the sweep for vc must enumerate."""
-    return _instance_count(
-        vc,
-        tuple((l.index, l.rel) for l in tp.loops),
-        tuple((p.name, p.ty) for p in tp.ast.params),
-        bounds,
-    )
+    """Analytic number of instances the sweep for vc must enumerate, kept
+    per (vc, bounds) on the program's _Program: the checker asks for the
+    same few counts for every candidate of a program."""
+    counts = tp.derived(_Program).instance_counts
+    if (vc, bounds) not in counts:
+        counts[vc, bounds] = _count_instances(vc, tp, bounds)
+    return counts[vc, bounds]
 
 
-@functools.lru_cache(maxsize=256)
-def _instance_count(vc: VC, loops: tuple, params: tuple, bounds: Bounds) -> int:
-    """instance_count over the hashable facts it reads: the loops' (index,
-    relation) pairs and the parameters' (name, type) pairs. The checker
-    asks for the same few counts for every candidate of a program."""
-    outer_index, outer_rel = loops[0]
-    rel_params = [(name, ty) for name, ty in params if isinstance(ty, Schema)]
+def _count_instances(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
+    outer = tp.loops[0]
+    params = tp.ast.params
+    rel_params = [p for p in params if isinstance(p.ty, Schema)]
     scalars = 1
-    for _, ty in params:
-        if ty == INT:
+    for p in params:
+        if p.ty == INT:
             scalars *= len(bounds.int_domain)
-        elif isinstance(ty, str):
+        elif isinstance(p.ty, str):
             scalars *= len(bounds.text_domain)
     total = 0
     for sizes in itertools.product(
@@ -320,17 +310,17 @@ def _instance_count(vc: VC, loops: tuple, params: tuple, bounds: Bounds) -> int:
     ):
         mult = 1
         size_of = {}
-        for (name, sch), s in zip(rel_params, sizes):
-            mult *= _row_domain_size(sch, bounds) ** s
-            size_of[name] = s
+        for p, s in zip(rel_params, sizes):
+            mult *= len(_row_domain(p.ty, bounds)) ** s
+            size_of[p.name] = s
         factor = 1
-        if vc.loop == outer_index:
+        if vc.loop == outer.index:
             if vc.kind in (PRESERVATION, BREAK_EXIT):
-                factor = size_of[outer_rel]
+                factor = size_of[outer.rel]
         else:
-            factor = size_of[outer_rel]
+            factor = size_of[outer.rel]
             if vc.kind in (PRESERVATION, BREAK_EXIT):
-                factor *= size_of[loops[1][1]]  # the inner loop's relation
+                factor *= size_of[tp.loops[1].rel]  # the inner loop's relation
         total += mult * factor
     return total * scalars
 
@@ -590,6 +580,22 @@ class _Dbm:
 # ---------------------------------------------------------------------------
 
 
+class _on_first_read:
+    """A method read as an attribute: the first read computes it and stores
+    the value in the instance, where later reads find it before this
+    descriptor. functools.cached_property does the same behind a lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Program:
     """What checking reads of the program alone, whichever the candidate:
     the compiled statement blocks, the split of the outer body around the
@@ -616,7 +622,7 @@ class _Program:
             self.run_suffix = ex.block(self.suffix)
             self.run_inner = ex.block(inner.node.body)
         self.updates = self.accumulator_updates(tp.loops[-1].node.body)
-        self._paths = None
+        self.instance_counts: dict = {}  # (VC, Bounds) -> instance_count
 
     def input_only(self, node) -> bool:
         """The expression, record or predicate reads inputs and loop rows
@@ -657,34 +663,30 @@ class _Program:
                 return None
         return tuple(updates)
 
-    def body_paths(self) -> list:
+    @_on_first_read
+    def body_paths(self) -> Optional[list]:
         """(dbm, appended variables, broke) for each feasible path through
-        the outer loop's body; raises _Refuse when the body is outside the
-        prover's fragment."""
-        if self._paths is None:
-            oi = self.outer.index
-            # 0 <= i <= |R| - 1 and |R| >= 0
-            facts = ((_ZERO, oi, 0), (oi, _SIZE, -1), (_ZERO, _SIZE, 0))
-            names = (_ZERO, oi, _SIZE, *self.int_params)
-            try:
-                paths = list(
-                    itertools.islice(
-                        self._split(self.outer.node.body, facts, ()),
-                        _MAX_PATHS + 1,
-                    )
+        the outer loop's body; None when the body is outside the prover's
+        fragment."""
+        oi = self.outer.index
+        # 0 <= i <= |R| - 1 and |R| >= 0
+        facts = ((_ZERO, oi, 0), (oi, _SIZE, -1), (_ZERO, _SIZE, 0))
+        names = (_ZERO, oi, _SIZE, *self.int_params)
+        try:
+            paths = list(
+                itertools.islice(
+                    self._split(self.outer.node.body, facts, ()), _MAX_PATHS + 1
                 )
-                if len(paths) > _MAX_PATHS:
-                    raise _Refuse
-                self._paths = [
-                    (dbm, appends, broke)
-                    for cons, appends, broke in paths
-                    if (dbm := _Dbm(names, cons)).feasible
-                ]
-            except _Refuse:
-                self._paths = False
-        if self._paths is False:
-            raise _Refuse
-        return self._paths
+            )
+        except _Refuse:
+            return None
+        if len(paths) > _MAX_PATHS:
+            return None
+        return [
+            (dbm, appends, broke)
+            for cons, appends, broke in paths
+            if (dbm := _Dbm(names, cons)).feasible
+        ]
 
     def _split(self, stmts, facts: tuple, appends: tuple):
         """Yield (facts, appends, broke) for each path through stmts: an If
@@ -725,22 +727,6 @@ class _Program:
         raise _Refuse
 
 
-class _on_first_read:
-    """A method read as an attribute: the first read computes it and stores
-    the value in the instance, where later reads find it before this
-    descriptor. functools.cached_property does the same behind a lock."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 class _Checker:
     """One candidate's check, over its program's _Program. An invariant or
     post is compiled when the first VC that reads it starts (_ready), so a
@@ -768,8 +754,6 @@ class _Checker:
             loop: [_VarRecon(v, e) for v, e in eqs]
             for loop, eqs in invariants.items()
         }
-        self._p1_static = None
-        self._scan = None
 
     def _ready(self, vc: VC) -> None:
         """Compile the invariants and posts that checking vc reads."""
@@ -997,7 +981,8 @@ class _Checker:
                 return None
         return instance_count(vc, self.tp, self.bounds), None
 
-    def _row_scan(self):
+    @_on_first_read
+    def _row_scan(self) -> tuple:
         """Check one iteration of the innermost loop per combination of one
         row of each loop's relation and the scalar parameter values, from
         the empty prefix (R = [rl, rs] at i = 0, j = 1 when both loops scan
@@ -1005,8 +990,6 @@ class _Checker:
         premise (_row_local; see the module docstring) these checks decide
         every preservation instance. Returns (instances checked, first
         counterexample or None)."""
-        if self._scan is not None:
-            return self._scan
         loops = self.tp.loops
         scanned = [(l.rel, self.tp.relations[l.rel]) for l in loops]
         others = {
@@ -1042,8 +1025,7 @@ class _Checker:
             cex = self.instance(vc, inputs, indices)
             if cex is not None:
                 break
-        self._scan = (checked, cex)
-        return self._scan
+        return checked, cex
 
     def _decide_inner_init_identity(self, vc: VC):
         # The finished part of the inner invariant is the outer invariant
@@ -1069,7 +1051,7 @@ class _Checker:
                 return None
         if not self._row_local:
             return None
-        checked, cex = self._row_scan()
+        checked, cex = self._row_scan
         if cex is None:
             return instance_count(vc, self.tp, self.bounds), None
         if self.inner is None:
@@ -1095,8 +1077,11 @@ class _Checker:
             want, shift = [(r.var, r.expr) for r in self.posts], None
         else:
             want, shift = invs, 1
+        paths = self.program.body_paths
+        if paths is None:
+            return False
         try:
-            for dbm, appends, broke in self.program.body_paths():
+            for dbm, appends, broke in paths:
                 # every instance takes one feasible path, and on it the
                 # sweep evaluates each invariant at i, whichever VC it checks
                 for _, e in invs:
@@ -1190,24 +1175,24 @@ class _Checker:
                 env = {**inputs, oi: i, ij: 0}
                 p1s = [
                     r.part1(env) if static else None
-                    for r, static in zip(irecons, self._static_parts())
+                    for r, static in zip(irecons, self._static_parts)
                 ]
                 for j in range(isize):
                     yield {oi: i, ij: j}, p1s
 
+    @_on_first_read
     def _static_parts(self) -> list:
         """For each inner invariant, whether the preservation sweep may
         cache its split finished part across inner indices: sound only when
         that part cannot read the inner index."""
-        if self._p1_static is None:
-            ij = self.inner.index
-            self._p1_static = []
-            for r in self.recons[ij]:
-                e = r.expr.of if isinstance(r.expr, tor.AggOf) else r.expr
-                self._p1_static.append(
-                    not (isinstance(e, tor.Concat) and _mentions_index(e.left, ij))
-                )
-        return self._p1_static
+        ij = self.inner.index
+        static = []
+        for r in self.recons[ij]:
+            e = r.expr.of if isinstance(r.expr, tor.AggOf) else r.expr
+            static.append(
+                not (isinstance(e, tor.Concat) and _mentions_index(e.left, ij))
+            )
+        return static
 
     def run_vc(self, vc: VC):
         """(decider, instances, counterexample-or-None): the first of vc's

@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
-from qilc import emit, tor
+from qilc import emit, tor, verify
 from qilc.emit import MiniDb, NotTranslatable, eval_sql, parse_sql, render, to_sql
-from qilc.relation import OrderedRelation, Schema
+from qilc.relation import OrderedRelation, Schema, SchemaError
 
 AB = Schema((("a", "int"), ("b", "text")))
 KV = Schema((("k", "int"), ("v", "int")))
@@ -127,6 +127,9 @@ def test_normalization_reaches_canonical_shape():
         tor.Sel(gt("a", 0), tor.Top(q(), tor.IntConst(2))),
         tor.Top(q(), tor.SizeOf(tor.Query("S"))),
         tor.Sel(tor.CmpAtom("<", tor.FieldRef("a"), tor.IndexRef("i")), q()),
+        # true under OR or NOT has no SQL form
+        tor.Sel(tor.OrP(tor.TruePred(), gt("a", 1)), q()),
+        tor.Sel(tor.NotP(tor.TruePred()), q()),
     ],
 )
 def test_not_translatable(expr):
@@ -135,12 +138,50 @@ def test_not_translatable(expr):
         to_sql(expr, schemas)
 
 
+def test_ill_typed_aggregates_are_refused_before_translation():
+    # the record path validates through tor.schema_of; aggregates must too,
+    # or SUM over a text column and an int-text comparison reach the SQL
+    int_vs_text = tor.CmpAtom("<", tor.FieldRef("b"), tor.IntConst(1))
+    for e in [
+        tor.AggOf("sum", "b", q()),
+        tor.AggOf("count", None, tor.Sel(int_vs_text, q())),
+        tor.AggOf("max", "c", q()),
+        tor.AggOf("sum", "a", tor.Proj(("b",), q())),
+    ]:
+        with pytest.raises(SchemaError):
+            to_sql(e, SCHEMAS)
+
+
 def test_sel_after_top_param_not_translatable():
     # filtering a prefix is not the same as a prefix of a filter, so there
     # is no WHERE/LIMIT form; the translator must refuse rather than emit
     e = tor.Sel(gt("a", 0), tor.Top(q(), tor.ParamRef("k")))
     with pytest.raises(NotTranslatable):
         to_sql(e, SCHEMAS)
+
+
+# predicates neither the enumerator nor criterion 4's int-only vocabulary
+# builds: OR, NOT, a conjunction with true, and text inequality
+WIDER_PREDS = [
+    tor.OrP(gt("a", 1), tor.CmpAtom("=", tor.FieldRef("b"), tor.TextConst("x"))),
+    tor.NotP(gt("a", 0)),
+    tor.AndP(tor.TruePred(), gt("a", 1)),
+    tor.CmpAtom("!=", tor.FieldRef("b"), tor.TextConst("x")),
+]
+
+
+@pytest.mark.parametrize("pred", WIDER_PREDS)
+def test_wider_predicates_round_trip_and_agree_with_algebra(pred):
+    e = tor.Sel(pred, q())
+    sql = to_sql(e, SCHEMAS)
+    assert parse_sql(render(sql)) == sql
+    bounds = verify.Bounds(rel_size=3, int_domain=(0, 1, 2), text_domain=("x", "y"))
+    rels = verify.relation_values(AB, bounds)
+    assert len(rels) == 1 + 6 + 36 + 216
+    for r in rels:
+        want = tor.eval_rel(e, {"R": r})
+        got = eval_sql(sql, db(R=r))
+        assert (got.schema, got.rows) == (want.schema, want.rows), r.rows
 
 
 # --- parse/render inversion ---------------------------------------------------
@@ -171,6 +212,11 @@ def test_parse_errors():
         parse_sql("SELECT R.* FROM R ORDER BY R.rid LIMIT")
     with pytest.raises(emit.SqlSyntaxError):
         parse_sql("DELETE FROM R")
+    # on an empty table SQL gives NULL and 5 here, where MiniDb would give 0
+    with pytest.raises(emit.SqlSyntaxError):
+        parse_sql("SELECT SUM(R.a) FROM R")
+    with pytest.raises(emit.SqlSyntaxError):
+        parse_sql("SELECT COALESCE(SUM(R.a), 5) FROM R")
 
 
 def test_parse_rejects_noncanonical_order():

@@ -26,15 +26,12 @@ def test_template_selection():
     t = extract_template(load_benchmark("selection"))
     assert t.constants == (2,)
     assert t.cmps == (">",)
-    assert t.agg_kinds == ()
-    assert t.has_append and not t.has_break
+    assert not t.has_break
     assert t.loop_relations == ("R",)
 
 
 def test_template_sum():
     t = extract_template(load_benchmark("sum"))
-    assert t.agg_kinds == ("sum",)
-    assert not t.has_append
     # the initializer is not mined; only literals in the loop body count
     assert t.constants == ()
 
