@@ -54,10 +54,6 @@ def _mixed_preds(bounds: Bounds) -> list:
     return preds
 
 
-def _pred_fields_only(p, fields: tuple) -> bool:
-    return tor.pred_fields(p) <= set(fields)
-
-
 def check_a1(bounds: Bounds = Bounds()):
     checked, violations = 0, []
     for v in relation_values(INT_SCHEMA, bounds):
@@ -146,7 +142,7 @@ def check_a5(bounds: Bounds = Bounds()):
         env = {"R": v}
         for fields in projections:
             for p in preds:
-                if not _pred_fields_only(p, fields):
+                if not tor.facts(p).fields <= set(fields):
                     continue
                 checked += 1
                 a = tor.eval_rel(

@@ -406,54 +406,60 @@ def enumerate_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _transform_base(e, f):
-    """Rebuild a candidate postcondition with its base replaced by f(base)."""
+def _transform_base(tp: TypedProgram, e, prefix):
+    """Rebuild a candidate postcondition with its base replaced by
+    prefix(tp, base), which is built once per (base, prefix) and kept with
+    the program: candidates share a few bases."""
     if isinstance(e, (tor.Query, tor.Join)):
-        return f(e)
+        prefixed = tp.derived(_Derivation).prefixed
+        if (prefix, e) not in prefixed:
+            prefixed[prefix, e] = prefix(tp, e)
+        return prefixed[prefix, e]
     if not isinstance(e, (tor.AggOf, tor.Top, tor.Proj, tor.Sel)):
         raise ValueError(f"not a candidate postcondition: {e!r}")
     return tor.map_children(
-        e, lambda c: _transform_base(c, f) if isinstance(c, tor.REL_NODES) else c
+        e, lambda c: _transform_base(tp, c, prefix) if isinstance(c, tor.REL_NODES) else c
     )
 
 
-def _outer_prefix(i: str):
-    def f(base):
-        if isinstance(base, tor.Query):
-            return tor.Top(base, tor.IndexRef(i))
-        return tor.Join(tor.Top(base.left, tor.IndexRef(i)), base.right, base.pred)
-
-    return f
+def _outer_prefix(tp: TypedProgram, base):
+    i = tor.IndexRef(tp.loops[0].index)
+    if isinstance(base, tor.Query):
+        return tor.Top(base, i)
+    return tor.Join(tor.Top(base.left, i), base.right, base.pred)
 
 
-def _current_row_prefix(i: str, j: str, outer_schema: Schema):
-    def f(base):
-        if not isinstance(base, tor.Join):
-            raise ValueError(f"not a two-loop postcondition base: {base!r}")
-        left = tor.AppendRow(
-            tor.EmptyRel(outer_schema), tor.GetRow(base.left, tor.IndexRef(i))
-        )
-        return tor.Join(left, tor.Top(base.right, tor.IndexRef(j)), base.pred)
+def _current_row_prefix(tp: TypedProgram, base):
+    if not isinstance(base, tor.Join):
+        raise ValueError(f"not a two-loop postcondition base: {base!r}")
+    outer, inner = tp.loops
+    left = tor.AppendRow(
+        tor.EmptyRel(tp.relations[outer.rel]),
+        tor.GetRow(base.left, tor.IndexRef(outer.index)),
+    )
+    return tor.Join(left, tor.Top(base.right, tor.IndexRef(inner.index)), base.pred)
 
-    return f
 
+class _Derivation:
+    """Kept per program (tp.derived): each base under each loop prefix, and
+    the latest candidate's invariants, which the verifier derives again."""
 
-_last_derived: tuple = (None, None, {})  # (tp, candidate, invariants)
+    def __init__(self, tp: TypedProgram):
+        self.prefixed: dict = {}  # (prefix, base) -> prefixed base
+        self.last: tuple = (None, {})  # (candidate, invariants)
 
 
 def derive_invariants(tp: TypedProgram, candidate: Candidate) -> dict:
     """Map each loop index to its invariant equalities ((var, expr), ...).
 
-    The search derives a candidate's invariants and the verifier derives
-    them again to check that it was handed exactly these, so the latest
-    result is kept for the same tp and candidate objects. Every call
-    returns a fresh dict; its values are immutable and shared.
+    The latest result is kept with tp for the same candidate object. Every
+    call returns a fresh dict; its values are immutable and shared.
     """
-    global _last_derived
-    last_tp, last_candidate, inv = _last_derived
-    if last_tp is not tp or last_candidate is not candidate:
+    memo = tp.derived(_Derivation)
+    last, inv = memo.last
+    if last is not candidate:
         inv = _derive_invariants(tp, candidate)
-        _last_derived = (tp, candidate, inv)
+        memo.last = (candidate, inv)
     return dict(inv)
 
 
@@ -461,22 +467,17 @@ def _derive_invariants(tp: TypedProgram, candidate: Candidate) -> dict:
     outer = tp.loops[0]
     inv: dict = {}
     inv[outer.index] = tuple(
-        (v, _transform_base(p, _outer_prefix(outer.index))) for v, p in candidate.posts
+        (v, _transform_base(tp, p, _outer_prefix)) for v, p in candidate.posts
     )
     if len(tp.loops) == 2:
-        inner = tp.loops[1]
-        outer_schema = tp.relations[outer.rel]
         eqs = []
-        for v, p in candidate.posts:
-            part1 = _transform_base(p, _outer_prefix(outer.index))
-            part2 = _transform_base(
-                p, _current_row_prefix(outer.index, inner.index, outer_schema)
-            )
+        for (v, p), (_, part1) in zip(candidate.posts, inv[outer.index]):
+            part2 = _transform_base(tp, p, _current_row_prefix)
             if isinstance(p, tor.AggOf):
                 eqs.append((v, tor.AggOf(p.kind, p.field, tor.Concat(part1.of, part2.of))))
             else:
                 eqs.append((v, tor.Concat(part1, part2)))
-        inv[inner.index] = tuple(eqs)
+        inv[tp.loops[1].index] = tuple(eqs)
     return inv
 
 

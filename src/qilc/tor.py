@@ -5,6 +5,11 @@ duplicates allowed, position meaningful) or a scalar derived from one.
 Relation operators: Query, Empty, Sel, Proj, Join, Top, Append, Concat.
 Scalar operators: Agg (sum/count/min/max), Size, plus Get for single rows.
 
+Nodes are immutable, and what is computed from a node alone (its
+s-expression, cost, facts fold and compiled closure) is kept on the node
+itself, so candidates that share a subterm compute it once and the memo is
+freed with the node.
+
 Conventions fixed here and relied on everywhere else:
     - Top(e, k) takes the first k records; k < 0 gives the empty prefix,
       k >= Size(e) gives e itself.
@@ -18,10 +23,9 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass, fields
-from functools import cache
-from typing import Optional
+from typing import NamedTuple
 
 from .relation import INT, TEXT, OrderedRelation, Schema, SchemaError
 
@@ -36,50 +40,100 @@ class UnboundName(KeyError):
 
 
 class Node:
-    """Base of every expression type; a field holding a Node is a child."""
+    """Base of every expression type. A node type (made by _node) names
+    its fields, in constructor order, in _fields, which are also its slots;
+    a field holding a Node is a child. Nodes compare and hash by type and
+    fields, the hash computed once, and repr as dataclasses do; ==, hash,
+    repr, pickling and copying ignore the memo slots."""
+
+    __slots__ = ("_hash", "_sexpr", "_cost", "_facts", "_compiled")
+    _fields: tuple = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return hash(self) == hash(other) and self._get(self) == other._get(other)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((type(self), self._get(self)))
+            _keep(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
 
-@dataclass(frozen=True)
-class IntConst(Node):
-    value: int
+_keep = object.__setattr__  # writes a memo slot past Node.__setattr__
+_MEMO_SETS = [getattr(Node, n).__set__ for n in Node.__slots__]
 
 
-@dataclass(frozen=True)
-class TextConst(Node):
-    value: str
+def _forget(e) -> None:
+    for put in _MEMO_SETS:
+        put(e, None)
 
 
-@dataclass(frozen=True)
-class ParamRef(Node):
-    name: str
+def _node(name: str, fields: str, defaults: tuple = ()):
+    """A Node type with the space-separated fields; its __init__, one per
+    arity, sets each field through its slot and clears the memo slots."""
+    names = tuple(fields.split())
+    cls = type(name, (Node,), {"__slots__": names, "_fields": names})
+    sets = [getattr(cls, n).__set__ for n in names]
+    init = _forget
+    if len(sets) == 1:
+        (a,) = sets
+
+        def init(self, x):
+            a(self, x)
+            _forget(self)
+
+    elif len(sets) == 2:
+        a, b = sets
+
+        def init(self, x, y):
+            a(self, x)
+            b(self, y)
+            _forget(self)
+
+    elif len(sets) == 3:
+        a, b, c = sets
+
+        def init(self, x, y, z):
+            a(self, x)
+            b(self, y)
+            c(self, z)
+            _forget(self)
+
+    if defaults:
+        init.__defaults__ = defaults
+    cls.__init__ = init
+    # the field values: one value for one field, else a tuple
+    cls._get = staticmethod(operator.attrgetter(*names) if names else lambda e: ())
+    return cls
 
 
-@dataclass(frozen=True)
-class IndexRef(Node):
-    """A loop index as a scalar, optionally shifted by a constant."""
-
-    name: str
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class FieldRef(Node):
-    """A field of the row a predicate is being applied to."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class TruePred(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class CmpAtom(Node):
-    op: str  # = != < <= > >=
-    lhs: object
-    rhs: object
-
+IntConst = _node("IntConst", "value")
+TextConst = _node("TextConst", "value")
+ParamRef = _node("ParamRef", "name")
+IndexRef = _node("IndexRef", "name offset", (0,))  # a loop index, shifted by offset
+FieldRef = _node("FieldRef", "name")  # a field of the row a predicate tests
+TruePred = _node("TruePred", "")
+CmpAtom = _node("CmpAtom", "op lhs rhs")  # op: = != < <= > >=
+AndP = _node("AndP", "left right")
+OrP = _node("OrP", "left right")
+NotP = _node("NotP", "operand")
 
 # comparison operator -> its function; the interpreter and the SQL
 # evaluator map their own spellings (==, <>) onto these
@@ -92,98 +146,21 @@ CMP_OPS = {
     ">=": operator.ge,
 }
 
-
-@dataclass(frozen=True)
-class AndP(Node):
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class OrP(Node):
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class NotP(Node):
-    operand: object
-
-
-@dataclass(frozen=True)
-class Query(Node):
-    rel: str
-
-
-@dataclass(frozen=True)
-class EmptyRel(Node):
-    schema: Schema
-
-
-@dataclass(frozen=True)
-class Sel(Node):
-    pred: object
-    of: object
-
-
-@dataclass(frozen=True)
-class Proj(Node):
-    fields: tuple[str, ...]
-    of: object
-
-
-@dataclass(frozen=True)
-class Join(Node):
-    left: object
-    right: object
-    pred: object
-
-
-@dataclass(frozen=True)
-class Top(Node):
-    of: object
-    k: object  # scalar expression
-
-
-@dataclass(frozen=True)
-class AppendRow(Node):
-    of: object
-    rec: object  # record expression
-
-
-@dataclass(frozen=True)
-class Concat(Node):
-    left: object
-    right: object
-
+Query = _node("Query", "rel")
+EmptyRel = _node("EmptyRel", "schema")
+Sel = _node("Sel", "pred of")
+Proj = _node("Proj", "fields of")  # fields: a tuple of names
+Join = _node("Join", "left right pred")
+Top = _node("Top", "of k")  # k: a scalar expression
+AppendRow = _node("AppendRow", "of rec")  # rec: a record expression
+Concat = _node("Concat", "left right")
 
 REL_NODES = (Query, EmptyRel, Sel, Proj, Join, Top, AppendRow, Concat)
 
-
-@dataclass(frozen=True)
-class GetRow(Node):
-    """The record at a 0-based position; out of range raises IndexError."""
-
-    of: object
-    idx: object
-
-
-@dataclass(frozen=True)
-class RecordConst(Node):
-    values: tuple
-
-
-@dataclass(frozen=True)
-class SizeOf(Node):
-    of: object
-
-
-@dataclass(frozen=True)
-class AggOf(Node):
-    kind: str  # sum | count | min | max
-    field: Optional[str]  # None only for count
-    of: object
-
+GetRow = _node("GetRow", "of idx")  # the row at 0-based idx; out of range raises IndexError
+RecordConst = _node("RecordConst", "values")
+SizeOf = _node("SizeOf", "of")
+AggOf = _node("AggOf", "kind field of")  # kind: sum | count | min | max; field None for count
 
 AGG_KINDS = ("sum", "count", "min", "max")
 
@@ -194,46 +171,69 @@ AGG_KINDS = ("sum", "count", "min", "max")
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _field_names(cls) -> tuple:
-    return tuple(f.name for f in fields(cls))
+def _memoized(slot: str):
+    """Decorator: f(e) is computed once and kept in e's memo slot; f(e, key)
+    is kept there with key and reused for the same or an equal key. A call
+    that raises keeps nothing, so it raises again."""
+
+    def decorate(f):
+        @functools.wraps(f)
+        def memoized(e, *key):
+            memo = getattr(e, slot)
+            if memo is None or key and memo[0] != key:
+                memo = f(e, *key)
+                _keep(e, slot, (key, memo) if key else memo)
+                return memo
+            return memo[1] if key else memo
+
+        return memoized
+
+    return decorate
 
 
 def children(e) -> list:
     """The sub-expressions of e, in field order."""
-    return [c for n in _field_names(type(e)) if isinstance(c := getattr(e, n), Node)]
+    return [c for n in e._fields if isinstance(c := getattr(e, n), Node)]
 
 
 def map_children(e, f):
     """e rebuilt with every child c replaced by f(c); e itself when f returns
     every child unchanged, so a subtree f leaves alone is not copied."""
-    values = [getattr(e, n) for n in _field_names(type(e))]
+    values = [getattr(e, n) for n in e._fields]
     mapped = [f(v) if isinstance(v, Node) else v for v in values]
     if all(m is v for m, v in zip(mapped, values)):
         return e
     return type(e)(*mapped)
 
 
-# ---------------------------------------------------------------------------
-# Schema inference and static validation happen in the one bottom-up compile
-# pass (compile_rel, compile_pred, below); schema_of keeps only the schema.
-# ---------------------------------------------------------------------------
+class Facts(NamedTuple):
+    """What a subtree mentions: its int and text constants (record values
+    included), the names of the loop indices and fields it reads, and
+    whether it holds a Top."""
+
+    ints: frozenset = frozenset()
+    texts: frozenset = frozenset()
+    indices: frozenset = frozenset()
+    fields: frozenset = frozenset()
+    has_top: bool = False
 
 
-def schema_of(e, schemas: dict) -> Schema:
-    """Schema of a relation expression given the schemas of named relations.
-
-    Also validates predicates (fields exist, comparisons well typed),
-    projections, Top bounds and appended records; raises SchemaError or
-    UnboundName.
-    """
-    return compile_rel(e, schemas)[0]
-
-
-def pred_fields(p) -> set:
-    if isinstance(p, FieldRef):
-        return {p.name}
-    return set().union(*map(pred_fields, children(p)))
+@_memoized("_facts")
+def facts(e) -> Facts:
+    """e's Facts: its own, merged bottom-up with its children's."""
+    if isinstance(e, (IntConst, TextConst, RecordConst)):
+        values = e.values if isinstance(e, RecordConst) else (e.value,)
+        ints = frozenset(v for v in values if isinstance(v, int))
+        return Facts(ints=ints, texts=frozenset(values) - ints)
+    if isinstance(e, IndexRef):
+        return Facts(indices=frozenset((e.name,)))
+    if isinstance(e, FieldRef):
+        return Facts(fields=frozenset((e.name,)))
+    f = Facts(has_top=isinstance(e, Top))
+    for c in children(e):
+        g = facts(c)  # an empty side is shared, not copied
+        f = Facts(*(a | b if a and b else a or b for a, b in zip(f, g))) if any(f) else g
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +384,7 @@ def eval_rel(e, env: dict) -> OrderedRelation:
 # ---------------------------------------------------------------------------
 
 
+@_memoized("_compiled")
 def compile_pred(p, schema: Schema):
     """Build row_test(row, env) for a predicate over a fixed schema.
 
@@ -443,13 +444,15 @@ def _compile_operand(o, schema: Schema):
     raise SchemaError(f"not a predicate operand: {o!r}")
 
 
+@_memoized("_compiled")
 def compile_rel(e, schemas: dict):
     """Return (schema, fn) where fn(env) yields the rows tuple of e.
 
     One bottom-up pass: each node's schema is built from its children's,
     and predicates, Top bounds and appended records are validated as they
     are compiled. Raises UnboundName for a relation schemas does not name,
-    SchemaError for an ill-formed expression.
+    SchemaError for an ill-formed expression. Each node keeps its result
+    with the schemas map it read, which must not change afterwards.
     """
     if isinstance(e, Query):
         name = e.rel
@@ -510,6 +513,18 @@ def compile_rel(e, schemas: dict):
     raise SchemaError(f"not a relation expression: {e!r}")
 
 
+def schema_of(e, schemas: dict) -> Schema:
+    """Schema of a relation expression given the schemas of named relations.
+
+    Schema inference and validation are compile_rel's one bottom-up pass:
+    this also validates predicates (fields exist, comparisons well typed),
+    projections, Top bounds and appended records, and raises SchemaError or
+    UnboundName.
+    """
+    return compile_rel(e, schemas)[0]
+
+
+@_memoized("_compiled")
 def compile_scalar(e, schemas: dict):
     if isinstance(e, (IntConst, TextConst)):
         v = e.value
@@ -570,6 +585,7 @@ def compile_record(e, schemas: dict):
 # ---------------------------------------------------------------------------
 
 
+@_memoized("_sexpr")
 def to_sexpr(e) -> str:
     """Canonical text; total order on expressions via string comparison."""
     if isinstance(e, Query):
@@ -639,6 +655,7 @@ _PAYLOAD_COST = {
 }
 
 
+@_memoized("_cost")
 def cost(e) -> int:
     """Leaf-inclusive node count; the enumeration's cost measure.
 

@@ -40,14 +40,16 @@ The search checks thousands of candidates of one program and rejects most
 at their first failing VC, so the checker's state is built at three times.
 Once per program (_Program, kept on the TypedProgram): the compiled
 statement blocks, the split of the outer body around the inner loop, the
-parameter names, the prover's body paths and the half of the row-local
-premise that reads the body alone. Once per candidate (_Checker): an
-uncompiled _VarRecon per post and invariant equality and, when a decider
-first asks, whether the invariants are the derived ones and whether each
-accumulator update matches its post. Once per VC (_ready, when instance
-or the sweep starts): the closures of the invariants and posts that VC
-reads, so a candidate rejected at its first checked VC compiles nothing
-else.
+parameter names, the prover's body paths, the half of the row-local
+premise that reads the body alone and, per Bounds, the row scan's inputs
+(each instance still gets its own loop-head store). Once per candidate
+(_Checker): an uncompiled _VarRecon per post and invariant equality and,
+when a decider first asks, whether the invariants are the derived ones and
+whether each accumulator update matches its post. Once per VC (_ready,
+when instance or the sweep starts): the closures of the invariants and
+posts that VC reads, so a candidate rejected at its first checked VC
+compiles nothing else; a subterm that candidates share is compiled once,
+since tor keeps each node's closure on the node.
 
 Sweeping every instance one at a time is the semantic definition, but it
 is wasteful for the invariant family the synthesizer derives. So run_vc
@@ -387,31 +389,15 @@ class _VarRecon:
         return self._f(env)
 
 
-def _collect_consts(e, ints: set, texts: set) -> None:
-    if isinstance(e, (tor.IntConst, tor.TextConst)):
-        values = (e.value,)
-    elif isinstance(e, tor.RecordConst):
-        values = e.values
-    else:
-        values = ()
-    for v in values:
-        (ints if isinstance(v, int) else texts).add(v)
-    for c in tor.children(e):
-        _collect_consts(c, ints, texts)
-
-
 def _non_checkable_reason(tp, candidate, bounds: Bounds) -> str:
     if len(tp.loops) == 2 and any(l.breaks for l in tp.loops):
         return "break inside a nested loop is outside the checkable fragment"
-    ints: set = set()
-    texts: set = set()
-    for _, post in candidate.posts:
-        _collect_consts(post, ints, texts)
+    found = [tor.facts(post) for _, post in candidate.posts]
     lo, hi = min(bounds.int_domain), max(bounds.int_domain)
-    bad_int = sorted(c for c in ints if not lo <= c <= hi)
+    bad_int = sorted(c for f in found for c in f.ints if not lo <= c <= hi)
     if bad_int:
         return f"integer constant {bad_int[0]} outside the checked domain"
-    bad_text = sorted(c for c in texts if c not in bounds.text_domain)
+    bad_text = sorted(c for f in found for c in f.texts if c not in bounds.text_domain)
     if bad_text:
         return f"text constant {bad_text[0]!r} outside the checked domain"
     return ""
@@ -420,14 +406,8 @@ def _non_checkable_reason(tp, candidate, bounds: Bounds) -> str:
 # ---------------------------------------------------------------------------
 # Symbolic helpers for the deciders. _subst_index replaces a loop index
 # with a scalar expression (None when the replacement cannot absorb an
-# index offset); _empty_at_zero and _has_top are conservative shape facts.
+# index offset); _empty_at_zero is a conservative shape fact.
 # ---------------------------------------------------------------------------
-
-
-def _mentions_index(e, name: str) -> bool:
-    if isinstance(e, tor.IndexRef):
-        return e.name == name
-    return any(_mentions_index(c, name) for c in tor.children(e))
 
 
 class _Unabsorbed(Exception):
@@ -474,10 +454,6 @@ def _empty_at_zero(e, name: str) -> bool:
     return False
 
 
-def _has_top(e) -> bool:
-    return isinstance(e, tor.Top) or any(_has_top(c) for c in tor.children(e))
-
-
 # the post aggregates that each fold of tp.agg_updates makes
 _FOLDS = {
     "sum": ("sum", "count"),
@@ -496,7 +472,7 @@ def _row_wise(post, rel: str, index: str) -> bool:
     if isinstance(post, tor.AggOf):
         post = post.of
     while isinstance(post, (tor.Sel, tor.Proj)):
-        if isinstance(post, tor.Sel) and _mentions_index(post.pred, index):
+        if isinstance(post, tor.Sel) and index in tor.facts(post.pred).indices:
             return False
         post = post.of
     return post == tor.Query(rel)
@@ -623,6 +599,47 @@ class _Program:
             self.run_inner = ex.block(inner.node.body)
         self.updates = self.accumulator_updates(tp.loops[-1].node.body)
         self.instance_counts: dict = {}  # (VC, Bounds) -> instance_count
+        self.row_scans: dict = {}  # Bounds -> scan_inputs
+
+    def scan_inputs(self, bounds: Bounds) -> tuple:
+        """(indices, inputs) of the row-local scan at bounds, kept per
+        Bounds for every candidate: the inputs combine one row of each
+        loop's relation with the scalar parameter values (R = [rl, rs] at
+        i = 0, j = 1 when both loops scan R), relation parameters no loop
+        scans are empty, and no check may mutate them."""
+        if bounds in self.row_scans:
+            return self.row_scans[bounds]
+        loops = self.tp.loops
+        scanned = [(l.rel, self.tp.relations[l.rel]) for l in loops]
+        others = {
+            p.name: OrderedRelation(p.ty, ())
+            for p in self.tp.ast.params
+            if isinstance(p.ty, Schema) and p.name not in dict(scanned)
+        }
+        domains = [
+            bounds.int_domain if self.tp.var_types[n] == INT else bounds.text_domain
+            for n in self.scalar_names
+        ]
+        same = self.inner is not None and self.inner.rel == self.outer.rel
+        if same:
+            indices = {self.outer.index: 0, self.inner.index: 1}
+        else:
+            indices = {l.index: 0 for l in loops}
+        all_inputs = []
+        for *rows, sc in itertools.product(
+            *[_row_domain(sch, bounds) for _, sch in scanned],
+            tuple(itertools.product(*domains)),
+        ):
+            inputs = dict(zip(self.scalar_names, sc), **others)
+            if same:
+                rel, sch = scanned[0]
+                inputs[rel] = OrderedRelation(sch, tuple(rows))
+            else:
+                for (rel, sch), row in zip(scanned, rows):
+                    inputs[rel] = OrderedRelation(sch, (row,))
+            all_inputs.append(inputs)
+        self.row_scans[bounds] = indices, tuple(all_inputs)
+        return self.row_scans[bounds]
 
     def input_only(self, node) -> bool:
         """The expression, record or predicate reads inputs and loop rows
@@ -787,7 +804,7 @@ class _Checker:
                 return False
         elif self.bounds.rel_size < (2 if self.outer.rel == self.inner.rel else 1):
             return False
-        if any(_has_top(e) for _, e in posts):
+        if any(tor.facts(e).has_top for _, e in posts):
             return False
         try:
             derived = synth.derive_invariants(self.tp, self.candidate)
@@ -983,49 +1000,18 @@ class _Checker:
 
     @_on_first_read
     def _row_scan(self) -> tuple:
-        """Check one iteration of the innermost loop per combination of one
-        row of each loop's relation and the scalar parameter values, from
-        the empty prefix (R = [rl, rs] at i = 0, j = 1 when both loops scan
-        R); relation parameters no loop scans are empty. Under the row-local
-        premise (_row_local; see the module docstring) these checks decide
-        every preservation instance. Returns (instances checked, first
-        counterexample or None)."""
-        loops = self.tp.loops
-        scanned = [(l.rel, self.tp.relations[l.rel]) for l in loops]
-        others = {
-            p.name: OrderedRelation(p.ty, ())
-            for p in self.tp.ast.params
-            if isinstance(p.ty, Schema) and p.name not in dict(scanned)
-        }
-        domains = [
-            self.bounds.int_domain
-            if self.tp.var_types[n] == INT
-            else self.bounds.text_domain
-            for n in self.program.scalar_names
-        ]
-        same = self.inner is not None and self.inner.rel == self.outer.rel
-        if same:
-            indices = {self.outer.index: 0, self.inner.index: 1}
-        else:
-            indices = {l.index: 0 for l in loops}
-        vc = VC(PRESERVATION, loops[-1].index)
-        checked, cex = 0, None
-        for *rows, sc in itertools.product(
-            *[_row_domain(sch, self.bounds) for _, sch in scanned],
-            tuple(itertools.product(*domains)),
-        ):
-            checked += 1
-            inputs = dict(zip(self.program.scalar_names, sc), **others)
-            if same:
-                rel, sch = scanned[0]
-                inputs[rel] = OrderedRelation(sch, tuple(rows))
-            else:
-                for (rel, sch), row in zip(scanned, rows):
-                    inputs[rel] = OrderedRelation(sch, (row,))
+        """Check one iteration of the innermost loop from each of the row
+        scan's inputs (_Program.scan_inputs), each from its own loop-head
+        store. Under the row-local premise (_row_local; see the module
+        docstring) these checks decide every preservation instance. Returns
+        (instances checked, first counterexample or None)."""
+        indices, all_inputs = self.program.scan_inputs(self.bounds)
+        vc = VC(PRESERVATION, self.tp.loops[-1].index)
+        for checked, inputs in enumerate(all_inputs, 1):
             cex = self.instance(vc, inputs, indices)
             if cex is not None:
-                break
-        return checked, cex
+                return checked, cex
+        return len(all_inputs), None
 
     def _decide_inner_init_identity(self, vc: VC):
         # The finished part of the inner invariant is the outer invariant
@@ -1190,7 +1176,7 @@ class _Checker:
         for r in self.recons[ij]:
             e = r.expr.of if isinstance(r.expr, tor.AggOf) else r.expr
             static.append(
-                not (isinstance(e, tor.Concat) and _mentions_index(e.left, ij))
+                not (isinstance(e, tor.Concat) and ij in tor.facts(e.left).indices)
             )
         return static
 

@@ -1,8 +1,10 @@
 """Template mining, candidate enumeration order, invariant derivation,
 and the search loop."""
 
+import gc
 import itertools
 import time
+import weakref
 
 import pytest
 
@@ -233,6 +235,26 @@ def test_synthesize_timeout_covers_enumeration(monkeypatch):
     assert out.reason == "timeout"
     assert out.stats.tried == 0
     assert out.stats.enumerated > 0
+
+
+def test_finished_program_is_not_kept_by_synth():
+    """Once the caller drops a program and its solution, nothing of them
+    (the program, its memos on tp.derived, the candidates and their nodes)
+    stays reachable from synth's module state."""
+
+    def nodes():
+        return sum(isinstance(o, tor.Node) for o in gc.get_objects())
+
+    gc.collect()
+    before = nodes()
+    tp = load_benchmark("equi_join")
+    sol = synthesize(tp)
+    assert isinstance(sol, Solution)
+    refs = [weakref.ref(x) for x in (tp, sol, sol.candidate)]
+    del tp, sol
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    assert nodes() == before
 
 
 def test_solution_verifies_end_to_end():

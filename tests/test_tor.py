@@ -1,7 +1,9 @@
 """Algebra semantics, simplifier soundness, serialization, and cost."""
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -513,6 +515,99 @@ def test_subst_index_in_nested_predicate():
         q(),
     )
     assert verify._subst_index(e, "j", tor.SizeOf(q())) == e
+
+
+# --- the node class and what each node memoizes -----------------------------
+
+BA = Schema((("b", "text"), ("a", "int")))
+
+
+def _sel_a1():
+    return tor.Sel(tor.CmpAtom("=", tor.FieldRef("a"), tor.IntConst(1)), q())
+
+
+def test_equal_nodes_built_apart_are_interchangeable():
+    a, b = _sel_a1(), _sel_a1()
+    assert a is not b and a == b and hash(a) == hash(b)
+    table = {a: "first"}
+    table[b] = "second"
+    assert len(table) == 1 and table[_sel_a1()] == "second"
+    assert tor.AndP(q(), q("S")) != tor.OrP(q(), q("S"))
+    assert tor.IndexRef("i") == tor.IndexRef("i", 0) != tor.IndexRef("i", 1)
+
+
+def test_nodes_are_immutable():
+    e = _sel_a1()
+    for name in ("of", "pred", "_sexpr", "_compiled", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, q("S"))
+    with pytest.raises(AttributeError):
+        del e.of
+    assert e.of == q()
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(tor.Sel(tor.TruePred(), q())) == "Sel(pred=TruePred(), of=Query(rel='R'))"
+    assert repr(tor.IndexRef("i")) == "IndexRef(name='i', offset=0)"
+    assert repr(tor.AggOf("count", None, tor.EmptyRel(A))) == (
+        "AggOf(kind='count', field=None, "
+        "of=EmptyRel(schema=Schema(fields=(('a', 'int'),))))"
+    )
+
+
+def test_pickle_and_copy_drop_the_memo():
+    e = _sel_a1()
+    _, fn = tor.compile_rel(e, SCHEMAS)
+    tor.to_sexpr(e), tor.cost(e), tor.facts(e), hash(e)
+    for clone in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert all(getattr(clone, slot) is None for slot in tor.Node.__slots__)
+        assert clone == e and clone is not e
+        assert tor.compile_rel(clone, SCHEMAS)[1](ENV) == fn(ENV) == ((1, "x"),)
+
+
+def test_compile_memo_is_kept_per_schemas():
+    e = _sel_a1()
+    env_ab = {"R": OrderedRelation(AB, ((1, "x"), (2, "y")))}
+    env_ba = {"R": OrderedRelation(BA, (("x", 1), ("y", 2)))}
+    sch_ab, f_ab = tor.compile_rel(e, {"R": AB})
+    sch_ba, f_ba = tor.compile_rel(e, {"R": BA})
+    assert (sch_ab, sch_ba) == (AB, BA) and f_ab is not f_ba
+    assert f_ab(env_ab) == ((1, "x"),) and f_ba(env_ba) == (("x", 1),)
+    assert tor.compile_rel(e, {"R": AB})[1](env_ab) == ((1, "x"),)
+    p = e.pred
+    assert tor.compile_pred(p, AB)((1, "x"), {}) and not tor.compile_pred(p, AB)(("x", 1), {})
+    assert tor.compile_pred(p, BA)(("x", 1), {}) and not tor.compile_pred(p, BA)((1, "x"), {})
+
+
+def test_failed_compile_is_never_memoized():
+    bad = tor.Sel(tor.CmpAtom("<", tor.FieldRef("b"), tor.TextConst("x")), q())
+    unbound = _sel_a1()
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            tor.compile_rel(bad, SCHEMAS)
+        with pytest.raises(tor.UnboundName):
+            tor.compile_rel(unbound, {"S": AB})
+    assert bad._compiled is None and bad.pred._compiled is None
+    assert unbound._compiled is None
+    assert tor.compile_rel(unbound, SCHEMAS)[1](ENV) == ((1, "x"),)
+
+
+def test_facts_fold():
+    e = tor.AggOf(
+        "sum",
+        "a",
+        tor.Top(
+            tor.AppendRow(
+                tor.Sel(tor.CmpAtom("<", tor.FieldRef("a"), tor.IndexRef("i", 1)), q()),
+                tor.RecordConst((4, "w")),
+            ),
+            tor.IntConst(2),
+        ),
+    )
+    f = tor.facts(e)
+    assert (f.ints, f.texts, f.indices, f.fields, f.has_top) == ({2, 4}, {"w"}, {"i"}, {"a"}, True)
+    f = tor.facts(tor.Sel(tor.CmpAtom("=", tor.FieldRef("b"), tor.TextConst("x")), q()))
+    assert (f.ints, f.texts, f.indices, f.fields, f.has_top) == (set(), {"x"}, set(), {"b"}, False)
 
 
 # --- axiom suite (small bounds here; full bounds in the acceptance tests) ----

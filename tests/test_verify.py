@@ -1,6 +1,7 @@
 """Bounded verification: condition generation, instance accounting,
 violation behavior, and the fast-path/sweep agreement property."""
 
+import copy
 import itertools
 import json
 
@@ -734,6 +735,69 @@ def test_candidates_of_one_program_do_not_share_the_row_local_verdict():
         programs.append(checker.program)
         _agree(tp, cand, inv, SMALL3)
     assert programs[0] is programs[1]
+
+
+# equi_join with a second list the inner body appends to on every step
+EQUI_JOIN_JUNK = """
+fn equi_join(R: rel(k: int, v: int), S: rel(k: int, w: int)) {
+    var out: list(v: int, w: int);
+    var junk: list(k: int);
+    for i in 0 .. size(R) {
+        for j in 0 .. size(S) {
+            junk.append({k: R[i].k});
+            if R[i].k == S[j].k {
+                out.append({v: R[i].v, w: S[j].w});
+            }
+        }
+    }
+    return out;
+}
+"""
+
+
+def _verdict(res):
+    return res.status, res.instances, res.counterexample
+
+
+def test_row_scan_shares_inputs_but_not_stores_across_candidates():
+    """The row scan's inputs are built once per (program, Bounds) and every
+    candidate reads them; each instance still gets its own loop-head store,
+    which run_inner appends to. So the verdicts with the inputs shared over
+    60 candidates equal those of a fresh program per candidate, and the
+    status equals the sweep's."""
+    tp = typecheck(parse(EQUI_JOIN_JUNK))
+    cands = list(itertools.islice(enumerate_candidates(tp, extract_template(tp), 24), 60))
+    for cand in cands:
+        res = validate(tp, cand, derive_invariants(tp, cand), SMALL)
+        alone = typecheck(parse(EQUI_JOIN_JUNK))
+        assert _verdict(res) == _verdict(
+            validate(alone, cand, derive_invariants(alone, cand), SMALL)
+        ), cand.serialization()
+        slow = validate(tp, cand, derive_invariants(tp, cand), SMALL, fast=False)
+        assert res.status == slow.status, cand.serialization()
+        if res.status == VALID:
+            assert res.instances == slow.instances
+    assert list(tp.derived(verify._Program).row_scans) == [SMALL]
+
+
+def test_memoized_facts_equal_those_of_a_fresh_copy(benchmarks):
+    """What each node keeps (to_sexpr, cost, facts, hash) after the search
+    used it equals what a freshly built copy computes, for every post and
+    invariant of the first 200 candidates of every program."""
+    for tp in benchmarks.values():
+        cands = enumerate_candidates(tp, extract_template(tp), 24)
+        for cand in itertools.islice(cands, 200):
+            inv = derive_invariants(tp, cand)
+            validate(tp, cand, inv)
+            exprs = [e for _, e in cand.posts]
+            exprs += [e for eqs in inv.values() for _, e in eqs]
+            for e in exprs:
+                fresh = copy.deepcopy(e)
+                assert fresh._sexpr is None and fresh is not e
+                assert tor.to_sexpr(e) == tor.to_sexpr(fresh)
+                assert tor.cost(e) == tor.cost(fresh)
+                assert tor.facts(e) == tor.facts(fresh)
+                assert hash(e) == hash(fresh) and e == fresh
 
 
 def _empty_by_eval(e, tp, name, bounds=SMALL):
