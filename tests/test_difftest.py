@@ -1,6 +1,8 @@
 """Seeded case generation and interpreter-vs-SQL comparison."""
 
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,8 @@ TAGGED_SQL = "SELECT R.* FROM R WHERE R.b = :t ORDER BY R.rid"
 # disagree, and the reference path builds their mismatches.
 SEEDED_WRONG = (
     ("selection", "SELECT R.* FROM R WHERE R.a > 1 ORDER BY R.rid"),
+    # disagrees on the one-row inputs with a = 2, which repeat
+    ("selection", "SELECT R.* FROM R WHERE R.a >= 2 ORDER BY R.rid"),
     ("equi_join", "SELECT R.v, S.w FROM S, R WHERE R.k = S.k ORDER BY S.rid, R.rid"),
     ("top_k", "SELECT R.* FROM R ORDER BY R.rid LIMIT 2"),
     ("tagged", "SELECT R.* FROM R WHERE R.b <> :t ORDER BY R.rid"),
@@ -103,6 +107,39 @@ SPLITMIX64_SEED0 = (
 def test_splitmix64_reference_stream():
     gen = SplitMix64(0)
     assert tuple(gen.next() for _ in range(5)) == SPLITMIX64_SEED0
+
+
+class _ScalarSplitMix64:
+    """The recurrence as docs/formats.md writes it, one output at a time."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+
+    def next(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 1 << 64])
+def test_block_stream_follows_the_scalar_recurrence(seed):
+    gen, scalar = SplitMix64(seed), _ScalarSplitMix64(seed)
+    assert gen.state == scalar.state
+    total = 3 * difftest.BLOCK + 7
+    steps = itertools.cycle((None, 0, 1, 5, None, 511, 600, None, 1))  # None: next()
+    drawn = 0
+    while drawn < total:
+        n = next(steps)
+        if n is None:
+            assert gen.next() == scalar.next()
+            drawn += 1
+        else:
+            n = min(n, total - drawn)
+            assert gen.take(n) == [scalar.next() for _ in range(n)]
+            drawn += n
+        assert gen.state == scalar.state
 
 
 def test_splitmix64_seed_masking():
@@ -268,21 +305,80 @@ def test_planned_run_matches_reference_on_corpus_solutions(monkeypatch):
         calls.clear()
 
 
+def _input_key(inputs: dict) -> tuple:
+    return tuple(v.rows if isinstance(v, OrderedRelation) else v for v in inputs.values())
+
+
 @pytest.mark.parametrize("name,text", SEEDED_WRONG + UNPLANNED_WRONG)
 def test_planned_run_matches_reference_on_wrong_queries(name, text, monkeypatch):
     tp, sql = _program(name), emit.parse_sql(text)
-    reference = _reference_run(tp, sql, seed=11, cases=300)
-    calls = _counting_reference_cases(monkeypatch)
-    result = run_cases(tp, sql, seed=11, cases=300)
-    assert result == reference and not result.ok
-    assert [m.to_json() for m in result.mismatches] == [
-        m.to_json() for m in reference.mismatches
-    ]
-    if (name, text) in SEEDED_WRONG:
-        # only the cases that disagree take the reference path
-        assert calls == [m.case for m in result.mismatches] and len(calls) < 300
-    else:
-        assert difftest._planned(tp, sql) is None and len(calls) == 300
+    for cases in (300, 2000):
+        reference = _reference_run(tp, sql, seed=11, cases=cases)
+        calls = _counting_reference_cases(monkeypatch)
+        result = run_cases(tp, sql, seed=11, cases=cases)
+        assert result == reference and not result.ok
+        assert [m.to_json() for m in result.mismatches] == [
+            m.to_json() for m in reference.mismatches
+        ]
+        if (name, text) in SEEDED_WRONG:
+            # only the cases that disagree take the reference path
+            assert calls == [m.case for m in result.mismatches] and len(calls) < cases
+        else:
+            assert difftest._planned(tp, sql) is None and len(calls) == cases
+        monkeypatch.undo()
+
+
+def test_a_repeated_disagreeing_input_is_reported_at_each_index():
+    tp = load_benchmark("selection")
+    sql = emit.parse_sql("SELECT R.* FROM R WHERE R.a >= 2 ORDER BY R.rid")
+    result = run_cases(tp, sql, seed=11, cases=2000)
+    cases = {}
+    for m in result.mismatches:
+        if m.inputs["R"].size <= difftest.SMALL_ROWS:
+            cases.setdefault(_input_key(m.inputs), []).append(m.case)
+    repeated = [c for c in cases.values() if len(c) > 1]
+    assert repeated and all(len(set(c)) == len(c) for c in repeated)
+
+
+def test_planned_check_runs_once_per_small_input(monkeypatch):
+    tp = load_benchmark("selection")
+    sql = emit.parse_sql(_corpus_sql()["selection"])
+    calls = []
+    planned = difftest._planned
+
+    def counted_planned(tp, sql):
+        agree = planned(tp, sql)
+
+        def counted(inputs):
+            calls.append(inputs)
+            return agree(inputs)
+
+        return counted
+
+    monkeypatch.setattr(difftest, "_planned", counted_planned)
+    assert run_cases(tp, sql, seed=11, cases=10_000).ok
+    gen = SplitMix64(11)
+    small, large = set(), 0
+    for _ in range(10_000):
+        inputs = draw_case(gen, tp)
+        if inputs["R"].size <= difftest.SMALL_ROWS:
+            small.add(_input_key(inputs))
+        else:
+            large += 1
+    assert len(calls) == len(small) + large < 10_000
+
+
+@pytest.mark.parametrize("name", ["equi_join", "top_k"])
+def test_small_input_memo_stays_small(name):
+    tp = load_benchmark(name)
+    sql = emit.parse_sql(_corpus_sql()[name])
+    tracemalloc.start()
+    try:
+        assert run_cases(tp, sql, seed=11, cases=10_000).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from qilc import synth, tor, verify
+from qilc import interp, synth, tor, verify
 from qilc.frontend import parse, typecheck
 from qilc.synth import (
     Candidate,
@@ -255,6 +255,23 @@ def test_finished_program_is_not_kept_by_synth():
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
     assert nodes() == before
+
+
+@pytest.mark.parametrize("name,options", [
+    ("equi_join", Options()),
+    ("selection", Options(cost_bound=2)),
+])
+def test_synthesize_drops_the_search_memos(name, options):
+    """The prefixed bases and the verifier's per-program facts go with the
+    search; interp's executor stays for difftest, and a second search on
+    the same program finds the same outcome."""
+    tp = load_benchmark(name)
+    first = synthesize(tp, options)
+    assert synth._Derivation not in tp.memo and verify._Program not in tp.memo
+    assert interp.Executor in tp.memo
+    again = synthesize(tp, options)
+    assert again == first
+    assert synth._Derivation not in tp.memo and verify._Program not in tp.memo
 
 
 def test_solution_verifies_end_to_end():

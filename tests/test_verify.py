@@ -694,9 +694,10 @@ def test_replay_matches_sweep_on_every_vc_branch(name, kind, loop):
 def test_program_state_is_built_once_and_a_rejection_compiles_what_it_reads(
     monkeypatch,
 ):
-    """One synthesis builds the per-program part once; a candidate rejected
-    at Preservation(j) by the row-local scan compiles only the inner
-    invariant, not its post or the outer invariant."""
+    """One synthesis builds the per-program part once and drops it on
+    return; a candidate rejected at Preservation(j) by the row-local scan
+    compiles only the inner invariant, not its post or the outer
+    invariant."""
     tp = load_benchmark("join_select_project")
     built, compiled = [], []
     init, compile_recon = verify._Program.__init__, verify._VarRecon.compile
@@ -712,14 +713,15 @@ def test_program_state_is_built_once_and_a_rejection_compiles_what_it_reads(
     )
     sol = first_valid(tp)
     assert (sol.rank, sol.stats.tried, sol.stats.rejected) == (1660, 1661, 1660)
-    assert built == [tp]
+    assert built == [tp] and verify._Program not in tp.memo
     cand = next(iter(enumerate_candidates(tp, extract_template(tp), 24)))
     inv = derive_invariants(tp, cand)
     compiled.clear()
     res = validate(tp, cand, inv)
     assert (res.status, res.counterexample.vc) == (VIOLATED, VC(PRESERVATION, "j"))
     assert compiled == [e for _, e in inv["j"]]
-    assert built == [tp]
+    validate(tp, cand, inv)
+    assert built == [tp, tp]  # once more after synthesis, then kept
 
 
 def test_candidates_of_one_program_do_not_share_the_row_local_verdict():
