@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import emit, interp
 from .frontend import TypedProgram
+from .record import record
 from .relation import (
     INT,
     OrderedRelation,
@@ -196,7 +196,7 @@ def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
     return {name: drawer(gen) for name, drawer in tp.derived(_drawers)}
 
 
-@dataclass(frozen=True)
+@record
 class Mismatch:
     case: int
     inputs: dict
@@ -212,7 +212,7 @@ class Mismatch:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DiffResult:
     seed: int
     cases: int

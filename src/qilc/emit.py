@@ -41,11 +41,11 @@ oracle checks eval_sql against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional, Union
 
 from . import tor
+from .record import keep, record
 from .relation import INT, OrderedRelation, Schema, SchemaError
 
 
@@ -75,24 +75,24 @@ class SqlSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SqlSource:
     table: str
     alias: str
 
 
-@dataclass(frozen=True)
+@record
 class SCol:
     alias: str
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class SqlStar:
     alias: str
 
 
-@dataclass(frozen=True)
+@record(memo="plans")
 class SqlQuery:
     """A record query: SELECT items FROM sources [WHERE] ORDER BY rids [LIMIT]."""
 
@@ -100,11 +100,9 @@ class SqlQuery:
     sources: tuple[SqlSource, ...]
     where: Optional[tor.Node] = None
     limit: Optional[tor.Node] = None  # tor.IntConst | tor.ParamRef
-    # eval_sql's compiled plans, keyed by the sources' schemas
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record(memo="plans")
 class SqlScalar:
     """An aggregate query: SELECT func(arg) FROM sources [WHERE].
 
@@ -116,8 +114,6 @@ class SqlScalar:
     arg: Optional[SCol]  # None only for count
     sources: tuple[SqlSource, ...]
     where: Optional[tor.Node] = None
-    # eval_sql's compiled plans, keyed by the sources' schemas
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 Sql = Union[SqlQuery, SqlScalar]
@@ -577,12 +573,14 @@ def parse_sql(text: str) -> Sql:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MiniDb:
     """Tables plus scalar parameter bindings for :name placeholders."""
 
-    tables: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    __slots__ = ("tables", "params")
+
+    def __init__(self, tables: dict = None, params: dict = None):
+        self.tables = {} if tables is None else tables
+        self.params = {} if params is None else params
 
     @classmethod
     def from_values(cls, values: dict) -> "MiniDb":
@@ -608,10 +606,14 @@ def eval_sql(q: Sql, db: MiniDb):
 
 def query_plan(q: Sql, schemas: tuple) -> "_Plan":
     """The query's plan for its sources' schemas, in FROM order; built once
-    per (query, schemas) and kept on the query."""
-    plan = q.plans.get(schemas)
+    per (query, schemas) and kept in the query's plans memo slot."""
+    plans = q.plans
+    if plans is None:
+        plans = {}
+        keep(q, "plans", plans)
+    plan = plans.get(schemas)
     if plan is None:
-        plan = q.plans[schemas] = _Plan(q, schemas)
+        plan = plans[schemas] = _Plan(q, schemas)
     return plan
 
 

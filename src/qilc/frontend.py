@@ -17,11 +17,11 @@ Shape restrictions enforced by the typechecker (not the parser):
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field, fields
-from functools import cache
 from typing import Optional
 
+from .record import Record, make, record
 from .relation import Schema
 
 # Internal scalar type for min/max accumulators: an int that may be absent.
@@ -38,7 +38,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class TypeIssue:
     message: str
     line: int
@@ -61,170 +61,53 @@ class TypeCheckError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class Node:
-    """Base of every syntax class; a field holding a Node, or a tuple
-    holding Nodes, holds children."""
-
-
-@dataclass(frozen=True)
+@record
 class Loc:
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Param(Node):
-    name: str
-    # "int", "text", or a Schema for relation parameters
-    ty: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
+class Node(Record):
+    """Base of every syntax class. A syntax type (made by _node) names its
+    fields, in constructor order, in _fields; a field holding a Node, or a
+    tuple holding Nodes, holds children. Nodes are records (qilc.record):
+    they compare and hash by type and fields. The source position loc is
+    the last constructor argument, Loc(0, 0) when omitted; repr shows it,
+    and == and hash ignore it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ListDecl(Node):
-    name: str
-    schema: Schema
-    loc: Loc = field(compare=False, default=Loc(0, 0))
+_node = functools.partial(make, defaults=(Loc(0, 0),), base=Node, loose="loc")
 
-
-@dataclass(frozen=True)
-class ScalarDecl(Node):
-    name: str
-    base: str  # "int" or "text"
-    # int literal, text literal, or None for the absent-int initializer `none`
-    init: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class IntLit(Node):
-    value: int
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class TextLit(Node):
-    value: str
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class VarRef(Node):
-    name: str
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class FieldAccess(Node):
-    rel: str
-    index: str
-    fieldname: str
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class RowRef(Node):
-    rel: str
-    index: str
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class RecordLit(Node):
-    items: tuple[tuple[str, object], ...]
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class Add(Node):
-    left: object
-    right: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class MinMax(Node):
-    op: str  # "min" | "max"
-    left: object
-    right: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class Cmp(Node):
-    op: str  # == != < <= > >=
-    left: object
-    right: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class BoolOp(Node):
-    op: str  # "and" | "or"
-    left: object
-    right: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class NotOp(Node):
-    operand: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class Assign(Node):
-    target: str
-    expr: object
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class Append(Node):
-    target: str
-    record: object  # RowRef or RecordLit
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class If(Node):
-    cond: object
-    body: tuple
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class Break(Node):
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class For(Node):
-    index: str
-    rel: str
-    body: tuple
-    loc: Loc = field(compare=False, default=Loc(0, 0))
-
-
-@dataclass(frozen=True)
-class Program(Node):
-    name: str
-    params: tuple[Param, ...]
-    decls: tuple
-    body: tuple
-    result: str
-    loc: Loc = field(compare=False, default=Loc(0, 0))
+# ty: "int", "text", or a Schema for relation parameters
+Param = _node("Param", "name ty")
+ListDecl = _node("ListDecl", "name schema")
+# base: "int" or "text"; init: an int or text literal, or None for `none`
+ScalarDecl = _node("ScalarDecl", "name base init")
+IntLit = _node("IntLit", "value")
+TextLit = _node("TextLit", "value")
+VarRef = _node("VarRef", "name")
+FieldAccess = _node("FieldAccess", "rel index fieldname")
+RowRef = _node("RowRef", "rel index")
+RecordLit = _node("RecordLit", "items")  # items: ((name, expr), ...)
+Add = _node("Add", "left right")
+MinMax = _node("MinMax", "op left right")  # op: "min" | "max"
+Cmp = _node("Cmp", "op left right")  # op: == != < <= > >=
+BoolOp = _node("BoolOp", "op left right")  # op: "and" | "or"
+NotOp = _node("NotOp", "operand")
+Assign = _node("Assign", "target expr")
+Append = _node("Append", "target record")  # record: RowRef or RecordLit
+If = _node("If", "cond body")
+Break = _node("Break", "")
+For = _node("For", "index rel body")
+Program = _node("Program", "name params decls body result")
 
 
 # ---------------------------------------------------------------------------
 # Generic traversal: walkers that treat every node alike except a few build
 # on these instead of listing each node type.
 # ---------------------------------------------------------------------------
-
-
-@cache
-def _field_names(cls) -> tuple:
-    return tuple(f.name for f in fields(cls))
 
 
 def _nodes_in(value):
@@ -239,7 +122,7 @@ def children(node) -> list:
     """The Node values of node's fields, in field order. Tuple fields are
     flattened: statement bodies, parameters, declarations, and the
     (name, expr) pairs of a record literal."""
-    return [c for n in _field_names(type(node)) for c in _nodes_in(getattr(node, n))]
+    return [c for n in node._fields for c in _nodes_in(getattr(node, n))]
 
 
 def walk(nodes):
@@ -271,7 +154,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "int" | "ident" | "string" | "op" | keyword itself | "eof"
     text: str
@@ -648,33 +531,42 @@ def parse(source: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(loose="node")
 class LoopInfo:
-    """One loop of the (at most two deep) nest, outermost first."""
+    """One loop of the (at most two deep) nest, outermost first; == and
+    hash ignore its For node."""
 
     index: str
     rel: str
     breaks: bool  # the body ends in a guarded break
-    node: For = field(compare=False)
+    node: For
 
 
-@dataclass
 class TypedProgram:
     """A parse tree that passed all checks, plus the facts later passes need.
 
     var_types maps every name in scope to "int" | "text" | "optint" |
-    ("rel", Schema) | ("list", Schema). loops lists the nest outermost first.
+    ("rel", Schema) | ("list", Schema). loops lists the nest outermost first,
+    pre_loop the statements before the top-level loop, agg_updates each
+    accumulator's "sum" | "count" | "min" | "max", and relations each
+    relation parameter's Schema. memo holds what later passes build from
+    the program once (interp's compiled statements, difftest's draw plan),
+    keyed by the builder; see derived.
     """
 
-    ast: Program
-    var_types: dict
-    loops: list[LoopInfo]
-    pre_loop: tuple  # statements before the top-level loop
-    agg_updates: dict  # accumulator name -> "sum" | "count" | "min" | "max"
-    relations: dict  # relation parameter name -> Schema
-    # what later passes build from the program once (interp's compiled
-    # statements, difftest's draw plan), keyed by the builder; see derived
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = (
+        "ast", "var_types", "loops", "pre_loop", "agg_updates", "relations", "memo",
+        "__weakref__",
+    )
+
+    def __init__(self, ast, var_types, loops, pre_loop, agg_updates, relations):
+        self.ast = ast
+        self.var_types = var_types
+        self.loops = loops
+        self.pre_loop = pre_loop
+        self.agg_updates = agg_updates
+        self.relations = relations
+        self.memo = {}
 
     @property
     def name(self) -> str:

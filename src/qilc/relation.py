@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable
+
+from .record import keep, record
 
 INT = "int"
 TEXT = "text"
@@ -26,35 +27,40 @@ class SchemaError(ValueError):
     """A schema was malformed or an operation violated one."""
 
 
-@dataclass(frozen=True)
+@record(memo="names types _index")
 class Schema:
     """Ordered field list of a relation.
 
     Invariants:
         - at least one field
+        - every field a (name, type) pair, the name a str
         - field names unique
         - every field type is "int" or "text"
+
+    names, types and _index are derived from fields once, at construction;
+    equality, hash and repr use fields only.
     """
 
     fields: tuple[tuple[str, str], ...]
-    # Lookups derived from fields once, at construction; equality, hash and
-    # repr use fields only.
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    types: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.fields:
+    def __init__(self, fields: tuple) -> None:
+        if not fields:
             raise SchemaError("schema must have at least one field")
-        names = tuple(n for n, _ in self.fields)
+        for f in fields:
+            if not (isinstance(f, tuple) and len(f) == 2):
+                raise SchemaError(f"schema field {f!r} is not a (name, type) pair")
+            if not isinstance(f[0], str):
+                raise SchemaError(f"field name {f[0]!r} is not a string")
+        names = tuple(n for n, _ in fields)
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in schema: {list(names)}")
-        for name, ty in self.fields:
+        for name, ty in fields:
             if ty not in (INT, TEXT):
                 raise SchemaError(f"field {name!r} has unknown type {ty!r}")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "types", tuple(t for _, t in self.fields))
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        self._init(fields)
+        keep(self, "names", names)
+        keep(self, "types", tuple(t for _, t in fields))
+        keep(self, "_index", {n: i for i, n in enumerate(names)})
 
     def index_of(self, name: str) -> int:
         try:
@@ -97,7 +103,7 @@ def _joined(left: Schema, right: Schema) -> Schema:
     )
 
 
-@dataclass(frozen=True)
+@record
 class OrderedRelation:
     """A schema plus an ordered sequence of rows.
 
@@ -108,21 +114,21 @@ class OrderedRelation:
     schema: Schema
     rows: tuple[Row, ...]
 
-    def __post_init__(self) -> None:
-        arity = len(self.schema.fields)
-        for r in self.rows:
+    def __init__(self, schema: Schema, rows: tuple) -> None:
+        arity = len(schema.fields)
+        for r in rows:
             if len(r) != arity:
                 raise SchemaError(
                     f"row {r!r} has arity {len(r)}, schema wants {arity}"
                 )
+        self._init(schema, rows)
 
     @classmethod
     def trusted(cls, schema: Schema, rows: tuple) -> "OrderedRelation":
         """A relation built without the arity check, for callers whose rows
         have the schema's arity by construction."""
         rel = object.__new__(cls)
-        object.__setattr__(rel, "schema", schema)
-        object.__setattr__(rel, "rows", rows)
+        cls._init(rel, schema, rows)
         return rel
 
     @property
@@ -170,6 +176,9 @@ def value_to_json(v):
 
 def value_from_json(v):
     if isinstance(v, dict):
+        for key in ("schema", "rows"):
+            if key not in v:
+                raise SchemaError(f"relation binding has no {key!r} key")
         fields, rows = v["schema"], v["rows"]
         if not isinstance(fields, list) or not all(
             isinstance(f, list) and len(f) == 2 for f in fields

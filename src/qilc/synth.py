@@ -45,7 +45,6 @@ import heapq
 import itertools
 import operator
 import time
-from dataclasses import dataclass, field
 
 from . import tor, verify
 from .frontend import (
@@ -59,6 +58,7 @@ from .frontend import (
     TypedProgram,
     walk,
 )
+from .record import record
 from .relation import INT, TEXT, Schema
 
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
@@ -70,7 +70,7 @@ _CMP_ORDER = ("=", "!=", "<", "<=", ">", ">=")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Template:
     relations: tuple  # (name, Schema) in parameter order
     scalar_params: tuple  # (name, "int" | "text")
@@ -108,7 +108,7 @@ def extract_template(tp: TypedProgram) -> Template:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LiveVar:
     """A local assigned inside the loops; it needs a postcondition."""
 
@@ -235,7 +235,7 @@ def _shape_list(proj, k, rel):
     return shaped if k is None else tor.Top(shaped, k)
 
 
-@dataclass(frozen=True)
+@record
 class _Ranked:
     """Predicates with their costs in (cost, s-expression) order; the
     predicate None stands for no selection."""
@@ -255,7 +255,7 @@ def _rank_preds(schema: Schema, template: Template) -> _Ranked:
     return _Ranked(items, dict(collections.Counter(c for c, _ in items)))
 
 
-@dataclass(frozen=True)
+@record
 class _Stream:
     """The posts shape(Sel(p, base)) for the predicates p of ranked (or
     shape(base) for p None), in acceptance order.
@@ -304,7 +304,7 @@ def _streams(var: LiveVar, template: Template, schemas: dict, ranked: dict) -> l
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Candidate:
     """One postcondition per live variable, declaration order."""
 
@@ -407,19 +407,24 @@ def enumerate_candidates(
 
 
 def _transform_base(tp: TypedProgram, e, prefix):
-    """Rebuild a candidate postcondition with its base replaced by
-    prefix(tp, base), which is built once per (base, prefix) and kept with
-    the program: candidates share a few bases."""
+    """Rebuild a candidate postcondition, shape by shape, with its base
+    replaced by prefix(tp, base), which is built once per (base, prefix)
+    and kept with the program: candidates share a few bases."""
     if isinstance(e, (tor.Query, tor.Join)):
         prefixed = tp.derived(_Derivation).prefixed
-        if (prefix, e) not in prefixed:
-            prefixed[prefix, e] = prefix(tp, e)
-        return prefixed[prefix, e]
-    if not isinstance(e, (tor.AggOf, tor.Top, tor.Proj, tor.Sel)):
-        raise ValueError(f"not a candidate postcondition: {e!r}")
-    return tor.map_children(
-        e, lambda c: _transform_base(tp, c, prefix) if isinstance(c, tor.REL_NODES) else c
-    )
+        got = prefixed.get((prefix, e))
+        if got is None:
+            got = prefixed[prefix, e] = prefix(tp, e)
+        return got
+    if isinstance(e, tor.Sel):
+        return tor.Sel(e.pred, _transform_base(tp, e.of, prefix))
+    if isinstance(e, tor.Proj):
+        return tor.Proj(e.fields, _transform_base(tp, e.of, prefix))
+    if isinstance(e, tor.Top):
+        return tor.Top(_transform_base(tp, e.of, prefix), e.k)
+    if isinstance(e, tor.AggOf):
+        return tor.AggOf(e.kind, e.field, _transform_base(tp, e.of, prefix))
+    raise ValueError(f"not a candidate postcondition: {e!r}")
 
 
 def _outer_prefix(tp: TypedProgram, base):
@@ -486,7 +491,7 @@ def _derive_invariants(tp: TypedProgram, candidate: Candidate) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SynthStats:
     enumerated: int
     tried: int
@@ -496,7 +501,7 @@ class SynthStats:
     vc_instances: int
 
 
-@dataclass(frozen=True)
+@record
 class Solution:
     candidate: Candidate
     invariants: dict
@@ -506,13 +511,13 @@ class Solution:
     stats: SynthStats
 
 
-@dataclass(frozen=True)
+@record
 class Failure:
     reason: str  # "exhausted" | "timeout"
     stats: SynthStats
 
 
-@dataclass(frozen=True)
+@record
 class Options:
     cost_bound: int = 24
     bounds: verify.Bounds = verify.Bounds()

@@ -27,6 +27,7 @@ import functools
 import operator
 from typing import NamedTuple
 
+from .record import Record, keep, make
 from .relation import INT, TEXT, OrderedRelation, Schema, SchemaError
 
 
@@ -39,90 +40,18 @@ class UnboundName(KeyError):
 # ---------------------------------------------------------------------------
 
 
-class Node:
+class Node(Record):
     """Base of every expression type. A node type (made by _node) names
-    its fields, in constructor order, in _fields, which are also its slots;
-    a field holding a Node is a child. Nodes compare and hash by type and
-    fields, the hash computed once, and repr as dataclasses do; ==, hash,
-    repr, pickling and copying ignore the memo slots."""
+    its fields, in constructor order, in _fields; a field holding a Node is
+    a child. Nodes are records (qilc.record): they compare and hash by type
+    and fields, the hash computed once, and ==, hash, repr, pickling and
+    copying ignore the memo slots below."""
 
-    __slots__ = ("_hash", "_sexpr", "_cost", "_facts", "_compiled")
-    _fields: tuple = ()
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return hash(self) == hash(other) and self._get(self) == other._get(other)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((type(self), self._get(self)))
-            _keep(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__name__}({args})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self._fields)
+    __slots__ = ("_sexpr", "_cost", "_facts", "_compiled")
+    _memo = Record._memo + __slots__
 
 
-_keep = object.__setattr__  # writes a memo slot past Node.__setattr__
-_MEMO_SETS = [getattr(Node, n).__set__ for n in Node.__slots__]
-
-
-def _forget(e) -> None:
-    for put in _MEMO_SETS:
-        put(e, None)
-
-
-def _node(name: str, fields: str, defaults: tuple = ()):
-    """A Node type with the space-separated fields; its __init__, one per
-    arity, sets each field through its slot and clears the memo slots."""
-    names = tuple(fields.split())
-    cls = type(name, (Node,), {"__slots__": names, "_fields": names})
-    sets = [getattr(cls, n).__set__ for n in names]
-    init = _forget
-    if len(sets) == 1:
-        (a,) = sets
-
-        def init(self, x):
-            a(self, x)
-            _forget(self)
-
-    elif len(sets) == 2:
-        a, b = sets
-
-        def init(self, x, y):
-            a(self, x)
-            b(self, y)
-            _forget(self)
-
-    elif len(sets) == 3:
-        a, b, c = sets
-
-        def init(self, x, y, z):
-            a(self, x)
-            b(self, y)
-            c(self, z)
-            _forget(self)
-
-    if defaults:
-        init.__defaults__ = defaults
-    cls.__init__ = init
-    # the field values: one value for one field, else a tuple
-    cls._get = staticmethod(operator.attrgetter(*names) if names else lambda e: ())
-    return cls
-
+_node = functools.partial(make, base=Node)
 
 IntConst = _node("IntConst", "value")
 TextConst = _node("TextConst", "value")
@@ -182,7 +111,7 @@ def _memoized(slot: str):
             memo = getattr(e, slot)
             if memo is None or key and memo[0] != key:
                 memo = f(e, *key)
-                _keep(e, slot, (key, memo) if key else memo)
+                keep(e, slot, (key, memo) if key else memo)
                 return memo
             return memo[1] if key else memo
 

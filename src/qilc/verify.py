@@ -131,7 +131,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import interp, tor
@@ -149,6 +148,7 @@ from .frontend import (
     VarRef,
     children,
 )
+from .record import record
 from .relation import (
     INT,
     OrderedRelation,
@@ -167,20 +167,20 @@ EXIT = "exit"
 BREAK_EXIT = "break-exit"
 
 
-@dataclass(frozen=True)
+@record
 class Bounds:
     rel_size: int = 3
     int_domain: tuple = (0, 1, 2)
     text_domain: tuple = ("a", "b")
 
 
-@dataclass(frozen=True)
+@record
 class VC:
     kind: str  # initiation | preservation | exit | break-exit
     loop: str  # index variable of the loop the condition belongs to
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
     """A violated instance. expected and actual are bare row tuples for
     list variables (no schema: under a wrong candidate the rows need not
@@ -228,7 +228,7 @@ def counterexample_from_json(data: dict) -> Counterexample:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     status: str  # valid | violated | non-checkable
     instances: int

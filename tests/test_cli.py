@@ -6,6 +6,9 @@ tested directly where the CLI path would be slow.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,18 @@ def bindings_file(tmp_path):
     path = tmp_path / "inputs.json"
     path.write_text(json.dumps(R_BINDINGS), encoding="utf-8")
     return str(path)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """qilc builds its record types itself (qilc.record): importing
+    dataclasses would load inspect and ast with it, on every run."""
+    probe = "import sys, qilc.cli; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # --- domain flag parsing ----------------------------------------------------
@@ -402,6 +417,24 @@ def test_replay_rejects_malformed_bindings(capsys, tmp_path, bindings):
     assert code == 1
     assert out == ""
     assert "qilc:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bindings, message",
+    [
+        ('{"R": {"schema": [[["x"], "int"]], "rows": []}}', "field name ['x'] is not a string"),
+        ('{"R": {"schema": [[{"x": 1}, "int"]], "rows": []}}', "field name {'x': 1} is not a string"),
+        ('{"R": {"schema": [[5, "int"]], "rows": []}}', "field name 5 is not a string"),
+        ('{"R": {"schema": [["a", "int"]]}}', "relation binding has no 'rows' key"),
+        ('{"R": {"rows": []}}', "relation binding has no 'schema' key"),
+    ],
+    ids=["list-name", "object-name", "int-name", "no-rows", "no-schema"],
+)
+def test_replay_names_a_malformed_schema_or_relation(capsys, tmp_path, bindings, message):
+    path = tmp_path / "inputs.json"
+    path.write_text(bindings, encoding="utf-8")
+    code, out, err = run_cli(capsys, "replay", qil_path("selection"), "--input", str(path))
+    assert (code, out, err) == (1, "", f"qilc: {message}\n")
 
 
 def test_replay_equality_against_text_compares_only_equality(capsys, bindings_file):

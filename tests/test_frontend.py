@@ -1,5 +1,8 @@
 """Parser and typechecker behavior, pinned against hand-written sources."""
 
+import copy
+import pickle
+
 import pytest
 
 from qilc import frontend
@@ -323,6 +326,30 @@ def test_children_are_exactly_the_node_valued_fields():
     for n in nodes:
         got, want = frontend.children(n), _expected_children(n)
         assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+def test_nodes_ignore_loc_in_eq_and_hash_and_show_it_in_repr():
+    at = frontend.Loc(3, 7)
+    a, b = frontend.VarRef("x", at), frontend.VarRef("x")
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert (a.loc, b.loc) == (at, frontend.Loc(0, 0)) and a != frontend.VarRef("y", at)
+    assert repr(a) == "VarRef(name='x', loc=Loc(line=3, col=7))"
+    assert repr(frontend.Break()) == "Break(loc=Loc(line=0, col=0))"
+    moved = parse("\n\n" + EQUI_JOIN.replace("    ", "  "))
+    assert moved == parse(EQUI_JOIN) and hash(moved) == hash(parse(EQUI_JOIN))
+    assert repr(moved) != repr(parse(EQUI_JOIN))
+
+
+def test_nodes_pickle_copy_and_refuse_writes():
+    ast = parse(EQUI_JOIN)
+    for clone in (pickle.loads(pickle.dumps(ast)), copy.copy(ast), copy.deepcopy(ast)):
+        assert clone == ast and clone is not ast and repr(clone) == repr(ast)
+    for node in frontend.walk([ast]):
+        for name in (*node._fields, "loc", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            del node.loc
 
 
 def test_walk_is_preorder():

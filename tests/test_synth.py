@@ -183,6 +183,30 @@ fn f(R: rel(a: int), S: rel(b: int)) {
     assert isinstance(inner.of, tor.Concat)
 
 
+def test_derive_invariants_prefixes_under_top_and_rejects_other_shapes():
+    tp = load_benchmark("top_k")
+    sel = tor.Sel(tor.CmpAtom(">", tor.FieldRef("a"), tor.IntConst(2)), tor.Query("R"))
+    post = tor.Top(sel, tor.ParamRef("k"))
+    (_, inv), = derive_invariants(tp, Candidate(posts=(("out", post),), cost=tor.cost(post)))["i"]
+    assert tor.to_sexpr(inv) == "(top (sel (> (field a) 2) (top (query R) (idx i))) (param k))"
+    concat = tor.Concat(tor.Query("R"), tor.Query("R"))
+    with pytest.raises(ValueError, match="not a candidate postcondition"):
+        derive_invariants(tp, Candidate(posts=(("out", concat),), cost=tor.cost(concat)))
+
+
+def test_bounds_and_options_compare_hash_and_print_as_records():
+    """Both are memo keys: equal values must hash alike, and neither may
+    equal a bare tuple of its fields."""
+    a, b = Options(), Options(24, verify.Bounds(3, (0, 1, 2), ("a", "b")), 0.0)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != Options(cost_bound=2) and a.bounds != verify.Bounds(rel_size=2)
+    assert a != (24, verify.Bounds(), 0.0) and verify.Bounds() != (3, (0, 1, 2), ("a", "b"))
+    assert repr(a) == (
+        "Options(cost_bound=24, bounds=Bounds(rel_size=3, int_domain=(0, 1, 2), "
+        "text_domain=('a', 'b')), timeout=0.0)"
+    )
+
+
 def test_synthesize_selection_minimal():
     out = synthesize(load_benchmark("selection"))
     assert isinstance(out, Solution)
