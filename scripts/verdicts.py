@@ -21,23 +21,16 @@ import sys
 from qilc import benchmarks_dir, frontend, synth, verify
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--first", type=int, default=60, metavar="N")
-    ap.add_argument(
-        "--rel-bound", type=int, default=verify.Bounds().rel_size, metavar="N"
-    )
-    ap.add_argument("names", nargs="*", metavar="NAME")
-    args = ap.parse_args(argv)
-    bounds = verify.Bounds(rel_size=args.rel_bound)
+def verdict_lines(names=(), first=60, bounds=verify.Bounds(), fasts=(True, False)):
+    """The JSON lines main prints, in order; fasts picks the checkers."""
     for path in sorted(benchmarks_dir().glob("*.qil")):
-        if args.names and path.stem not in args.names:
+        if names and path.stem not in names:
             continue
         tp = frontend.typecheck(frontend.parse(path.read_text(encoding="utf-8")))
         cands = synth.enumerate_candidates(tp, synth.extract_template(tp), 24)
-        for n, cand in enumerate(itertools.islice(cands, args.first)):
+        for n, cand in enumerate(itertools.islice(cands, first)):
             inv = synth.derive_invariants(tp, cand)
-            for fast in (True, False):
+            for fast in fasts:
                 res = verify.validate(tp, cand, inv, bounds, fast=fast)
                 cex = res.counterexample
                 line = {
@@ -49,7 +42,20 @@ def main(argv=None) -> int:
                     "vcs": res.vcs,
                     "counterexample": None if cex is None else cex.to_json(),
                 }
-                print(json.dumps(line, sort_keys=True), flush=True)
+                yield json.dumps(line, sort_keys=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--first", type=int, default=60, metavar="N")
+    ap.add_argument(
+        "--rel-bound", type=int, default=verify.Bounds().rel_size, metavar="N"
+    )
+    ap.add_argument("names", nargs="*", metavar="NAME")
+    args = ap.parse_args(argv)
+    bounds = verify.Bounds(rel_size=args.rel_bound)
+    for line in verdict_lines(args.names, args.first, bounds):
+        print(line, flush=True)
     return 0
 
 

@@ -2,8 +2,11 @@
 violation behavior, and the fast-path/sweep agreement property."""
 
 import copy
+import hashlib
+import importlib.util
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,32 @@ fn f(R: rel(a: int)) {
 
 
 # --- verdicts -------------------------------------------------------------------
+
+
+SINGLE_LOOPS = (
+    "count identity max_value min_value projection select_project selection sum top_k"
+).split()
+
+
+@pytest.mark.parametrize("names, bounds, fasts, digest", [
+    (SINGLE_LOOPS, Bounds(), (True, False),
+     "6161a9754a41de4cddc63a4764481a3d48ec8da5343027688ba6e8c10ceddc7f"),
+    (["cross_join", "equi_join", "join_select_project"], Bounds(), (True,),
+     "7123a880f85ef5176adf3f49c47b944873259953dfbf8a29fa2d1ce7e1857353"),
+    (SINGLE_LOOPS, Bounds(rel_size=5), (True, False),
+     "469c38f3d2f836e88ca62902b9444cecd7b8e2d229e6b8580bdfc4b8ff4f6e0a"),
+], ids=["single-loops", "nested-fast-only", "single-loops-rel-bound-5"])
+def test_verdict_lines_hash_to_their_pinned_digest(names, bounds, fasts, digest):
+    """scripts/verdicts.py's lines (status, instance and VC counts and the
+    counterexample of the first 60 candidates) for these programs hash to
+    the digest they had when pinned: a verifier change that moves any
+    verdict, count or counterexample fails here."""
+    path = Path(__file__).parent.parent / "scripts" / "verdicts.py"
+    spec = importlib.util.spec_from_file_location("verdicts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = "".join(f"{line}\n" for line in script.verdict_lines(names, 60, bounds, fasts))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_valid_solution_passes_at_default_bounds():
