@@ -227,6 +227,56 @@ fn f(R: rel(a: int)) {
         typecheck(parse(src))
 
 
+MISPLACED = """
+fn f(R: rel(a: int), S: rel(b: int)) {
+    var out: list(a: int);
+    for i in 0 .. size(R) {
+        break;
+        if R[i].a > y { break; }
+        if R[i].a > 1 {
+            for j in 0 .. size(S) { break; }
+            break;
+            if R[i].a > z { break; }
+            if w > 0 {
+                break;
+                if R[i].a > 2 { break; }
+                out.append(R[i]);
+            }
+        }
+        for j in 0 .. size(S) {
+            for k in 0 .. size(S) { break; }
+            if S[j].b > 0 { break; }
+            out.append(R[i]);
+        }
+        if v > 0 { break; }
+    }
+    return out;
+}
+"""
+
+
+def test_misplaced_loops_and_breaks_report_each_issue_in_order():
+    """A for, a bare break and a guarded break out of place, in a loop body
+    and under an if: a loop under an if is not checked further, and the
+    guard of a guarded break under an if is not checked at all (z)."""
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(parse(MISPLACED))
+    assert [(i.message, i.line, i.col) for i in err.value.issues] == [
+        ("break must appear as `if cond { break; }`", 5, 9),
+        ("a guarded break must be the last statement of the loop body", 6, 9),
+        ("undeclared identifier 'y'", 6, 21),
+        ("loops may not appear under a conditional", 8, 13),
+        ("break must be the last statement of the loop body", 9, 13),
+        ("a guarded break must be the last statement of the loop body", 10, 13),
+        ("undeclared identifier 'w'", 11, 16),
+        ("break must be the last statement of the loop body", 12, 17),
+        ("a guarded break must be the last statement of the loop body", 13, 17),
+        ("loops nest at most two deep", 18, 13),
+        ("a guarded break must be the last statement of the loop body", 19, 13),
+        ("undeclared identifier 'v'", 22, 12),
+    ]
+
+
 def test_optint_cannot_appear_in_predicates():
     src = """
 fn f(R: rel(a: int)) {
