@@ -45,7 +45,7 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from . import tor
-from .record import keep, record
+from .record import keep, record, too_deep
 from .relation import INT, OrderedRelation, Schema, SchemaError
 
 
@@ -347,6 +347,7 @@ def render(q: Sql) -> str:
 
 _SQL_KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "BY", "LIMIT"}
 _AGG_FUNCS = {"COUNT", "SUM", "MIN", "MAX", "COALESCE"}
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", which int() refuses
 
 
 def _sql_tokens(text: str) -> list:
@@ -373,9 +374,9 @@ def _sql_tokens(text: str) -> list:
             toks.append(("param", text[i + 1 : j]))
             i = j
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(("int", int(text[i:j])))
             i = j
@@ -437,6 +438,8 @@ class _SqlParser:
         if self.at("kw", "WHERE"):
             self.take()
             where = self._pred()
+            if too_deep(where, tor.children) is not None:
+                raise SqlSyntaxError("query nested too deeply")
         if aggregate is not None:
             self.take("end")
             return SqlScalar(*aggregate, sources, where)

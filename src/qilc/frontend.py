@@ -21,7 +21,7 @@ import functools
 import re
 from typing import Optional
 
-from .record import Record, make, record
+from .record import Record, make, record, too_deep
 from .relation import Schema
 
 # Internal scalar type for min/max accumulators: an int that may be absent.
@@ -518,12 +518,17 @@ class _Parser:
 
 def parse(source: str) -> Program:
     """Parse kernel source into an AST; raises ParseError on the first
-    syntactically offending token, or where nesting outgrows the stack."""
+    syntactically offending token, where nesting outgrows the stack, or at
+    the first node nested deeper than record.MAX_DEPTH levels."""
     parser = _Parser(_lex(source))
     try:
-        return parser.program()
+        ast = parser.program()
     except RecursionError:
         raise parser.fail("nested too deeply") from None
+    deep = too_deep(ast, children)
+    if deep is not None:
+        raise ParseError("nested too deeply", deep.loc.line, deep.loc.col)
+    return ast
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +555,8 @@ class TypedProgram:
     pre_loop the statements before the top-level loop, agg_updates each
     accumulator's "sum" | "count" | "min" | "max", and relations each
     relation parameter's Schema. memo holds what later passes build from
-    the program once (interp's compiled statements, difftest's draw plan),
-    keyed by the builder; see derived.
+    the program once (interp's compiled statements, difftest's draw plan,
+    the verifier's plan per Bounds), keyed by the builder; see derived.
     """
 
     __slots__ = (
@@ -572,12 +577,14 @@ class TypedProgram:
     def name(self) -> str:
         return self.ast.name
 
-    def derived(self, build):
-        """build(self), built on first use and kept with the program."""
+    def derived(self, build, *args):
+        """build(self, *args), built on first use and kept with the program
+        under the key (build, *args), or build alone when there are no args."""
+        key = (build, *args) if args else build
         memo = self.memo
-        if build not in memo:
-            memo[build] = build(self)
-        return memo[build]
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
 
 
 class _Checker:
@@ -674,49 +681,36 @@ class _Checker:
         self.loop_rel[st.index] = st.rel
         breaks = any(isinstance(s, If) and self.is_guarded_break(s) for s in st.body)
         self.loops.append(LoopInfo(st.index, st.rel, breaks, st))
-        self.check_loop_body(st.body, depth)
+        self.check_body(st.body, depth)
 
-    def check_loop_body(self, body: tuple, depth: int) -> None:
+    def check_body(self, body: tuple, depth: int, under_if: bool = False) -> None:
+        """A loop body's statements, or those under a non-break conditional
+        inside it (under_if), where no loop or break may appear and a
+        guarded break is reported without checking its guard."""
         for pos, st in enumerate(body):
-            last = pos == len(body) - 1
             if isinstance(st, For):
-                self.check_loop(st, depth + 1)
-            elif isinstance(st, Break):
-                self.issue("break must appear as `if cond { break; }`", st.loc)
-            elif isinstance(st, If):
-                if self.is_guarded_break(st):
-                    if not last:
-                        self.issue(
-                            "a guarded break must be the last statement of the loop body",
-                            st.loc,
-                        )
-                    self.check_pred(st.cond)
+                if under_if:
+                    self.issue("loops may not appear under a conditional", st.loc)
                 else:
-                    self.check_pred(st.cond)
-                    self.check_cond_body(st.body, depth)
-            elif isinstance(st, Append):
-                self.check_append(st)
-            elif isinstance(st, Assign):
-                self.check_accum_update(st)
-
-    def check_cond_body(self, body: tuple, depth: int) -> None:
-        """Statements under a non-break conditional inside a loop."""
-        for st in body:
-            if isinstance(st, For):
-                self.issue("loops may not appear under a conditional", st.loc)
+                    self.check_loop(st, depth + 1)
             elif isinstance(st, Break):
                 self.issue(
-                    "break must be the last statement of the loop body", st.loc
+                    "break must be the last statement of the loop body"
+                    if under_if
+                    else "break must appear as `if cond { break; }`",
+                    st.loc,
                 )
             elif isinstance(st, If):
-                if self.is_guarded_break(st):
+                guarded = self.is_guarded_break(st)
+                if guarded and (under_if or pos < len(body) - 1):
                     self.issue(
                         "a guarded break must be the last statement of the loop body",
                         st.loc,
                     )
-                else:
+                if not (guarded and under_if):
                     self.check_pred(st.cond)
-                    self.check_cond_body(st.body, depth)
+                if not guarded:
+                    self.check_body(st.body, depth, under_if=True)
             elif isinstance(st, Append):
                 self.check_append(st)
             elif isinstance(st, Assign):

@@ -5,7 +5,8 @@ a few hand-written functions, one per arity, renamed so that its parameters
 are the fields: keywords, defaults and argument errors work as in a
 dataclass. @record builds the same from a class statement's annotations,
 defaults and methods. tor's and frontend's tree nodes and the pipeline's
-frozen records are all made here.
+frozen records are all made here, and MAX_DEPTH bounds how deep a tree of
+them may nest.
 """
 
 from __future__ import annotations
@@ -101,6 +102,24 @@ def record(cls=None, *, loose: str = "", memo: str = ""):
         return make(cls.__name__, fields, defaults, loose=loose, memo=memo, ns=ns)
 
     return build if cls is None else build(cls)
+
+
+# The deepest a syntax tree may nest, its root at level 1: both parsers reject
+# a deeper one, so recursive passes stay well inside Python's 1000 frames.
+MAX_DEPTH = 200
+
+
+def too_deep(root, children):
+    """The first node in pre-order that lies more than MAX_DEPTH levels
+    deep, or None. It keeps its own stack, so it measures trees of any
+    depth."""
+    stack = [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        if level > MAX_DEPTH:
+            return node
+        stack += [(c, level + 1) for c in reversed(children(node))]
+    return None
 
 
 def _arity_init(sets: list, clears: list):

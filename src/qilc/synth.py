@@ -526,13 +526,13 @@ class Options:
 
 def synthesize(tp: TypedProgram, options: Options = Options()):
     """Search candidates in order; return Solution or Failure. The search's
-    memos on tp (the prefixed bases and the verifier's per-program facts)
+    memos on tp (the prefixed bases and the verifier's plan at its bounds)
     are dropped on return; interp's and difftest's are kept."""
     try:
         return _search(tp, options)
     finally:
         tp.memo.pop(_Derivation, None)
-        tp.memo.pop(verify._Program, None)
+        tp.memo.pop((verify._Plan, options.bounds), None)
 
 
 def _search(tp: TypedProgram, options: Options):

@@ -37,26 +37,28 @@ shortcuts' scans on the instances they pick, and replay (recheck) on a
 recorded counterexample, so all three mean the same condition.
 
 The search checks thousands of candidates of one program and rejects most
-at their first failing VC, so the checker's state is built at three times.
-Once per program (_Program, kept on the TypedProgram): the compiled
-statement blocks, the split of the outer body around the inner loop, the
-parameter names, the prover's body paths, the half of the row-local
-premise that reads the body alone and, per Bounds, the row scan's inputs
-(each instance still gets its own loop-head store). Once per candidate
-(_Checker): an uncompiled _VarRecon per post and invariant equality and,
-when a decider first asks, whether the invariants are the derived ones and
-whether each accumulator update matches its post. Once per VC (_ready,
-when instance or the sweep starts): the closures of the invariants and
-posts that VC reads, so a candidate rejected at its first checked VC
-compiles nothing else; a subterm that candidates share is compiled once,
-since tor keeps each node's closure on the node.
+at their first failing VC. So what does not depend on the candidate is
+built once per (TypedProgram, Bounds), as the plan (_Plan, kept on the
+program; synthesize drops it on return) that validate walks: the VCs in
+gen_vcs order, each with its analytic count, the invariant and post groups
+it reads and its deciders; the compiled statement blocks, the split of the
+outer body around the inner loop, the prover's body paths and the body's
+half of the row-local premise; the program's own NonCheckable reason; and,
+when first asked, the sweep's first input with its loop-head store and the
+row scan's inputs. Per candidate (_Checker) come an uncompiled _VarRecon
+per post and invariant equality and, when a decider first asks, whether
+the invariants are the derived ones and each update matches its post. Per
+VC (_ready) come the closures of the groups it reads, so a candidate
+rejected at its first checked VC compiles nothing else; a subterm that
+candidates share is compiled once, since tor keeps each node's closure on
+the node.
 
 Sweeping every instance one at a time is the semantic definition, but it
 is wasteful for the invariant family the synthesizer derives. So run_vc
-first tries the deciders that _DECIDERS lists for the VC, in order; the
-first whose premise holds settles it, the sweep decides the rest, and
-run_vc returns the name of what settled the VC with its instance count and
-counterexample:
+first tries the deciders that the plan lists for the VC (from _DECIDERS),
+in order; the first whose premise holds settles it, the sweep decides the
+rest, and run_vc returns the name of what settled the VC with its
+instance count and counterexample:
 
     init-const           Initiation(i): with no statements ahead of the
                          loop, every outer invariant is a constant at
@@ -287,16 +289,7 @@ def relation_values(schema: Schema, bounds: Bounds) -> tuple:
 
 
 def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
-    """Analytic number of instances the sweep for vc must enumerate, kept
-    per (vc, bounds) on the program's _Program: the checker asks for the
-    same few counts for every candidate of a program."""
-    counts = tp.derived(_Program).instance_counts
-    if (vc, bounds) not in counts:
-        counts[vc, bounds] = _count_instances(vc, tp, bounds)
-    return counts[vc, bounds]
-
-
-def _count_instances(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
+    """Analytic number of instances the sweep for vc must enumerate."""
     outer = tp.loops[0]
     params = tp.ast.params
     rel_params = [p for p in params if isinstance(p.ty, Schema)]
@@ -389,9 +382,10 @@ class _VarRecon:
         return self._f(env)
 
 
-def _non_checkable_reason(tp, candidate, bounds: Bounds) -> str:
-    if len(tp.loops) == 2 and any(l.breaks for l in tp.loops):
-        return "break inside a nested loop is outside the checkable fragment"
+def _non_checkable_reason(plan, candidate) -> str:
+    if plan.reason:
+        return plan.reason
+    bounds = plan.bounds
     found = [tor.facts(post) for _, post in candidate.posts]
     lo, hi = min(bounds.int_domain), max(bounds.int_domain)
     bad_int = sorted(c for f in found for c in f.ints if not lo <= c <= hi)
@@ -572,24 +566,24 @@ class _on_first_read:
         return value
 
 
-class _Program:
-    """What checking reads of the program alone, whichever the candidate:
-    the compiled statement blocks, the split of the outer body around the
-    inner loop, the parameter names, the prover's body paths and the
-    candidate-independent half of the row-local premise. Built once per
-    TypedProgram (tp.derived(_Program))."""
+class _Plan:
+    """What checking reads of the program and the Bounds alone, whichever
+    the candidate (see the module docstring). Built once per
+    (TypedProgram, Bounds): tp.derived(_Plan, bounds)."""
 
-    def __init__(self, tp: TypedProgram):
+    def __init__(self, tp: TypedProgram, bounds: Bounds):
         self.tp = tp
+        self.bounds = bounds
         self.outer = outer = tp.loops[0]
         self.inner = inner = tp.loops[1] if len(tp.loops) == 2 else None
+        nested = inner is not None
         self.exec = ex = interp.executor(tp)
         self.run_pre_loop = ex.block(tp.pre_loop)
         self.run_outer = ex.block(outer.node.body)
         params = tp.ast.params
         self.scalar_names = tuple(p.name for p in params if not isinstance(p.ty, Schema))
         self.int_params = tuple(p.name for p in params if p.ty == INT)
-        if inner is not None:
+        if nested:
             body = outer.node.body
             at = next(i for i, s in enumerate(body) if s is inner.node)
             self.prefix = body[:at]
@@ -598,28 +592,75 @@ class _Program:
             self.run_suffix = ex.block(self.suffix)
             self.run_inner = ex.block(inner.node.body)
         self.updates = self.accumulator_updates(tp.loops[-1].node.body)
-        self.instance_counts: dict = {}  # (VC, Bounds) -> instance_count
-        self.row_scans: dict = {}  # Bounds -> scan_inputs
+        self.reason = ""
+        if nested and any(l.breaks for l in tp.loops):
+            self.reason = "break inside a nested loop is outside the checkable fragment"
+        # each VC's (count, reads, deciders): its instance_count, the groups
+        # _Checker._ready compiles for it (a loop's index names its
+        # invariants, None the posts) and the (name, method) pairs to try
+        self.steps = {}
+        for vc in gen_vcs(tp):
+            on_outer = vc.loop == outer.index
+            if on_outer and vc.kind in (EXIT, BREAK_EXIT):
+                reads = (vc.loop, None)
+            elif not on_outer and vc.kind != PRESERVATION:
+                reads = (vc.loop, outer.index)
+            else:
+                reads = (vc.loop,)
+            deciders = tuple(
+                (name, getattr(_Checker, "_decide_" + name.replace("-", "_")))
+                for name in _DECIDERS[nested, on_outer, vc.kind]
+            )
+            self.steps[vc] = instance_count(vc, tp, bounds), reads, deciders
 
-    def scan_inputs(self, bounds: Bounds) -> tuple:
-        """(indices, inputs) of the row-local scan at bounds, kept per
-        Bounds for every candidate: the inputs combine one row of each
-        loop's relation with the scalar parameter values (R = [rl, rs] at
-        i = 0, j = 1 when both loops scan R), relation parameters no loop
-        scans are empty, and no check may mutate them."""
-        if bounds in self.row_scans:
-            return self.row_scans[bounds]
+    def entry(self, inputs: dict) -> dict:
+        """The store at the loop head: declared locals, then the pre-loop
+        statements."""
+        store0 = self.exec.init_store(inputs)
+        self.run_pre_loop(store0)
+        return store0
+
+    def values(self, ty) -> tuple:
+        """The values a parameter of type ty takes, in the sweep's order."""
+        if isinstance(ty, Schema):
+            return relation_values(ty, self.bounds)
+        return self.bounds.int_domain if ty == INT else self.bounds.text_domain
+
+    def sweep_inputs(self):
+        """Every (inputs, loop-head store) in the sweep's order."""
+        params = self.tp.ast.params
+        names = [p.name for p in params]
+        for combo in itertools.product(*[self.values(p.ty) for p in params]):
+            inputs = dict(zip(names, combo))
+            yield inputs, self.entry(inputs)
+
+    @_on_first_read
+    def first(self) -> tuple:
+        """The sweep's first (inputs, loop-head store): relations empty,
+        scalars the first of their domains. No check may mutate either."""
+        inputs = {}
+        for p in self.tp.ast.params:
+            empty = isinstance(p.ty, Schema)
+            inputs[p.name] = OrderedRelation(p.ty, ()) if empty else self.values(p.ty)[0]
+        return inputs, self.entry(inputs)
+
+    @_on_first_read
+    def scan(self) -> tuple:
+        """(vc, indices, inputs) of the row-local scan: vc is the innermost
+        loop's Preservation, and the inputs combine one row of each loop's
+        relation with the scalar parameter values (R = [rl, rs] at i = 0,
+        j = 1 when both loops scan R), relation parameters no loop scans
+        are empty, and no check may mutate them."""
+        bounds = self.bounds
         loops = self.tp.loops
+        vc = VC(PRESERVATION, loops[-1].index)
         scanned = [(l.rel, self.tp.relations[l.rel]) for l in loops]
         others = {
             p.name: OrderedRelation(p.ty, ())
             for p in self.tp.ast.params
             if isinstance(p.ty, Schema) and p.name not in dict(scanned)
         }
-        domains = [
-            bounds.int_domain if self.tp.var_types[n] == INT else bounds.text_domain
-            for n in self.scalar_names
-        ]
+        domains = [self.values(self.tp.var_types[n]) for n in self.scalar_names]
         same = self.inner is not None and self.inner.rel == self.outer.rel
         if same:
             indices = {self.outer.index: 0, self.inner.index: 1}
@@ -638,8 +679,7 @@ class _Program:
                 for (rel, sch), row in zip(scanned, rows):
                     inputs[rel] = OrderedRelation(sch, (row,))
             all_inputs.append(inputs)
-        self.row_scans[bounds] = indices, tuple(all_inputs)
-        return self.row_scans[bounds]
+        return vc, indices, tuple(all_inputs)
 
     def input_only(self, node) -> bool:
         """The expression, record or predicate reads inputs and loop rows
@@ -745,7 +785,7 @@ class _Program:
 
 
 class _Checker:
-    """One candidate's check, over its program's _Program. An invariant or
+    """One candidate's check, over its program's _Plan. An invariant or
     post is compiled when the first VC that reads it starts (_ready), so a
     candidate rejected early compiles only what its deciding VC reads."""
 
@@ -758,11 +798,10 @@ class _Checker:
         fast: bool = True,
     ):
         self.tp = tp
-        self.program = program = tp.derived(_Program)
-        self.bounds = bounds
+        self.plan = plan = tp.derived(_Plan, bounds)
         self.fast = fast
-        self.outer = program.outer
-        self.inner = program.inner
+        self.outer = plan.outer
+        self.inner = plan.inner
         self.candidate = candidate
         self.invariants = invariants
         self.posts = [_VarRecon(v, e) for v, e in candidate.posts]
@@ -774,14 +813,8 @@ class _Checker:
 
     def _ready(self, vc: VC) -> None:
         """Compile the invariants and posts that checking vc reads."""
-        oi = self.outer.index
-        reads = [self.recons[vc.loop]]
-        if vc.loop == oi and vc.kind in (EXIT, BREAK_EXIT):
-            reads.append(self.posts)
-        elif vc.loop != oi and vc.kind != PRESERVATION:
-            reads.append(self.recons[oi])
-        for recons in reads:
-            for r in recons:
+        for group in self.plan.steps[vc][1]:
+            for r in self.posts if group is None else self.recons[group]:
                 if r.kind is None:
                     r.compile(self.tp.relations)
 
@@ -796,13 +829,14 @@ class _Checker:
         from . import synth  # import here: synth imports this module
 
         posts = self.candidate.posts
+        rel_size = self.plan.bounds.rel_size
         if self.inner is None:
-            if self.bounds.rel_size < 1:
+            if rel_size < 1:
                 return False
             oi, rel = self.outer.index, self.outer.rel
             if not all(_row_wise(e, rel, oi) for _, e in posts):
                 return False
-        elif self.bounds.rel_size < (2 if self.outer.rel == self.inner.rel else 1):
+        elif rel_size < (2 if self.outer.rel == self.inner.rel else 1):
             return False
         if any(tor.facts(e).has_top for _, e in posts):
             return False
@@ -823,7 +857,7 @@ class _Checker:
         aggregate makes (_FOLDS): appending and adding cancel the prefix,
         and min/max (absent as identity) are associative, so the change an
         iteration makes is a function of the current rows alone."""
-        updates = self.program.updates
+        updates = self.plan.updates
         if updates is None:
             return False
         for target in updates:
@@ -835,29 +869,6 @@ class _Checker:
         return True
 
     # -- shared pieces ------------------------------------------------------
-
-    def _entry(self, inputs: dict) -> dict:
-        """The store at the loop head: declared locals, then the pre-loop
-        statements."""
-        program = self.program
-        store0 = program.exec.init_store(inputs)
-        program.run_pre_loop(store0)
-        return store0
-
-    def _inputs(self):
-        lists = []
-        names = []
-        for p in self.tp.ast.params:
-            names.append(p.name)
-            if isinstance(p.ty, Schema):
-                lists.append(relation_values(p.ty, self.bounds))
-            elif p.ty == INT:
-                lists.append(tuple(self.bounds.int_domain))
-            else:
-                lists.append(tuple(self.bounds.text_domain))
-        for combo in itertools.product(*lists):
-            inputs = dict(zip(names, combo))
-            yield inputs, self._entry(inputs)
 
     def _restore(self, store0: dict, recons, env, indices: dict, p1s=None):
         store = dict(store0)
@@ -884,7 +895,7 @@ class _Checker:
     def instance(self, vc: VC, inputs: dict, indices: dict):
         """Check one (inputs, indices) instance; Counterexample or None."""
         self._ready(vc)
-        return self.check(vc, inputs, self._entry(inputs), indices)
+        return self.check(vc, inputs, self.plan.entry(inputs), indices)
 
     def check(self, vc: VC, inputs: dict, store0: dict, indices: dict, p1s=None):
         """Decide one instance of vc from the loop-head store store0. p1s
@@ -899,7 +910,7 @@ class _Checker:
             store = self._restore(store0, recons, env, indices)
             if vc.kind == EXIT:
                 return self._mismatch(vc, inputs, indices, self.posts, store, inputs)
-            broke = bool(self.program.run_outer(store))
+            broke = bool(self.plan.run_outer(store))
             if broke != (vc.kind == BREAK_EXIT):
                 return None
             if broke:
@@ -911,40 +922,28 @@ class _Checker:
         irecons = self.recons[ij]
         if vc.kind == INITIATION:
             store = self._restore(store0, self.recons[oi], env, {oi: indices[oi]})
-            self.program.run_prefix(store)
+            self.plan.run_prefix(store)
             return self._mismatch(vc, inputs, indices, irecons, store, env)
         if vc.kind == EXIT:
             store = self._restore(store0, irecons, env, {oi: indices[oi]}, p1s)
-            self.program.run_suffix(store)
+            self.plan.run_suffix(store)
             env2 = {**inputs, oi: indices[oi] + 1}
             return self._mismatch(vc, inputs, indices, self.recons[oi], store, env2)
         # inner preservation
         store = self._restore(store0, irecons, env, indices, p1s)
-        if self.program.run_inner(store):
+        if self.plan.run_inner(store):
             return None
         env[ij] += 1
         return self._mismatch(vc, inputs, indices, irecons, store, env, p1s)
 
     # -- the deciders -------------------------------------------------------------
     #
-    # Each is one row of _DECIDERS. It checks its own premise and returns
-    # (instances, counterexample-or-None), or None when the premise does not
-    # hold and the next decider or the sweep must decide. A pass is reported
-    # with the analytic count of instances the decider covers; a violation
-    # is reported with the instances it actually checked and a
-    # counterexample produced by instance(), so it replays like any other.
-
-    def _minimal_inputs(self) -> dict:
-        """The first inputs combination in canonical enumeration order."""
-        inputs = {}
-        for p in self.tp.ast.params:
-            if isinstance(p.ty, Schema):
-                inputs[p.name] = OrderedRelation(p.ty, ())
-            elif p.ty == INT:
-                inputs[p.name] = self.bounds.int_domain[0]
-            else:
-                inputs[p.name] = self.bounds.text_domain[0]
-        return inputs
+    # Each is one entry of _DECIDERS. It checks its own premise and returns
+    # a verdict: None when the premise does not hold and the next decider or
+    # the sweep must decide, VALID, which run_vc reports with the VC's
+    # analytic count from the plan, or a violation as (instances checked,
+    # counterexample), the counterexample produced by instance() so that it
+    # replays like any other.
 
     def _const_at_zero(self, recon, name: str):
         """("rel"|"scalar", value) when the invariant at index 0 is over a
@@ -971,8 +970,7 @@ class _Checker:
             if cv is None:
                 return None
             pairs.append((recon, cv))
-        inputs = self._minimal_inputs()
-        store0 = self._entry(inputs)
+        inputs, store0 = self.plan.first
         for recon, (kind, want) in pairs:
             have = store0[recon.var]
             ok = tuple(have) == want if kind == "rel" else have == want
@@ -981,7 +979,7 @@ class _Checker:
                 if cex is None:
                     return None
                 return 1, cex
-        return instance_count(vc, self.tp, self.bounds), None
+        return VALID
 
     def _decide_exit_identity(self, vc: VC):
         # At i = |R| the invariant and the postcondition are often the same
@@ -996,17 +994,16 @@ class _Checker:
                 return None
             if tor.simplify(inv) != tor.simplify(post):
                 return None
-        return instance_count(vc, self.tp, self.bounds), None
+        return VALID
 
     @_on_first_read
     def _row_scan(self) -> tuple:
         """Check one iteration of the innermost loop from each of the row
-        scan's inputs (_Program.scan_inputs), each from its own loop-head
-        store. Under the row-local premise (_row_local; see the module
-        docstring) these checks decide every preservation instance. Returns
+        scan's inputs (_Plan.scan), each from its own loop-head store.
+        Under the row-local premise (_row_local; see the module docstring)
+        these checks decide every preservation instance. Returns
         (instances checked, first counterexample or None)."""
-        indices, all_inputs = self.program.scan_inputs(self.bounds)
-        vc = VC(PRESERVATION, self.tp.loops[-1].index)
+        vc, indices, all_inputs = self.plan.scan
         for checked, inputs in enumerate(all_inputs, 1):
             cex = self.instance(vc, inputs, indices)
             if cex is not None:
@@ -1017,29 +1014,24 @@ class _Checker:
         # The finished part of the inner invariant is the outer invariant
         # expression and the running part starts empty, so with nothing
         # between the loop heads the condition is an identity.
-        if self._derived and not self.program.prefix:
-            return instance_count(vc, self.tp, self.bounds), None
-        return None
+        return VALID if self._derived and not self.plan.prefix else None
 
     def _decide_inner_exit_identity(self, vc: VC):
         # At j = |S| the running part has consumed all of S, which is
         # exactly the outer invariant's increment from i to i+1.
-        if self._derived and not self.program.suffix:
-            return instance_count(vc, self.tp, self.bounds), None
-        return None
+        return VALID if self._derived and not self.plan.suffix else None
 
     def _decide_row_scan(self, vc: VC):
-        program = self.program
         if self.inner is not None and vc.loop == self.outer.index:
             # Preservation(i) runs the whole outer body, which the scan of
             # the inner body covers only when nothing is around the loop
-            if program.prefix or program.suffix:
+            if self.plan.prefix or self.plan.suffix:
                 return None
         if not self._row_local:
             return None
         checked, cex = self._row_scan
         if cex is None:
-            return instance_count(vc, self.tp, self.bounds), None
+            return VALID
         if self.inner is None:
             # the single-loop scan only ever says Valid: on a violation the
             # sweep decides, so the counts and counterexample are its own
@@ -1047,9 +1039,7 @@ class _Checker:
         return checked, cex
 
     def _decide_prover(self, vc: VC):
-        if self._proves(vc):
-            return instance_count(vc, self.tp, self.bounds), None
-        return None
+        return VALID if self._proves(vc) else None
 
     # -- the prover ---------------------------------------------------------------
 
@@ -1063,7 +1053,7 @@ class _Checker:
             want, shift = [(r.var, r.expr) for r in self.posts], None
         else:
             want, shift = invs, 1
-        paths = self.program.body_paths
+        paths = self.plan.body_paths
         if paths is None:
             return False
         try:
@@ -1099,7 +1089,7 @@ class _Checker:
             if shift is None:
                 raise _Refuse
             return e.name, e.offset + shift
-        if isinstance(e, tor.ParamRef) and e.name in self.program.int_params:
+        if isinstance(e, tor.ParamRef) and e.name in self.plan.int_params:
             return e.name, 0
         if e == tor.SizeOf(tor.Query(self.outer.rel)):
             return _SIZE, 0
@@ -1182,17 +1172,19 @@ class _Checker:
 
     def run_vc(self, vc: VC):
         """(decider, instances, counterexample-or-None): the first of vc's
-        deciders in _DECIDERS that answers, else the sweep. fast=False
+        deciders in the plan that answers, else the sweep. fast=False
         skips the deciders."""
         if self.fast:
-            key = (self.inner is not None, vc.loop == self.outer.index, vc.kind)
-            for name, decide in _DECIDERS[key]:
-                found = decide(self, vc)
-                if found is not None:
-                    return (name, *found)
+            count, _, deciders = self.plan.steps[vc]
+            for name, decide in deciders:
+                verdict = decide(self, vc)
+                if verdict == VALID:
+                    return name, count, None
+                if verdict is not None:
+                    return (name, *verdict)
         self._ready(vc)
         count = 0
-        for inputs, store0 in self._inputs():
+        for inputs, store0 in self.plan.sweep_inputs():
             for indices, p1s in self._assignments(vc, inputs):
                 count += 1
                 cex = self.check(vc, inputs, store0, indices, p1s)
@@ -1202,29 +1194,19 @@ class _Checker:
 
 
 # What may settle each VC before the sweep, tried in order, keyed by
-# (nested, on the outer loop, VC kind); see the module docstring.
-_DECIDE = {
-    "init-const": _Checker._decide_init_const,
-    "exit-identity": _Checker._decide_exit_identity,
-    "inner-init-identity": _Checker._decide_inner_init_identity,
-    "inner-exit-identity": _Checker._decide_inner_exit_identity,
-    "prover": _Checker._decide_prover,
-    "row-scan": _Checker._decide_row_scan,
-}
+# (nested, on the outer loop, VC kind); see the module docstring. The
+# decider named n-m is _Checker._decide_n_m.
 _DECIDERS = {
-    key: tuple((name, _DECIDE[name]) for name in names)
-    for key, names in {
-        (False, True, INITIATION): ("init-const",),
-        (False, True, PRESERVATION): ("prover", "row-scan"),
-        (False, True, BREAK_EXIT): ("prover",),
-        (False, True, EXIT): ("exit-identity",),
-        (True, True, INITIATION): ("init-const",),
-        (True, False, INITIATION): ("inner-init-identity",),
-        (True, False, PRESERVATION): ("row-scan",),
-        (True, False, EXIT): ("inner-exit-identity",),
-        (True, True, PRESERVATION): ("row-scan",),
-        (True, True, EXIT): ("exit-identity",),
-    }.items()
+    (False, True, INITIATION): ("init-const",),
+    (False, True, PRESERVATION): ("prover", "row-scan"),
+    (False, True, BREAK_EXIT): ("prover",),
+    (False, True, EXIT): ("exit-identity",),
+    (True, True, INITIATION): ("init-const",),
+    (True, False, INITIATION): ("inner-init-identity",),
+    (True, False, PRESERVATION): ("row-scan",),
+    (True, False, EXIT): ("inner-exit-identity",),
+    (True, True, PRESERVATION): ("row-scan",),
+    (True, True, EXIT): ("exit-identity",),
 }
 
 
@@ -1240,17 +1222,16 @@ def validate(
     bounds: Bounds = Bounds(),
     fast: bool = True,
 ):
-    """Check every verification condition; first violation wins."""
-    reason = _non_checkable_reason(tp, candidate, bounds)
+    """Check every verification condition of the program's plan, in order;
+    first violation wins."""
+    reason = _non_checkable_reason(tp.derived(_Plan, bounds), candidate)
     if reason:
         return CheckResult(NON_CHECKABLE, 0, None, reason)
     checker = _Checker(tp, candidate, invariants, bounds, fast)
     total = 0
-    done = 0
-    for vc in gen_vcs(tp):
+    for done, vc in enumerate(checker.plan.steps, 1):
         _, n, cex = checker.run_vc(vc)
         total += n
-        done += 1
         if cex is not None:
             return CheckResult(VIOLATED, total, cex, vcs=done)
     return CheckResult(VALID, total, None, vcs=done)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from qilc import cli, report
+from qilc import cli, emit, report
+from qilc.record import MAX_DEPTH
 from qilc.relation import dump_bindings
 from qilc.synth import Failure, Options, SynthStats
 
@@ -182,6 +183,41 @@ def test_synth_parse_error(capsys, tmp_path):
     assert code == 1
     assert "Traceback" not in err
     assert json.loads(out)["reason"].startswith("parse error:")
+
+
+def nested_guard_program(shape, depth):
+    """selection.qil with its guard grown until the syntax tree is depth
+    levels deep. fn, for and if sit above the guard. A left-nested chain
+    of + or && adds one level per operator above the leaf under its first
+    comparison. A run of ! adds one per !; the run is kept even, so the
+    guard keeps its meaning, over an && of two comparisons when depth
+    needs the extra level."""
+    if shape == "!":
+        nots = depth - 5
+        atom = "(R[i].a > 2)" if nots % 2 == 0 else "(R[i].a > 2 && R[i].a > 2)"
+        guard = "!" * (nots - nots % 2) + atom
+    elif shape == "+":
+        guard = "R[i].a" + " + 0" * (depth - 5) + " > 2"
+    else:
+        guard = f" {shape} ".join(["R[i].a > 2"] * (depth - 4))
+    src = (benchmarks_dir() / "selection.qil").read_text(encoding="utf-8")
+    return src.replace("R[i].a > 2", guard)
+
+
+@pytest.mark.parametrize("shape", ["+", "&&", "||", "!"])
+def test_synth_runs_at_the_depth_bound_and_rejects_one_level_past(
+    capsys, tmp_path, shape
+):
+    path = tmp_path / "deep.qil"
+    path.write_text(nested_guard_program(shape, MAX_DEPTH), encoding="utf-8")
+    code, out, err = run_cli(capsys, "synth", str(path), "--cases", "50")
+    assert (code, json.loads(out)["status"]) == (0, "synthesized")
+    path.write_text(nested_guard_program(shape, MAX_DEPTH + 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, "synth", str(path), "--cases", "50")
+    rep = json.loads(out)
+    assert (code, rep["status"]) == (1, "error")
+    assert rep["reason"].startswith("parse error: ")
+    assert rep["reason"].endswith(": nested too deeply")
 
 
 def test_synth_type_error(capsys, tmp_path):
@@ -480,6 +516,25 @@ def test_replay_rejects_bad_sql(capsys, bindings_file):
         assert code == 1, sql
         assert out == ""
         assert "qilc:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", [
+    " AND ".join(["R.a > 2"] * 3000),  # past the depth bound, built by a loop
+    "R.a = \u00b2",  # a digit to str.isdigit, not to int()
+], ids=["3000-term-and", "superscript-two"])
+def test_replay_sql_syntax_errors_exit_1_with_one_line(capsys, bindings_file, where):
+    sql = f"SELECT R.* FROM R WHERE {where} ORDER BY R.rid"
+    with pytest.raises(emit.SqlSyntaxError):
+        emit.parse_sql(sql)
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        qil_path("selection"),
+        "--input", bindings_file,
+        "--sql", sql,
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("qilc: ")
 
 
 # --- report construction ----------------------------------------------------

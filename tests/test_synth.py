@@ -284,18 +284,21 @@ def test_finished_program_is_not_kept_by_synth():
 @pytest.mark.parametrize("name,options", [
     ("equi_join", Options()),
     ("selection", Options(cost_bound=2)),
+    ("equi_join", Options(bounds=verify.Bounds(rel_size=2, int_domain=(0, 1)))),
+    ("top_k", Options(bounds=verify.Bounds(rel_size=4))),
 ])
 def test_synthesize_drops_the_search_memos(name, options):
-    """The prefixed bases and the verifier's per-program facts go with the
-    search; interp's executor stays for difftest, and a second search on
-    the same program finds the same outcome."""
+    """The prefixed bases and the verifier's plan for the search's bounds
+    go with the search; interp's executor stays for difftest, and a second
+    search on the same program finds the same outcome."""
+    plan = (verify._Plan, options.bounds)
     tp = load_benchmark(name)
     first = synthesize(tp, options)
-    assert synth._Derivation not in tp.memo and verify._Program not in tp.memo
+    assert synth._Derivation not in tp.memo and plan not in tp.memo
     assert interp.Executor in tp.memo
     again = synthesize(tp, options)
     assert again == first
-    assert synth._Derivation not in tp.memo and verify._Program not in tp.memo
+    assert synth._Derivation not in tp.memo and plan not in tp.memo
 
 
 def test_solution_verifies_end_to_end():

@@ -614,7 +614,7 @@ fn probe(R: rel(a: int), S: rel(b: int), k: int) {
 def test_input_only_reads_parameters_and_loop_rows():
     tp = typecheck(parse(INPUT_ONLY_PROBE))
     cand = next(iter(enumerate_candidates(tp, extract_template(tp), 24)))
-    program = verify._Checker(tp, cand, derive_invariants(tp, cand), SMALL).program
+    program = verify._Checker(tp, cand, derive_invariants(tp, cand), SMALL).plan
     by_param, by_local, update = tp.loops[1].node.body
     assert program.input_only(by_param.cond)
     assert not program.input_only(by_local.cond)  # n is a local, under a NotOp
@@ -723,17 +723,16 @@ def test_replay_matches_sweep_on_every_vc_branch(name, kind, loop):
 def test_program_state_is_built_once_and_a_rejection_compiles_what_it_reads(
     monkeypatch,
 ):
-    """One synthesis builds the per-program part once and drops it on
-    return; a candidate rejected at Preservation(j) by the row-local scan
-    compiles only the inner invariant, not its post or the outer
-    invariant."""
+    """One synthesis builds the plan once and drops it on return; a
+    candidate rejected at Preservation(j) by the row-local scan compiles
+    only the inner invariant, not its post or the outer invariant."""
     tp = load_benchmark("join_select_project")
     built, compiled = [], []
-    init, compile_recon = verify._Program.__init__, verify._VarRecon.compile
+    init, compile_recon = verify._Plan.__init__, verify._VarRecon.compile
     monkeypatch.setattr(
-        verify._Program,
+        verify._Plan,
         "__init__",
-        lambda self, tp: built.append(tp) or init(self, tp),
+        lambda self, tp, bounds: built.append((tp, bounds)) or init(self, tp, bounds),
     )
     monkeypatch.setattr(
         verify._VarRecon,
@@ -742,7 +741,7 @@ def test_program_state_is_built_once_and_a_rejection_compiles_what_it_reads(
     )
     sol = first_valid(tp)
     assert (sol.rank, sol.stats.tried, sol.stats.rejected) == (1660, 1661, 1660)
-    assert built == [tp] and verify._Program not in tp.memo
+    assert built == [(tp, Bounds())] and (verify._Plan, Bounds()) not in tp.memo
     cand = next(iter(enumerate_candidates(tp, extract_template(tp), 24)))
     inv = derive_invariants(tp, cand)
     compiled.clear()
@@ -750,7 +749,7 @@ def test_program_state_is_built_once_and_a_rejection_compiles_what_it_reads(
     assert (res.status, res.counterexample.vc) == (VIOLATED, VC(PRESERVATION, "j"))
     assert compiled == [e for _, e in inv["j"]]
     validate(tp, cand, inv)
-    assert built == [tp, tp]  # once more after synthesis, then kept
+    assert built == [(tp, Bounds())] * 2  # once more after synthesis, then kept
 
 
 def test_candidates_of_one_program_do_not_share_the_row_local_verdict():
@@ -763,7 +762,7 @@ def test_candidates_of_one_program_do_not_share_the_row_local_verdict():
         inv = derive_invariants(tp, cand)
         checker = verify._Checker(tp, cand, inv, SMALL3)
         assert checker._row_local == row_local, kind
-        programs.append(checker.program)
+        programs.append(checker.plan)
         _agree(tp, cand, inv, SMALL3)
     assert programs[0] is programs[1]
 
@@ -808,7 +807,8 @@ def test_row_scan_shares_inputs_but_not_stores_across_candidates():
         assert res.status == slow.status, cand.serialization()
         if res.status == VALID:
             assert res.instances == slow.instances
-    assert list(tp.derived(verify._Program).row_scans) == [SMALL]
+    plans = [key for key in tp.memo if isinstance(key, tuple)]
+    assert plans == [(verify._Plan, SMALL)] and "scan" in vars(tp.memo[plans[0]])
 
 
 def test_memoized_facts_equal_those_of_a_fresh_copy(benchmarks):
