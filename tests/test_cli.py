@@ -5,6 +5,7 @@ JSON written to stdout, and the stderr traffic. Report construction is
 tested directly where the CLI path would be slow.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from qilc.relation import dump_bindings
 from qilc.synth import Failure, Options, SynthStats
 
 from conftest import load_benchmark  # noqa: F401  (ensures package import path)
-from conftest import benchmarks_dir
+from conftest import BENCHMARK_NAMES, benchmarks_dir
 
 
 # --- helpers ----------------------------------------------------------------
@@ -356,6 +357,20 @@ def test_wide_bounds_bench_report_matches_golden(capsys, tmp_path, benchmarks):
     golden = Path(__file__).parent / "data" / "wide_bounds_bench.json"
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_synth_reports_at_10000_cases_hash_to_their_pinned_digest(capsys):
+    """`qilc synth --cases 10000` stdout of every corpus program, in sorted
+    name order at the default seed, hashes to the digest it had when
+    pinned: a difftest change that moves any case's draw, check or
+    report fails here."""
+    out = []
+    for name in sorted(BENCHMARK_NAMES):
+        code, stdout, _ = run_cli(capsys, "synth", qil_path(name), "--cases", "10000")
+        assert code == 0, name
+        out.append(stdout)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "93d4df3e1c884974c58f44271c78e1b77fc5cc907085003c2e28188b9c5fbc98"
 
 
 def test_bench_empty_directory(capsys, tmp_path):
