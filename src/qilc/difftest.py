@@ -13,8 +13,14 @@ the parameter list in declaration order:
 
 SplitMix64 computes the stream BLOCK outputs at a time, in the lanes of
 one Python int, and hands them out in order: next() returns one output,
-take(n) the next n. A relation draws its size with next() and all its
-cells with one take, and builds its columns with C-level maps. The
+take(n) the next n. draw_case draws a relation's size with next() and all
+its cells with one take. A planned run reads its cases from whole blocks
+instead (_case_values): a window holds the unread tail of the last block
+plus the next BLOCK outputs, every output of it is mapped once to an int
+cell and, when the program has text, to a text cell, and each relation
+shape's rows are built at every offset with one zip. A case then reads a
+relation's size from one output and slices its rows out of those. The
+window is refilled when fewer outputs remain than one case can use. The
 stream and the draw order are those above, whatever the block size.
 
 The program result and the query result are compared positionally; record
@@ -25,13 +31,15 @@ A case takes one of two paths. The reference path (_run_one, which
 replay_case also takes) runs interp.run, which checks the inputs, and
 eval_sql over a MiniDb, and compares the two result values. A run of more
 than REFERENCE_MAX_CASES cases is planned once instead (_planned): each
-case runs the compiled program and the query's plan on the inputs it drew
-and compares raw rows or scalars, and a case that disagrees is run again
-on the reference path, which builds its Mismatch. A planned run keeps
-the inputs of at most SMALL_ROWS rows, over all relations, that agreed,
-and does not check them again; these are the inputs that repeat. An input
-that disagrees is never kept, so each case that draws it is reported.
-Either way a run reports the same bytes.
+case's values, a relation as its rows tuple, go straight into the
+compiled program's store and the query plan's sources, and the raw rows
+or scalars are compared; no binding dict or OrderedRelation is built. A
+case that disagrees gets its bindings, as draw_case gives them, and is
+run again on the reference path, which builds its Mismatch. A planned
+run keeps the values of the inputs of at most SMALL_ROWS rows, over all
+relations, that agreed, and does not check them again; these are the
+inputs that repeat. An input that disagrees is never kept, so each case
+that draws it is reported. Either way a run reports the same bytes.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .frontend import TypedProgram
 from .record import record
 from .relation import (
     INT,
+    TEXT,
     OrderedRelation,
     Schema,
     bindings_to_json,
@@ -146,20 +155,34 @@ class SplitMix64:
             out += self._buf
 
 
-def _int_cell(gen: SplitMix64) -> int:
-    return gen.next() % 5
+# The draw: one stream output x gives a relation's size, an int cell or a
+# text cell. draw_case and the block reader (_case_values) both map
+# through these.
+
+#: A drawn relation has 0.._MAX_ROWS rows.
+_MAX_ROWS = 5
 
 
-def _text_cell(gen: SplitMix64) -> str:
-    return ALPHABET[gen.next() % 3]
+def _size(x: int) -> int:
+    return x % (_MAX_ROWS + 1)
 
 
-def _int_column(draws: list):
-    return map((5).__rmod__, draws)
+def _int_cells(draws) -> list:
+    return [x % 5 for x in draws]
 
 
-def _text_column(draws: list):
-    return map(ALPHABET.__getitem__, map((3).__rmod__, draws))
+def _text_cells(draws) -> list:
+    alphabet = ALPHABET
+    return [alphabet[x % 3] for x in draws]
+
+
+#: A field or scalar type -> its cells' mapping.
+_CELLS = {INT: _int_cells, TEXT: _text_cells}
+
+
+def _scalar_drawer(cells):
+    """gen -> one scalar: one output mapped by cells."""
+    return lambda gen: cells((gen.next(),))[0]
 
 
 def _relation_drawer(schema: Schema):
@@ -167,15 +190,13 @@ def _relation_drawer(schema: Schema):
     row-major order. Each row has the schema's arity by construction, so the
     relation is built trusted."""
     arity = len(schema.types)
-    columns = tuple(
-        (j, _int_column if t == INT else _text_column) for j, t in enumerate(schema.types)
-    )
+    columns = tuple((j, _CELLS[t]) for j, t in enumerate(schema.types))
     trusted = OrderedRelation.trusted
 
     def draw_relation(gen: SplitMix64) -> OrderedRelation:
-        draws = gen.take(gen.next() % 6 * arity)
+        draws = gen.take(_size(gen.next()) * arity)
         return trusted(schema, tuple(zip(*[
-            column(draws[j::arity]) for j, column in columns
+            cells(draws[j::arity]) for j, cells in columns
         ])))
 
     return draw_relation
@@ -186,7 +207,7 @@ def _drawers(tp: TypedProgram) -> tuple:
     consumes the parameter's draws and returns its value."""
     return tuple(
         (p.name, _relation_drawer(p.ty) if isinstance(p.ty, Schema)
-         else _int_cell if p.ty == INT else _text_cell)
+         else _scalar_drawer(_CELLS[p.ty]))
         for p in tp.ast.params
     )
 
@@ -194,6 +215,42 @@ def _drawers(tp: TypedProgram) -> tuple:
 def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
     """Consume one case's draws and return parameter bindings."""
     return {name: drawer(gen) for name, drawer in tp.derived(_drawers)}
+
+
+def _case_values(gen: SplitMix64, tp: TypedProgram):
+    """Yield each case's values, draw_case's in declaration order with a
+    relation as its rows tuple, from a window of the stream: the unread
+    tail plus the next BLOCK outputs. Each window maps its outputs to
+    cells once and builds the rows at every offset for each relation
+    shape; a case then slices a relation's rows out of those."""
+    types = [p.ty for p in tp.ast.params]
+    shapes = {ty.types for ty in types if isinstance(ty, Schema)}
+    kinds = {t for ty in types for t in (ty.types if isinstance(ty, Schema) else (ty,))}
+    # the most outputs one case can use: a relation's size and its rows
+    need = sum(1 + _MAX_ROWS * len(ty.types) if isinstance(ty, Schema) else 1 for ty in types)
+    window, p = [], 0
+    while True:
+        window = window[p:] + gen.take(BLOCK)
+        cells = {t: _CELLS[t](window) for t in kinds}
+        rows = {
+            shape: tuple(zip(*[cells[t][j:] for j, t in enumerate(shape)])) for shape in shapes
+        }
+        reads = [
+            (rows[ty.types], len(ty.types)) if isinstance(ty, Schema) else (cells[ty], 0)
+            for ty in types
+        ]
+        last, p = len(window) - need, 0
+        while p <= last:
+            values = []
+            for column, arity in reads:
+                if arity:
+                    end = p + 1 + _size(window[p]) * arity
+                    values.append(column[p + 1 : end : arity])
+                    p = end
+                else:
+                    values.append(column[p])
+                    p += 1
+            yield tuple(values)
 
 
 @record
@@ -236,15 +293,15 @@ def _run_one(tp: TypedProgram, sql, inputs: dict, case: int) -> Optional[Mismatc
 
 
 def _planned(tp: TypedProgram, sql):
-    """The run's per-case check, agree(inputs) -> bool, built once; None
+    """The run's per-case check, agree(values) -> bool, built once; None
     when a FROM table is not a relation parameter, one result is a scalar
     and the other records, or the result column types differ.
 
-    agree decides what values_agree decides, from the raw values, after
-    the column types were compared here. Drawn inputs bind each parameter
-    to a value of its type, so check_inputs is not run. The closures are
-    the reference path's, so agree raises what it raises, on the same
-    case."""
+    values are a case's as _case_values yields them. agree decides what
+    values_agree decides, from the raw values, after the column types were
+    compared here. Drawn values are of their parameter's type, so
+    check_inputs is not run. The closures are the reference path's, so
+    agree raises what it raises, on the same case."""
     relations = tp.relations
     tables = tuple(s.table for s in sql.sources)
     if not all(t in relations for t in tables):
@@ -260,16 +317,27 @@ def _planned(tp: TypedProgram, sql):
         or plan.schema.types != ex.result_schema.types
     ):
         return None
-    init_store, body, result, raw = ex.init_store, ex.body, ex.result_name, plan.raw
-    scalars = tuple(p.name for p in tp.ast.params if p.name not in relations)
+    entry_store, body, result, raw = ex.entry_store, ex.body, ex.result_name, plan.raw
+    names = tuple(p.name for p in tp.ast.params)
+    table_at = tuple(names.index(t) for t in tables)
+    scalar_at = tuple((name, i) for i, name in enumerate(names) if name not in relations)
 
-    def agree(inputs: dict) -> bool:
-        store = init_store(inputs)
+    def agree(values: tuple) -> bool:
+        store = entry_store(zip(names, values))
         body(store)
-        params = {name: inputs[name] for name in scalars}
-        return store[result] == raw([inputs[t] for t in tables], params)
+        params = {name: values[i] for name, i in scalar_at}
+        return store[result] == raw([values[i] for i in table_at], params)
 
     return agree
+
+
+def _inputs(tp: TypedProgram, values: tuple) -> dict:
+    """The bindings draw_case gives for a case's values."""
+    trusted = OrderedRelation.trusted
+    return {
+        p.name: trusted(p.ty, v) if isinstance(p.ty, Schema) else v
+        for p, v in zip(tp.ast.params, values)
+    }
 
 
 def run_cases(tp: TypedProgram, sql, seed: int, cases: int) -> DiffResult:
@@ -277,26 +345,27 @@ def run_cases(tp: TypedProgram, sql, seed: int, cases: int) -> DiffResult:
     module docstring for the two paths and the memo of small inputs)."""
     gen = SplitMix64(seed)
     agree = _planned(tp, sql) if cases > REFERENCE_MAX_CASES else None
-    rel_at = tuple(i for i, p in enumerate(tp.ast.params) if isinstance(p.ty, Schema))
-    agreed = set()  # keys of the small inputs that agreed
     mismatches = []
-    for case in range(cases):
-        inputs = draw_case(gen, tp)
-        if agree is not None:
-            # the key: each parameter's rows or scalar, in declaration order
-            values = [*inputs.values()]
-            size = 0
-            for i in rel_at:
-                values[i] = rows = values[i].rows
-                size += len(rows)
-            key = tuple(values) if size <= SMALL_ROWS else None
-            if key in agreed:
-                continue
-            if agree(inputs):
-                if key is not None:
-                    agreed.add(key)
-                continue
-        m = _run_one(tp, sql, inputs, case)
+    if agree is None:
+        for case in range(cases):
+            m = _run_one(tp, sql, draw_case(gen, tp), case)
+            if m is not None:
+                mismatches.append(m)
+        return DiffResult(seed, cases, tuple(mismatches))
+    rel_at = tuple(i for i, p in enumerate(tp.ast.params) if isinstance(p.ty, Schema))
+    agreed = set()  # the values of the small inputs that agreed
+    for case, values in zip(range(cases), _case_values(gen, tp)):
+        size = 0
+        for i in rel_at:
+            size += len(values[i])
+        small = size <= SMALL_ROWS
+        if small and values in agreed:
+            continue
+        if agree(values):
+            if small:
+                agreed.add(values)
+            continue
+        m = _run_one(tp, sql, _inputs(tp, values), case)
         if m is not None:
             mismatches.append(m)
     return DiffResult(seed, cases, tuple(mismatches))

@@ -649,17 +649,18 @@ class _Plan:
 
     def run(self, rels: list, params: dict):
         """The query's value over the relations of its FROM list."""
-        out = self.raw(rels, params)
+        out = self.raw([rel.rows for rel in rels], params)
         if isinstance(self.q, SqlScalar):
             return out
         return OrderedRelation(self.schema, tuple(out))
 
     def raw(self, rels: list, params: dict):
-        """run() without building the result relation: a list of row tuples
-        for a record query, the aggregate's value for a scalar one."""
+        """run() over each source's rows tuple, without building the result
+        relation: a list of row tuples for a record query, the aggregate's
+        value for a scalar one."""
         combos = [()]
-        for rel in rels:
-            numbered = tuple(enumerate(rel.rows))
+        for rows in rels:
+            numbered = tuple(enumerate(rows))
             combos = [c + r for c in combos for r in numbered]
         where = self.where
         if where is not None:

@@ -145,7 +145,7 @@ _TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\r\n]+)
     | (?P<comment>//[^\n]*)
-    | (?P<int>\d+)
+    | (?P<int>[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"[^"\\\n]*")
     | (?P<op>\.\.|==|!=|<=|>=|&&|\|\||[-+(){}\[\]:;,.<>=!])

@@ -64,10 +64,11 @@ class Executor:
     (see executor).
 
     A compiled statement sequence takes the store, a dict from names to
-    values in which list locals are Python lists of row tuples, and returns
-    a true value when a break fired (the enclosing loop must stop). A loop
-    inside the sequence runs to completion; its own break does not escape
-    it, and its index is gone from the store afterwards.
+    values in which a relation parameter is its rows tuple and list locals
+    are Python lists of row tuples, and returns a true value when a break
+    fired (the enclosing loop must stop). A loop inside the sequence runs
+    to completion; its own break does not escape it, and its index is gone
+    from the store afterwards.
     """
 
     def __init__(self, prog: F.TypedProgram):
@@ -89,8 +90,17 @@ class Executor:
         return self._blocks[stmts]
 
     def init_store(self, inputs: dict) -> dict:
-        """Store at program entry: parameters plus declared locals."""
-        store = dict(inputs)
+        """Store at program entry: parameters, a relation as its rows tuple,
+        plus declared locals."""
+        return self.entry_store(
+            (name, v.rows if isinstance(v, OrderedRelation) else v)
+            for name, v in inputs.items()
+        )
+
+    def entry_store(self, bindings) -> dict:
+        """Store at program entry from (name, value) pairs, each relation
+        given as its rows tuple, plus declared locals."""
+        store = dict(bindings)
         for name, is_list, init in self._decls:
             store[name] = [] if is_list else init
         return store
@@ -132,7 +142,7 @@ def _expr(prog: F.TypedProgram, e):
     if isinstance(e, F.FieldAccess):
         rel, index = e.rel, e.index
         k = prog.relations[rel].index_of(e.fieldname)
-        return lambda s: s[rel].rows[s[index]][k]
+        return lambda s: s[rel][s[index]][k]
     if isinstance(e, F.Add):
         a, b = _expr(prog, e.left), _expr(prog, e.right)
         return lambda s: a(s) + b(s)
@@ -170,7 +180,7 @@ def _pred(prog: F.TypedProgram, p):
 def _record(prog: F.TypedProgram, rec):
     if isinstance(rec, F.RowRef):
         rel, index = rec.rel, rec.index
-        return lambda s: s[rel].rows[s[index]]
+        return lambda s: s[rel][s[index]]
     items = tuple(_expr(prog, e) for _, e in rec.items)
     return lambda s: tuple([f(s) for f in items])
 
@@ -204,7 +214,7 @@ def _loop(prog: F.TypedProgram, loop: F.For):
     rel, index, body = loop.rel, loop.index, _block(prog, loop.body)
 
     def run_loop(s):
-        for i in range(s[rel].size):
+        for i in range(len(s[rel])):
             s[index] = i
             if body(s):
                 break

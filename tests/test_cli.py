@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qilc import cli, emit, report
+from qilc import cli, emit, frontend, report
 from qilc.record import MAX_DEPTH
 from qilc.relation import dump_bindings
 from qilc.synth import Failure, Options, SynthStats
@@ -184,6 +184,22 @@ def test_synth_parse_error(capsys, tmp_path):
     assert code == 1
     assert "Traceback" not in err
     assert json.loads(out)["reason"].startswith("parse error:")
+
+
+def test_synth_rejects_a_non_ascii_digit(capsys, tmp_path):
+    """An int literal is a run of ASCII digits: selection.qil with its 2
+    written as an Arabic-Indic two is a parse error, not a guard > 2."""
+    src = (benchmarks_dir() / "selection.qil").read_text(encoding="utf-8")
+    path = tmp_path / "selection.qil"
+    path.write_text(src.replace("R[i].a > 2", "R[i].a > \u0662"), encoding="utf-8")
+    with pytest.raises(frontend.ParseError):
+        frontend.parse(path.read_text(encoding="utf-8"))
+    code, out, err = run_cli(capsys, "synth", str(path))
+    assert code == 1
+    assert "Traceback" not in err
+    rep = json.loads(out)
+    assert rep["status"] == "error"
+    assert rep["reason"].startswith("parse error:")
 
 
 def nested_guard_program(shape, depth):

@@ -407,3 +407,100 @@ def test_replay_agrees_with_run_cases_on_every_mismatch(name, text):
     for m in result.mismatches:
         again = replay_case(tp, sql, seed=5, case=m.case)
         assert again == m and again.to_json() == m.to_json()
+
+
+# Programs beside the corpus for the block reader: an all-text relation, an
+# int scalar between two relations, an arity-5 relation and a text scalar;
+# a text scalar ahead of an arity-5 int relation; and a relation so wide
+# that one case can use more outputs than one stream block holds.
+MIXED = """
+fn mixed(R: rel(a: text, b: text), k: int,
+         S: rel(a: int, b: text, c: int, d: int, e: text), t: text) {
+    var out: list(a: text, b: text);
+    for i in 0 .. size(R) {
+        if R[i].a == t {
+            out.append(R[i]);
+        }
+    }
+    return out;
+}
+"""
+WIDE5 = """
+fn wide5(t: text, W: rel(a: int, b: int, c: int, d: int, e: int)) {
+    var n: int = 0;
+    for i in 0 .. size(W) {
+        n = n + W[i].e;
+    }
+    return n;
+}
+"""
+VERY_WIDE_FIELDS = difftest.BLOCK // 5 + 1
+VERY_WIDE = (
+    "fn very_wide(k: int, V: rel("
+    + ", ".join(f"f{j}: {'text' if j % 7 == 3 else 'int'}" for j in range(VERY_WIDE_FIELDS))
+    + """)) {
+    var n: int = 0;
+    for i in 0 .. size(V) {
+        n = n + V[i].f0;
+    }
+    return n;
+}
+"""
+)
+STREAM_SEEDS = [0, 1, 2**64 - 1, 1 << 64]
+
+
+def _drawn_values(gen: SplitMix64, tp) -> tuple:
+    """draw_case's values in declaration order, a relation as its rows."""
+    return tuple(
+        v.rows if isinstance(v, OrderedRelation) else v for v in draw_case(gen, tp).values()
+    )
+
+
+def _assert_reader_follows_draw_case(tp, seed: int, cases: int) -> None:
+    gen, drawn = SplitMix64(seed), SplitMix64(seed)
+    read = difftest._case_values(gen, tp)
+    for case in range(cases):
+        assert next(read) == _drawn_values(drawn, tp), case
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_block_reader_yields_draw_case_values_on_the_corpus(name, seed):
+    _assert_reader_follows_draw_case(load_benchmark(name), seed, 3000)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("text,cases", [(MIXED, 3000), (WIDE5, 3000), (VERY_WIDE, 60)],
+                         ids=["mixed", "wide5", "very-wide"])
+def test_block_reader_yields_draw_case_values_on_every_parameter_kind(text, cases, seed):
+    tp = frontend.typecheck(frontend.parse(text))
+    _assert_reader_follows_draw_case(tp, seed, cases)
+
+
+@pytest.mark.parametrize("name", ["selection", "equi_join"])
+def test_planned_run_builds_no_relation_objects(name, monkeypatch):
+    """A clean planned run draws and checks every case as raw values: it
+    neither builds an OrderedRelation nor calls draw_case."""
+    tp = load_benchmark(name)
+    sql = emit.parse_sql(_corpus_sql()[name])
+    built = {"init": 0, "trusted": 0, "draw_case": 0}
+    init, trusted, draw = OrderedRelation.__init__, OrderedRelation.trusted.__func__, draw_case
+
+    def counted_init(self, schema, rows):
+        built["init"] += 1
+        init(self, schema, rows)
+
+    def counted_trusted(cls, schema, rows):
+        built["trusted"] += 1
+        return trusted(cls, schema, rows)
+
+    def counted_draw(gen, tp):
+        built["draw_case"] += 1
+        return draw(gen, tp)
+
+    monkeypatch.setattr(OrderedRelation, "__init__", counted_init)
+    monkeypatch.setattr(OrderedRelation, "trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(difftest, "draw_case", counted_draw)
+    assert run_cases(tp, sql, seed=11, cases=10_000).ok
+    assert built == {"init": 0, "trusted": 0, "draw_case": 0}
