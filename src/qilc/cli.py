@@ -33,7 +33,8 @@ DEFAULT_SEED = 20260816
 
 
 def _parse_domain(text: str) -> tuple:
-    """Accept '0..2' (inclusive range) or '0,1,2' (explicit list)."""
+    """Accept '0..2' (inclusive range) or '0,1,2' (explicit list of
+    distinct values: a repeat would check the same instances again)."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -42,6 +43,8 @@ def _parse_domain(text: str) -> tuple:
         values = tuple(int(part) for part in text.split(","))
     if not values:
         raise ValueError("empty domain")
+    if len(set(values)) < len(values):
+        raise ValueError("repeated value in domain")
     return values
 
 

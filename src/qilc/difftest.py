@@ -13,9 +13,10 @@ the parameter list in declaration order:
 
 SplitMix64 computes the stream BLOCK outputs at a time, in the lanes of
 one Python int, and hands them out in order: next() returns one output,
-take(n) the next n. draw_case draws a relation's size with next() and all
-its cells with one take. A planned run reads its cases from whole blocks
-instead (_case_values): a window holds the unread tail of the last block
+take(n) the next n. draw_case, the reference for the draw, takes a
+relation's size with next() and all its cells with one take. Every run
+and every replay reads its cases from whole blocks instead (_case_values),
+through one reader: a window holds the unread tail of the last block
 plus the next BLOCK outputs, every output of it is mapped once to an int
 cell and, when the program has text, to a text cell, and each relation
 shape's rows are built at every offset with one zip. A case then reads a
@@ -28,23 +29,26 @@ order matters, field names do not, and an absent min/max result agrees
 with SQL NULL.
 
 A case takes one of two paths. The reference path (_run_one, which
-replay_case also takes) runs interp.run, which checks the inputs, and
-eval_sql over a MiniDb, and compares the two result values. A run of more
-than REFERENCE_MAX_CASES cases is planned once instead (_planned): each
+replay_case also takes) binds the case's values as draw_case gives them
+(_inputs), runs interp.run, which checks the inputs, and eval_sql over a
+MiniDb, and compares the two result values. A run of at most
+REFERENCE_MAX_CASES cases, or one that cannot be planned, takes it for
+every case. A longer run is planned once instead (_planned): each
 case's values, a relation as its rows tuple, go straight into the
 compiled program's store and the query plan's sources, and the raw rows
 or scalars are compared; no binding dict or OrderedRelation is built. A
-case that disagrees gets its bindings, as draw_case gives them, and is
-run again on the reference path, which builds its Mismatch. A planned
-run keeps the values of the inputs of at most SMALL_ROWS rows, over all
-relations, that agreed, and does not check them again; these are the
-inputs that repeat. An input that disagrees is never kept, so each case
-that draws it is reported. Either way a run reports the same bytes.
+case that disagrees is run again on the reference path, which builds its
+Mismatch. A planned run keeps the values of the inputs of at most
+SMALL_ROWS rows, over all relations, that agreed, and does not check them
+again; these are the inputs that repeat. An input that disagrees is never
+kept, so each case that draws it is reported. Either way a run reports the
+same bytes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from typing import Optional
 
@@ -180,41 +184,20 @@ def _text_cells(draws) -> list:
 _CELLS = {INT: _int_cells, TEXT: _text_cells}
 
 
-def _scalar_drawer(cells):
-    """gen -> one scalar: one output mapped by cells."""
-    return lambda gen: cells((gen.next(),))[0]
-
-
-def _relation_drawer(schema: Schema):
-    """gen -> one relation of the schema: its size, then its rows' cells in
-    row-major order. Each row has the schema's arity by construction, so the
-    relation is built trusted."""
-    arity = len(schema.types)
-    columns = tuple((j, _CELLS[t]) for j, t in enumerate(schema.types))
-    trusted = OrderedRelation.trusted
-
-    def draw_relation(gen: SplitMix64) -> OrderedRelation:
-        draws = gen.take(_size(gen.next()) * arity)
-        return trusted(schema, tuple(zip(*[
-            cells(draws[j::arity]) for j, cells in columns
-        ])))
-
-    return draw_relation
-
-
-def _drawers(tp: TypedProgram) -> tuple:
-    """(name, drawer) per parameter in declaration order; drawer(gen)
-    consumes the parameter's draws and returns its value."""
-    return tuple(
-        (p.name, _relation_drawer(p.ty) if isinstance(p.ty, Schema)
-         else _scalar_drawer(_CELLS[p.ty]))
-        for p in tp.ast.params
-    )
-
-
 def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
-    """Consume one case's draws and return parameter bindings."""
-    return {name: drawer(gen) for name, drawer in tp.derived(_drawers)}
+    """Consume one case's draws and return parameter bindings: the
+    reference the block reader (_case_values) follows, one output at a time
+    for a scalar and one take for a relation's cells."""
+    case = {}
+    for p in tp.ast.params:
+        if isinstance(p.ty, Schema):
+            arity = len(p.ty.types)
+            draws = gen.take(_size(gen.next()) * arity)
+            columns = [_CELLS[t](draws[j::arity]) for j, t in enumerate(p.ty.types)]
+            case[p.name] = OrderedRelation.trusted(p.ty, tuple(zip(*columns)))
+        else:
+            case[p.name] = _CELLS[p.ty]((gen.next(),))[0]
+    return case
 
 
 def _case_values(gen: SplitMix64, tp: TypedProgram):
@@ -343,28 +326,22 @@ def _inputs(tp: TypedProgram, values: tuple) -> dict:
 def run_cases(tp: TypedProgram, sql, seed: int, cases: int) -> DiffResult:
     """Run cases 0..cases-1 sequentially; collect every mismatch (see the
     module docstring for the two paths and the memo of small inputs)."""
-    gen = SplitMix64(seed)
     agree = _planned(tp, sql) if cases > REFERENCE_MAX_CASES else None
-    mismatches = []
-    if agree is None:
-        for case in range(cases):
-            m = _run_one(tp, sql, draw_case(gen, tp), case)
-            if m is not None:
-                mismatches.append(m)
-        return DiffResult(seed, cases, tuple(mismatches))
     rel_at = tuple(i for i, p in enumerate(tp.ast.params) if isinstance(p.ty, Schema))
     agreed = set()  # the values of the small inputs that agreed
-    for case, values in zip(range(cases), _case_values(gen, tp)):
-        size = 0
-        for i in rel_at:
-            size += len(values[i])
-        small = size <= SMALL_ROWS
-        if small and values in agreed:
-            continue
-        if agree(values):
-            if small:
-                agreed.add(values)
-            continue
+    mismatches = []
+    for case, values in zip(range(cases), _case_values(SplitMix64(seed), tp)):
+        if agree is not None:
+            size = 0
+            for i in rel_at:
+                size += len(values[i])
+            small = size <= SMALL_ROWS
+            if small and values in agreed:
+                continue
+            if agree(values):
+                if small:
+                    agreed.add(values)
+                continue
         m = _run_one(tp, sql, _inputs(tp, values), case)
         if m is not None:
             mismatches.append(m)
@@ -373,8 +350,5 @@ def run_cases(tp: TypedProgram, sql, seed: int, cases: int) -> DiffResult:
 
 def replay_case(tp: TypedProgram, sql, seed: int, case: int) -> Optional[Mismatch]:
     """Regenerate exactly case `case` of the seeded stream and compare."""
-    gen = SplitMix64(seed)
-    for _ in range(case):
-        draw_case(gen, tp)
-    inputs = draw_case(gen, tp)
-    return _run_one(tp, sql, inputs, case)
+    values = next(itertools.islice(_case_values(SplitMix64(seed), tp), case, None))
+    return _run_one(tp, sql, _inputs(tp, values), case)

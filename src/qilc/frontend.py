@@ -555,8 +555,8 @@ class TypedProgram:
     pre_loop the statements before the top-level loop, agg_updates each
     accumulator's "sum" | "count" | "min" | "max", and relations each
     relation parameter's Schema. memo holds what later passes build from
-    the program once (interp's compiled statements, difftest's draw plan,
-    the verifier's plan per Bounds), keyed by the builder; see derived.
+    the program once (interp's compiled statements, the verifier's plan per
+    Bounds), keyed by the builder; see derived.
     """
 
     __slots__ = (

@@ -31,10 +31,14 @@ A candidate whose constants fall outside the bounded domains cannot be
 meaningfully checked and is reported NonCheckable, as is any program that
 breaks inside a nested loop.
 
-One method, _Checker.check, decides every instance, wherever it comes
-from: the sweep calls it on each instance in enumeration order, the
-shortcuts' scans on the instances they pick, and replay (recheck) on a
-recorded counterexample, so all three mean the same condition.
+One method, _Checker.check, with one signature, decides every instance,
+wherever it comes from: the sweep calls it on each instance in enumeration
+order, the shortcuts' scans on the instances they pick, and replay
+(recheck) on a recorded counterexample, so all three mean the same
+condition. It evaluates every invariant and post, the inner loop's Concat
+of finished and running parts too, through its tor closure
+(tor.compile_rel or tor.compile_scalar), so an ill-formed one raises
+SchemaError as tor does.
 
 The search checks thousands of candidates of one program and rejects most
 at their first failing VC. So what does not depend on the candidate is
@@ -325,61 +329,22 @@ def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
 # ---------------------------------------------------------------------------
 
 class _VarRecon:
-    """Evaluates one invariant equality, with the finished-part value of a
-    Concat cacheable across inner-index instances. Built per candidate and
-    compiled (compile) only when a VC that reads it runs."""
+    """One invariant or post equality, var = expr. Built per candidate and
+    compiled (compile) only when a VC that reads it runs; value(env) is
+    then expr's tor closure: a relation's rows tuple or a scalar."""
 
     def __init__(self, var: str, expr):
         self.var = var
         self.expr = expr
-        # a plain attribute: the sweep reads it once per variable per instance
+        # plain attributes: the sweep reads them once per variable per instance
         self.is_rel = isinstance(expr, tor.REL_NODES)
-        self.kind = None  # set by compile
+        self.value = None  # set by compile
 
     def compile(self, schemas: dict) -> None:
-        expr = self.expr
-        if isinstance(expr, tor.AggOf) and isinstance(expr.of, tor.Concat):
-            self.kind = "agg2"
-            sch, self._f1 = tor.compile_rel(expr.of.left, schemas)
-            _, self._f2 = tor.compile_rel(expr.of.right, schemas)
-            self._agg = expr.kind
-            self._col = None if expr.field is None else sch.index_of(expr.field)
-        elif isinstance(expr, tor.Concat):
-            self.kind = "rel2"
-            _, self._f1 = tor.compile_rel(expr.left, schemas)
-            _, self._f2 = tor.compile_rel(expr.right, schemas)
-        elif isinstance(expr, tor.REL_NODES):
-            self.kind = "rel"
-            _, self._f = tor.compile_rel(expr, schemas)
+        if self.is_rel:
+            self.value = tor.compile_rel(self.expr, schemas)[1]
         else:
-            self.kind = "scalar"
-            self._f = tor.compile_scalar(expr, schemas)
-
-    def part1(self, env):
-        if self.kind in ("rel2", "agg2"):
-            return self._f1(env)
-        return None
-
-    def value(self, env, p1=None):
-        if self.kind == "rel":
-            return self._f(env)
-        if self.kind == "rel2":
-            if p1 is None:
-                p1 = self._f1(env)
-            return p1 + self._f2(env)
-        if self.kind == "agg2":
-            if p1 is None:
-                p1 = self._f1(env)
-            rows = p1 + self._f2(env)
-            if self._agg == "count":
-                return len(rows)
-            if self._agg == "sum":
-                return sum(r[self._col] for r in rows)
-            if not rows:
-                return None
-            vals = [r[self._col] for r in rows]
-            return min(vals) if self._agg == "min" else max(vals)
-        return self._f(env)
+            self.value = tor.compile_scalar(self.expr, schemas)
 
 
 def _non_checkable_reason(plan, candidate) -> str:
@@ -815,7 +780,7 @@ class _Checker:
         """Compile the invariants and posts that checking vc reads."""
         for group in self.plan.steps[vc][1]:
             for r in self.posts if group is None else self.recons[group]:
-                if r.kind is None:
+                if r.value is None:
                     r.compile(self.tp.relations)
 
     # -- the deciders' premises, computed when a decider first asks ----------
@@ -870,17 +835,17 @@ class _Checker:
 
     # -- shared pieces ------------------------------------------------------
 
-    def _restore(self, store0: dict, recons, env, indices: dict, p1s=None):
+    def _restore(self, store0: dict, recons, env, indices: dict):
         store = dict(store0)
-        for n, recon in enumerate(recons):
-            v = recon.value(env, None if p1s is None else p1s[n])
+        for recon in recons:
+            v = recon.value(env)
             store[recon.var] = list(v) if recon.is_rel else v
         store.update(indices)
         return store
 
-    def _mismatch(self, vc, inputs, indices, recons, store, env, p1s=None):
-        for n, recon in enumerate(recons):
-            expected = recon.value(env, None if p1s is None else p1s[n])
+    def _mismatch(self, vc, inputs, indices, recons, store, env):
+        for recon in recons:
+            expected = recon.value(env)
             actual = store[recon.var]
             if recon.is_rel:
                 actual = tuple(actual)
@@ -897,10 +862,8 @@ class _Checker:
         self._ready(vc)
         return self.check(vc, inputs, self.plan.entry(inputs), indices)
 
-    def check(self, vc: VC, inputs: dict, store0: dict, indices: dict, p1s=None):
-        """Decide one instance of vc from the loop-head store store0. p1s
-        holds the finished parts of a split inner invariant when the caller
-        has cached them (None entries are computed here)."""
+    def check(self, vc: VC, inputs: dict, store0: dict, indices: dict):
+        """Decide one instance of vc from the loop-head store store0."""
         env = {**inputs, **indices}
         oi = self.outer.index
         if vc.loop == oi:
@@ -925,16 +888,16 @@ class _Checker:
             self.plan.run_prefix(store)
             return self._mismatch(vc, inputs, indices, irecons, store, env)
         if vc.kind == EXIT:
-            store = self._restore(store0, irecons, env, {oi: indices[oi]}, p1s)
+            store = self._restore(store0, irecons, env, {oi: indices[oi]})
             self.plan.run_suffix(store)
             env2 = {**inputs, oi: indices[oi] + 1}
             return self._mismatch(vc, inputs, indices, self.recons[oi], store, env2)
         # inner preservation
-        store = self._restore(store0, irecons, env, indices, p1s)
+        store = self._restore(store0, irecons, env, indices)
         if self.plan.run_inner(store):
             return None
         env[ij] += 1
-        return self._mismatch(vc, inputs, indices, irecons, store, env, p1s)
+        return self._mismatch(vc, inputs, indices, irecons, store, env)
 
     # -- the deciders -------------------------------------------------------------
     #
@@ -1125,50 +1088,28 @@ class _Checker:
     # -- the sweep --------------------------------------------------------------
 
     def _assignments(self, vc: VC, inputs: dict):
-        """The index assignments of vc for one input, in sweep order, each
-        with the finished parts of the inner invariant cached for its outer
-        row (or None)."""
+        """The index assignments of vc for one input, in sweep order."""
         oi = self.outer.index
         size = inputs[self.outer.rel].size
         if vc.loop == oi:
             if vc.kind == INITIATION:
-                yield {oi: 0}, None
+                yield {oi: 0}
             elif vc.kind == EXIT:
-                yield {oi: size}, None
+                yield {oi: size}
             else:
                 for i in range(size):
-                    yield {oi: i}, None
+                    yield {oi: i}
             return
         ij = self.inner.index
         isize = inputs[self.inner.rel].size
-        irecons = self.recons[ij]
         for i in range(size):
             if vc.kind == INITIATION:
-                yield {oi: i, ij: 0}, None
+                yield {oi: i, ij: 0}
             elif vc.kind == EXIT:
-                yield {oi: i, ij: isize}, None
+                yield {oi: i, ij: isize}
             else:
-                env = {**inputs, oi: i, ij: 0}
-                p1s = [
-                    r.part1(env) if static else None
-                    for r, static in zip(irecons, self._static_parts)
-                ]
                 for j in range(isize):
-                    yield {oi: i, ij: j}, p1s
-
-    @_on_first_read
-    def _static_parts(self) -> list:
-        """For each inner invariant, whether the preservation sweep may
-        cache its split finished part across inner indices: sound only when
-        that part cannot read the inner index."""
-        ij = self.inner.index
-        static = []
-        for r in self.recons[ij]:
-            e = r.expr.of if isinstance(r.expr, tor.AggOf) else r.expr
-            static.append(
-                not (isinstance(e, tor.Concat) and ij in tor.facts(e.left).indices)
-            )
-        return static
+                    yield {oi: i, ij: j}
 
     def run_vc(self, vc: VC):
         """(decider, instances, counterexample-or-None): the first of vc's
@@ -1185,9 +1126,9 @@ class _Checker:
         self._ready(vc)
         count = 0
         for inputs, store0 in self.plan.sweep_inputs():
-            for indices, p1s in self._assignments(vc, inputs):
+            for indices in self._assignments(vc, inputs):
                 count += 1
-                cex = self.check(vc, inputs, store0, indices, p1s)
+                cex = self.check(vc, inputs, store0, indices)
                 if cex is not None:
                     return "sweep", count, cex
         return "sweep", count, None

@@ -76,6 +76,7 @@ def test_parse_domain_range_and_list():
     assert cli._parse_domain("0..2") == (0, 1, 2)
     assert cli._parse_domain("1,3,5") == (1, 3, 5)
     assert cli._parse_domain(" 0..0 ") == (0,)
+    assert cli._parse_domain("-1..1") == (-1, 0, 1)
 
 
 def test_parse_domain_rejects_empty():
@@ -89,6 +90,7 @@ def test_parse_domain_rejects_empty():
         ("--jobs", "x"),
         ("--jobs", "0"),
         ("--int-domain", "3..1"),
+        ("--int-domain", "1,1,2"),
         ("--cases", "-1"),
         ("--rel-bound", "-1"),
         ("--timeout", "-1"),

@@ -481,7 +481,9 @@ def test_block_reader_yields_draw_case_values_on_every_parameter_kind(text, case
 @pytest.mark.parametrize("name", ["selection", "equi_join"])
 def test_planned_run_builds_no_relation_objects(name, monkeypatch):
     """A clean planned run draws and checks every case as raw values: it
-    neither builds an OrderedRelation nor calls draw_case."""
+    neither builds an OrderedRelation nor calls draw_case. A short run and
+    a replay read their cases through the same block reader, so they do not
+    call draw_case either."""
     tp = load_benchmark(name)
     sql = emit.parse_sql(_corpus_sql()[name])
     built = {"init": 0, "trusted": 0, "draw_case": 0}
@@ -504,3 +506,6 @@ def test_planned_run_builds_no_relation_objects(name, monkeypatch):
     monkeypatch.setattr(difftest, "draw_case", counted_draw)
     assert run_cases(tp, sql, seed=11, cases=10_000).ok
     assert built == {"init": 0, "trusted": 0, "draw_case": 0}
+    assert run_cases(tp, sql, seed=11, cases=difftest.REFERENCE_MAX_CASES).ok
+    assert replay_case(tp, sql, seed=11, case=2999) is None
+    assert built["trusted"] > 0 and built["draw_case"] == 0
