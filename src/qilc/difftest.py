@@ -350,5 +350,7 @@ def run_cases(tp: TypedProgram, sql, seed: int, cases: int) -> DiffResult:
 
 def replay_case(tp: TypedProgram, sql, seed: int, case: int) -> Optional[Mismatch]:
     """Regenerate exactly case `case` of the seeded stream and compare."""
+    if case < 0:
+        raise ValueError(f"case must be at least 0, got {case}")
     values = next(itertools.islice(_case_values(SplitMix64(seed), tp), case, None))
     return _run_one(tp, sql, _inputs(tp, values), case)

@@ -225,6 +225,8 @@ def test_replay_reproduces_run_mismatch():
     # cases before the first mismatch replay clean
     if first.case > 0:
         assert replay_case(tp, mutated, seed=20260816, case=0) is None
+    with pytest.raises(ValueError, match="at least 0"):
+        replay_case(tp, mutated, seed=20260816, case=-1)
 
 
 def test_same_seed_same_result_different_seed_different_cases():

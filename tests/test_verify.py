@@ -225,7 +225,7 @@ def test_an_ill_formed_inner_invariant_raises_as_an_ill_formed_post_does():
     """The inner loop's Concat invariant is evaluated by its tor closure,
     like every other invariant and post, so validate raises tor's
     SchemaError for one whose operands' column types disagree, or that
-    aggregates a text field, before any instance runs."""
+    aggregates a text field."""
     tp = load_benchmark("cross_join")
     join = tor.Join(tor.Query("R"), tor.Query("S"), tor.TruePred())
     cand = candidate_for(tp, {"out": join})
