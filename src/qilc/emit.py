@@ -26,10 +26,11 @@ ParamRef. Both query kinds share one decomposition of the normalized
 expression into sources, column map and WHERE.
 
 Rendering is canonical and byte stable: uppercase keywords, single spaces,
-", " separators, scalar parameters as :name, text literals single quoted,
-every record query ordered by the hidden rid columns of its sources. A
-table's rid is the 0-based position of the row; it never appears in SELECT
-output. parse_sql inverts render exactly on rendered output.
+", " separators, scalar parameters as :name, text literals single quoted
+with ' doubled, every record query ordered by the hidden rid columns of its
+sources, and a LIMIT that may be negative written MAX(k, 0). A table's rid
+is the 0-based position of the row; it never appears in SELECT output.
+parse_sql inverts render exactly on rendered output.
 
 eval_sql compiles a query once per tuple of source schemas into a plan
 (columns resolved to row positions, WHERE to a closure, the output schema
@@ -41,6 +42,7 @@ oracle checks eval_sql against.
 
 from __future__ import annotations
 
+import re
 from operator import itemgetter
 from typing import Optional, Union
 
@@ -70,8 +72,21 @@ class SqlSyntaxError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# The dialect's vocabulary: render writes it, the tokenizer and parser read
+# it, the planner resolves RID, and the frontend refuses a relation or field
+# name it would collide with.
+# ---------------------------------------------------------------------------
+
+_FUNCS = frozenset({"COUNT", "SUM", "MIN", "MAX", "COALESCE"})
+RESERVED = _FUNCS | {"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "BY", "LIMIT"}
+RID = "rid"  # each table's hidden column: the 0-based position of the row
+_SQL_CMP = {op: "<>" if op == "!=" else op for op in tor.CMP_OPS}
+_TOR_CMP = {sql: op for op, sql in _SQL_CMP.items()}
+
+
+# ---------------------------------------------------------------------------
 # Abstract SQL. Predicates and operands other than columns are tor nodes, in
-# tor's operator spelling: != becomes <> only in render and parse_sql.
+# tor's operator spelling; _SQL_CMP respells them only in render and parse_sql.
 # ---------------------------------------------------------------------------
 
 
@@ -288,7 +303,7 @@ def _render_operand(o) -> str:
     if isinstance(o, tor.IntConst):
         return str(o.value)
     if isinstance(o, tor.TextConst):
-        return f"'{o.value}'"
+        return "'" + o.value.replace("'", "''") + "'"
     if isinstance(o, tor.ParamRef):
         return f":{o.name}"
     raise SchemaError(f"not a SQL operand: {o!r}")
@@ -298,8 +313,7 @@ def _render_pred(p, parent: Optional[str] = None, side: str = "left") -> str:
     """Left-associative chains of one connective render without parentheses;
     everything else is parenthesized, so parsing is exact."""
     if isinstance(p, tor.CmpAtom):
-        op = "<>" if p.op == "!=" else p.op
-        return f"{_render_operand(p.lhs)} {op} {_render_operand(p.rhs)}"
+        return f"{_render_operand(p.lhs)} {_SQL_CMP[p.op]} {_render_operand(p.rhs)}"
     if isinstance(p, (tor.AndP, tor.OrP)):
         word = "AND" if isinstance(p, tor.AndP) else "OR"
         text = (
@@ -335,9 +349,12 @@ def render(q: Sql) -> str:
         text += f" WHERE {_render_pred(q.where)}"
     if isinstance(q, SqlScalar):
         return text
-    text += " ORDER BY " + ", ".join(f"{s.alias}.rid" for s in q.sources)
+    text += " ORDER BY " + ", ".join(f"{s.alias}.{RID}" for s in q.sources)
     if q.limit is not None:
-        text += f" LIMIT {_render_operand(q.limit)}"
+        k = _render_operand(q.limit)
+        if isinstance(q.limit, tor.ParamRef) or q.limit.value < 0:
+            k = f"MAX({k}, 0)"  # SQLite reads a negative LIMIT as no limit
+        text += f" LIMIT {k}"
     return text
 
 
@@ -345,62 +362,38 @@ def render(q: Sql) -> str:
 # Parsing the canonical dialect
 # ---------------------------------------------------------------------------
 
-_SQL_KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "BY", "LIMIT"}
-_AGG_FUNCS = {"COUNT", "SUM", "MIN", "MAX", "COALESCE"}
-_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", which int() refuses
+_CMP_ALTS = "|".join(sorted(_TOR_CMP, key=len, reverse=True))  # longest first
+_SQL_TOKEN_RE = re.compile(
+    r" +|'(?P<text>(?:[^']|'')*)'|:(?P<param>[A-Za-z0-9_]+)|(?P<int>-?[0-9]+)"
+    rf"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>{_CMP_ALTS}|[(),.*])"
+)
+# errors for a character that starts no token, besides the generic one
+_SQL_ERRORS = {"'": "unterminated text literal", ":": "bad parameter reference"}
 
 
 def _sql_tokens(text: str) -> list:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == " ":
-            i += 1
-            continue
-        if c == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise SqlSyntaxError("unterminated text literal")
-            toks.append(("text", text[i + 1 : j]))
-            i = j + 1
-            continue
-        if c == ":":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise SqlSyntaxError("bad parameter reference")
-            toks.append(("param", text[i + 1 : j]))
-            i = j
-            continue
-        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _SQL_KEYWORDS or word in _AGG_FUNCS:
-                toks.append(("kw", word))
-            else:
-                toks.append(("name", word))
-            i = j
-            continue
-        for op in ("<>", "<=", ">=", "<", ">", "=", "(", ")", ",", ".", "*"):
-            if text.startswith(op, i):
-                toks.append(("op", op))
-                i += len(op)
-                break
-        else:
-            raise SqlSyntaxError(f"unexpected character {c!r} at offset {i}")
+    toks, pos = [], 0
+    while pos < len(text):
+        m = _SQL_TOKEN_RE.match(text, pos)
+        if m is None:
+            c = text[pos]
+            generic = f"unexpected character {c!r} at offset {pos}"
+            raise SqlSyntaxError(_SQL_ERRORS.get(c, generic))
+        kind, value = m.lastgroup, m[m.lastgroup or 0]
+        if kind == "text":
+            value = value.replace("''", "'")
+        elif kind == "int":
+            value = int(value)
+        elif kind == "word":
+            kind = "kw" if value in RESERVED else "name"
+        if kind is not None:  # None: the spaces between tokens
+            toks.append((kind, value))
+        pos = m.end()
     toks.append(("end", ""))
     return toks
+
+
+_OPERANDS = {"int": tor.IntConst, "text": tor.TextConst, "param": tor.ParamRef}
 
 
 class _SqlParser:
@@ -422,50 +415,58 @@ class _SqlParser:
         k, v = self.peek()
         return k == kind and (value is None or v == value)
 
+    def skip(self, kind, value=None) -> bool:
+        """Take the next token if it is (kind, value)."""
+        found = self.at(kind, value)
+        self.pos += found
+        return found
+
+    def commas(self, parse_one) -> tuple:
+        out = [parse_one()]
+        while self.skip("op", ","):
+            out.append(parse_one())
+        return tuple(out)
+
     def parse(self) -> Sql:
         self.take("kw", "SELECT")
         aggregate = None
-        if self.at("kw") and self.peek()[1] in _AGG_FUNCS:
+        if self.at("kw") and self.peek()[1] in _FUNCS:
             aggregate = self._aggregate()
         else:
-            items = [self._item()]
-            while self.at("op", ","):
-                self.take()
-                items.append(self._item())
+            items = self.commas(self._item)
         self.take("kw", "FROM")
-        sources = self._sources()
+        sources = self.commas(self._source)
         where = None
-        if self.at("kw", "WHERE"):
-            self.take()
+        if self.skip("kw", "WHERE"):
             where = self._pred()
             if too_deep(where, tor.children) is not None:
                 raise SqlSyntaxError("query nested too deeply")
         if aggregate is not None:
             self.take("end")
             return SqlScalar(*aggregate, sources, where)
-        if self.at("kw", "ORDER"):
+        if self.skip("kw", "ORDER"):
             # the engine produces exactly one order: each source's hidden
             # rid, FROM order. Any other clause would be silently
             # misinterpreted, so it is rejected instead.
-            self.take()
             self.take("kw", "BY")
-            cols = [self._col()]
-            while self.at("op", ","):
-                self.take()
-                cols.append(self._col())
-            want = [SCol(s.alias, "rid") for s in sources]
-            if cols != want:
+            if self.commas(self._col) != tuple(SCol(s.alias, RID) for s in sources):
                 raise SqlSyntaxError(
                     "ORDER BY must list each source's rid in FROM order"
                 )
         limit = None
-        if self.at("kw", "LIMIT"):
-            self.take()
+        if self.skip("kw", "LIMIT"):
+            clamped = self.skip("kw", "MAX")
+            if clamped:
+                self.take("op", "(")
             if not (self.at("int") or self.at("param")):
                 raise SqlSyntaxError("LIMIT takes an integer or a parameter")
             limit = self._operand()
+            if clamped:  # MiniDb clamps every LIMIT at 0
+                self.take("op", ",")
+                self.take("int", 0)
+                self.take("op", ")")
         self.take("end")
-        return SqlQuery(tuple(items), sources, where, limit)
+        return SqlQuery(items, sources, where, limit)
 
     def _aggregate(self) -> tuple:
         """The SELECT item of an aggregate query, as (func, arg or None).
@@ -493,13 +494,6 @@ class _SqlParser:
         self.take("op", ")")
         return func.lower(), arg
 
-    def _sources(self) -> tuple[SqlSource, ...]:
-        out = [self._source()]
-        while self.at("op", ","):
-            self.take()
-            out.append(self._source())
-        return tuple(out)
-
     def _source(self) -> SqlSource:
         table = self.take("name")
         alias = table
@@ -510,8 +504,7 @@ class _SqlParser:
     def _item(self):
         alias = self.take("name")
         self.take("op", ".")
-        if self.at("op", "*"):
-            self.take()
+        if self.skip("op", "*"):
             return SqlStar(alias)
         return SCol(alias, self.take("name"))
 
@@ -522,46 +515,33 @@ class _SqlParser:
 
     def _pred(self):
         node = self._and()
-        while self.at("kw", "OR"):
-            self.take()
+        while self.skip("kw", "OR"):
             node = tor.OrP(node, self._and())
         return node
 
     def _and(self):
         node = self._not()
-        while self.at("kw", "AND"):
-            self.take()
+        while self.skip("kw", "AND"):
             node = tor.AndP(node, self._not())
         return node
 
     def _not(self):
-        if self.at("kw", "NOT"):
-            self.take()
+        negated = self.skip("kw", "NOT")
+        if negated or self.at("op", "("):
             self.take("op", "(")
             inner = self._pred()
             self.take("op", ")")
-            return tor.NotP(inner)
-        if self.at("op", "("):
-            self.take()
-            inner = self._pred()
-            self.take("op", ")")
-            return inner
+            return tor.NotP(inner) if negated else inner
         lhs = self._operand()
         k, op = self.peek()
-        op = "!=" if op == "<>" else op
-        if k != "op" or op not in tor.CMP_OPS:
-            raise SqlSyntaxError(f"expected comparison, found {self.peek()[1]!r}")
+        if k != "op" or op not in _TOR_CMP:
+            raise SqlSyntaxError(f"expected comparison, found {op!r}")
         self.take()
-        return tor.CmpAtom(op, lhs, self._operand())
+        return tor.CmpAtom(_TOR_CMP[op], lhs, self._operand())
 
     def _operand(self):
-        if self.at("int"):
-            return tor.IntConst(self.take("int"))
-        if self.at("text"):
-            return tor.TextConst(self.take("text"))
-        if self.at("param"):
-            return tor.ParamRef(self.take("param"))
-        return self._col()
+        node = _OPERANDS.get(self.peek()[0])
+        return self._col() if node is None else node(self.take())
 
 
 def parse_sql(text: str) -> Sql:
@@ -696,7 +676,7 @@ def _plan_operand(o, slots: dict, schemas: tuple):
     """Closure (combination, params) -> value of one SQL operand."""
     if isinstance(o, SCol):
         n = slots.get(o.alias)
-        if n is not None and o.name == "rid":
+        if n is not None and o.name == RID:
             at = 2 * n
             return lambda c, params: c[at]
         if n is None or not schemas[n].has(o.name):

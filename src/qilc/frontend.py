@@ -21,6 +21,7 @@ import functools
 import re
 from typing import Optional
 
+from .emit import RESERVED, RID
 from .record import Record, make, record, too_deep
 from .relation import Schema
 
@@ -606,6 +607,8 @@ class _Checker:
             if p.name in self.var_types:
                 self.issue(f"duplicate parameter {p.name!r}", p.loc)
             self.var_types[p.name] = ("rel", p.ty) if isinstance(p.ty, Schema) else p.ty
+            if isinstance(p.ty, Schema):
+                self.check_sql_names(p)
         for d in ast.decls:
             if d.name in self.var_types:
                 self.issue(f"{d.name!r} is already declared", d.loc)
@@ -637,6 +640,17 @@ class _Checker:
             agg_updates=self.agg_updates,
             relations={p.name: p.ty for p in ast.params if isinstance(p.ty, Schema)},
         )
+
+    def check_sql_names(self, p: Param) -> None:
+        """The emitted SQL names a relation and its fields as written: none
+        may be a word of its dialect, and no field may be the hidden rid."""
+        if p.name.upper() in RESERVED:
+            self.issue(f"relation name {p.name!r} is reserved in the emitted SQL", p.loc)
+        for f in p.ty.names:
+            if f.upper() in RESERVED or f.lower() == RID:
+                self.issue(
+                    f"field name {f!r} of {p.name!r} is reserved in the emitted SQL", p.loc
+                )
 
     def check_toplevel(self, body: tuple) -> tuple:
         """The program body: simple statements, then exactly one loop."""

@@ -377,18 +377,33 @@ def test_wide_bounds_bench_report_matches_golden(capsys, tmp_path, benchmarks):
     assert out == golden.read_text(encoding="utf-8")
 
 
+SYNTH_10000_DIGESTS = {
+    "count": "b80efb0de8c47e4cabb864d1856796c64c75f5e232a9f584e4a22612226f329f",
+    "cross_join": "ab71f89d92ef8fccfc9aced195da0e4b3673ff444d8515037720fd635718b932",
+    "equi_join": "778aafbcf1734cfa55b6f16bae09f192d270dc4eec28a46326bced9e0bacd468",
+    "identity": "b12b9726b11cb9a967fb1b2d385055644ccb2d38fe9472ee11a4e6ebdbd865f8",
+    "join_select_project": "44986e5e010a34ad54e926c7608f36580dbe45869cfe06a941927b5c57ec5d81",
+    "max_value": "6dccaf801d5518d7775a9b8082da7c00aada0c4ea61624cfc1b33312f80a0b16",
+    "min_value": "f790739c71faf1fddd74d7c995b3b904bfd8cd6ae602e2f07a0d0ce8e1f2d7dc",
+    "projection": "615b839fe23d426d233917c6045794537e35350b988317bde2ef0fb17bf83dc8",
+    "select_project": "78435b4f344f25485e73af3f7b913cc19c0e3917899eb265980899f07a3612f7",
+    "selection": "1063efa297d2fe45fc0115eee6b6358c2b731b9e9ee672e4273fb030b32a5336",
+    "sum": "9e5dc6e645638309e45b9856c9c06d4fb0d55bfffd0ee072c61f57f520b62373",
+    "top_k": "3590a7b7af498c4f492a75f37336354be3b3ec58afb76785bf6ab67d6b96ba5d",
+}
+
+
 def test_synth_reports_at_10000_cases_hash_to_their_pinned_digest(capsys):
-    """`qilc synth --cases 10000` stdout of every corpus program, in sorted
-    name order at the default seed, hashes to the digest it had when
-    pinned: a difftest change that moves any case's draw, check or
-    report fails here."""
-    out = []
+    """`qilc synth --cases 10000` stdout of each corpus program at the
+    default seed hashes to the digest it had when pinned: a difftest change
+    that moves any case's draw, check or report fails here, and names the
+    programs it moved."""
+    digests = {}
     for name in sorted(BENCHMARK_NAMES):
         code, stdout, _ = run_cli(capsys, "synth", qil_path(name), "--cases", "10000")
         assert code == 0, name
-        out.append(stdout)
-    digest = hashlib.sha256("".join(out).encode()).hexdigest()
-    assert digest == "93d4df3e1c884974c58f44271c78e1b77fc5cc907085003c2e28188b9c5fbc98"
+        digests[name] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == SYNTH_10000_DIGESTS
 
 
 def test_bench_empty_directory(capsys, tmp_path):

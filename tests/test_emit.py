@@ -49,7 +49,7 @@ def gt(field, c):
         (
             tor.Top(q(), tor.ParamRef("k")),
             SCHEMAS,
-            "SELECT R.* FROM R ORDER BY R.rid LIMIT :k",
+            "SELECT R.* FROM R ORDER BY R.rid LIMIT MAX(:k, 0)",
         ),
         (
             tor.Top(q(), tor.IntConst(2)),
@@ -94,6 +94,11 @@ def gt(field, c):
             ),
             SCHEMAS,
             "SELECT R.* FROM R WHERE R.b <> 'x' ORDER BY R.rid",
+        ),
+        (
+            tor.Top(q(), tor.IntConst(-2)),
+            SCHEMAS,
+            "SELECT R.* FROM R ORDER BY R.rid LIMIT MAX(-2, 0)",
         ),
     ],
 )
@@ -193,7 +198,8 @@ def test_wider_predicates_round_trip_and_agree_with_algebra(pred):
         "SELECT R.* FROM R ORDER BY R.rid",
         "SELECT R.b FROM R WHERE R.a > 1 ORDER BY R.rid",
         "SELECT R.* FROM R WHERE R.a > 2 AND R.b = 'x' ORDER BY R.rid LIMIT 2",
-        "SELECT R.* FROM R ORDER BY R.rid LIMIT :k",
+        "SELECT R.* FROM R ORDER BY R.rid LIMIT MAX(:k, 0)",
+        "SELECT R.* FROM R WHERE R.b = 'it''s' ORDER BY R.rid",
         "SELECT R.v, S.w FROM R, S WHERE R.k = S.k ORDER BY R.rid, S.rid",
         "SELECT COALESCE(SUM(R.a), 0) FROM R",
         "SELECT COUNT(*) FROM R WHERE R.a <> 0",
@@ -203,6 +209,23 @@ def test_wider_predicates_round_trip_and_agree_with_algebra(pred):
 )
 def test_parse_render_identity(text):
     assert render(parse_sql(text)) == text
+
+
+def test_text_literal_with_a_quote_round_trips_and_evaluates():
+    e = tor.Sel(tor.CmpAtom("=", tor.FieldRef("b"), tor.TextConst("it's")), q())
+    sql = to_sql(e, SCHEMAS)
+    assert parse_sql(render(sql)) == sql
+    r = OrderedRelation(AB, ((1, "it's"), (2, "it"), (3, "s")))
+    assert eval_sql(parse_sql(render(sql)), db(R=r)).rows == ((1, "it's"),)
+
+
+def test_both_limit_forms_parse_to_one_bound():
+    base = "SELECT R.* FROM R ORDER BY R.rid LIMIT "
+    assert parse_sql(base + "MAX(:k, 0)") == parse_sql(base + ":k")
+    assert parse_sql(base + "MAX(-2, 0)") == parse_sql(base + "-2")
+    for bad in ("MAX(:k, 1)", "MAX(R.a, 0)", "MAX(:k)"):
+        with pytest.raises(emit.SqlSyntaxError):
+            parse_sql(base + bad)
 
 
 def test_parse_errors():

@@ -277,6 +277,35 @@ def test_misplaced_loops_and_breaks_report_each_issue_in_order():
     ]
 
 
+@pytest.mark.parametrize(
+    "rel, schema, message",
+    [
+        # MiniDb would read R.rid as the row position, not the field
+        ("R", "rid: int, b: text", "field name 'rid' of 'R' is reserved in the emitted SQL"),
+        # the canonical dialect's own keyword: parse_sql refuses the query
+        ("ORDER", "a: int, b: text", "relation name 'ORDER' is reserved in the emitted SQL"),
+        # SQLite refuses a keyword in any letter case
+        ("order", "a: int, b: text", "relation name 'order' is reserved in the emitted SQL"),
+        ("R", "a: int, Sum: int", "field name 'Sum' of 'R' is reserved in the emitted SQL"),
+    ],
+    ids=["rid-field", "ORDER-relation", "order-relation", "Sum-field"],
+)
+def test_names_the_emitted_sql_cannot_carry_are_type_errors(rel, schema, message):
+    src = f"""fn f(x: int, {rel}: rel({schema})) {{
+    var out: list({schema});
+    for i in 0 .. size({rel}) {{
+        if x > 1 {{
+            out.append({rel}[i]);
+        }}
+    }}
+    return out;
+}}
+"""
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(parse(src))
+    assert [(i.message, i.line, i.col) for i in err.value.issues] == [(message, 1, 14)]
+
+
 def test_optint_cannot_appear_in_predicates():
     src = """
 fn f(R: rel(a: int)) {
