@@ -11,17 +11,10 @@ the parameter list in declaration order:
     int parameter        next() % 5
     text parameter       ALPHABET[next() % 3]
 
-SplitMix64 computes the stream BLOCK outputs at a time, in the lanes of
-one Python int, and hands them out in order: next() returns one output,
-take(n) the next n. draw_case, the reference for the draw, takes a
-relation's size with next() and all its cells with one take. Every run
-and every replay reads its cases from whole blocks instead (_case_values),
-through one reader: a window holds the unread tail of the last block
-plus the next BLOCK outputs, every output of it is mapped once to an int
-cell and, when the program has text, to a text cell, and each relation
-shape's rows are built at every offset with one zip. A case then reads a
-relation's size from one output and slices its rows out of those. The
-window is refilled when fewer outputs remain than one case can use. The
+SplitMix64 computes the stream BLOCK outputs at a time and hands them
+out in order. draw_case, the reference for the draw, reads a relation's
+size with next() and its cells with one take; every run and every replay
+reads its cases from whole blocks through one reader (_case_values). The
 stream and the draw order are those above, whatever the block size.
 
 The program result and the query result are compared positionally; record
@@ -283,8 +276,8 @@ def _planned(tp: TypedProgram, sql):
     values are a case's as _case_values yields them. agree decides what
     values_agree decides, from the raw values, after the column types were
     compared here. Drawn values are of their parameter's type, so
-    check_inputs is not run. The closures are the reference path's, so
-    agree raises what it raises, on the same case."""
+    check_inputs is not run. The compiled program and query plan are the
+    reference path's, so agree raises what it raises, on the same case."""
     relations = tp.relations
     tables = tuple(s.table for s in sql.sources)
     if not all(t in relations for t in tables):

@@ -19,34 +19,33 @@ Anything that does not reach the shape (Concat, Append, Get, Empty at the
 root, a selection applied after Top, a Size-valued prefix bound, loop
 indices in predicates, true under OR or NOT) raises NotTranslatable.
 
-The abstract SQL reuses the algebra's nodes: a WHERE clause is a tor
-predicate (CmpAtom, AndP, OrP, NotP) whose fields are renamed to columns
-(SCol), and a literal, parameter or LIMIT is a tor.IntConst, TextConst or
-ParamRef. Both query kinds share one decomposition of the normalized
-expression into sources, column map and WHERE.
+The abstract SQL reuses the algebra's nodes (see "Abstract SQL" below),
+and both query kinds share one decomposition of the normalized expression
+into sources, column map and WHERE.
 
 Rendering is canonical and byte stable: uppercase keywords, single spaces,
 ", " separators, scalar parameters as :name, text literals single quoted
 with ' doubled, every record query ordered by the hidden rid columns of its
-sources, and a LIMIT that may be negative written MAX(k, 0). A table's rid
-is the 0-based position of the row; it never appears in SELECT output.
-parse_sql inverts render exactly on rendered output.
+sources, and a prefix bound that may be negative written clamped, as
+LIMIT MAX(k, 0) (Clamped). A table's rid is the 0-based position of the
+row; it never appears in SELECT output. parse_sql inverts render exactly,
+and eval_sql reads a bare negative LIMIT as SQLite does, as no limit.
 
-eval_sql compiles a query once per tuple of source schemas into a plan
-(columns resolved to row positions, WHERE to a closure, the output schema
-precomputed) and keeps it on the query, so a difftest case only forms the
-product of the rows, filters it, and aggregates or applies LIMIT. The
-plain tree evaluator tor.eval_* stays the reference that the emission
-oracle checks eval_sql against.
+eval_sql compiles a query once per tuple of source schemas into a plan,
+one generated Python function (qilc.codegen) with columns resolved to row
+positions and the output schema precomputed, and keeps it on the query, so
+a difftest case only runs one comprehension over the rows. The plain tree
+evaluator tor.eval_* stays the reference that the emission oracle checks
+eval_sql against.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
 from typing import Optional, Union
 
 from . import tor
+from .codegen import AND, ATOM, CMP, NOT, OR, Source, infix, wrap
 from .record import keep, record, too_deep
 from .relation import INT, OrderedRelation, Schema, SchemaError
 
@@ -82,11 +81,23 @@ RESERVED = _FUNCS | {"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "BY
 RID = "rid"  # each table's hidden column: the 0-based position of the row
 _SQL_CMP = {op: "<>" if op == "!=" else op for op in tor.CMP_OPS}
 _TOR_CMP = {sql: op for op, sql in _SQL_CMP.items()}
+_PY_CMP = {op: "==" if op == "=" else op for op in tor.CMP_OPS}  # in generated plans
+#: The SQLite keywords w that make SQLite 3.40.1 refuse `SELECT w.* FROM w
+#: WHERE w.a > 1 ORDER BY w.rid` or `SELECT R.w FROM R WHERE R.w > 1 ORDER
+#: BY R.rid`; with RESERVED, the names the type checker refuses.
+SQLITE_RESERVED = frozenset("""ADD ALL ALTER AND AS AUTOINCREMENT BETWEEN CASE CAST CHECK
+    COLLATE COMMIT CONSTRAINT CREATE CURRENT_DATE CURRENT_TIME CURRENT_TIMESTAMP DEFAULT
+    DEFERRABLE DELETE DISTINCT DROP ELSE ESCAPE EXCEPT EXISTS FOREIGN FROM GROUP HAVING IN
+    INDEX INSERT INTERSECT INTO IS ISNULL JOIN LIMIT NOT NOTHING NOTNULL NULL ON OR ORDER
+    PRIMARY RAISE REFERENCES RETURNING SELECT SET TABLE THEN TO TRANSACTION UNION UNIQUE
+    UPDATE USING VALUES WHEN WHERE""".split())
 
 
 # ---------------------------------------------------------------------------
-# Abstract SQL. Predicates and operands other than columns are tor nodes, in
-# tor's operator spelling; _SQL_CMP respells them only in render and parse_sql.
+# Abstract SQL. A WHERE clause is a tor predicate (CmpAtom, AndP, OrP, NotP)
+# whose fields are renamed to columns (SCol), and a literal, parameter or
+# LIMIT bound a tor.IntConst, TextConst or ParamRef, in tor's operator
+# spelling; _SQL_CMP respells them only in render and parse_sql.
 # ---------------------------------------------------------------------------
 
 
@@ -107,6 +118,13 @@ class SqlStar:
     alias: str
 
 
+@record
+class Clamped:
+    """LIMIT MAX(k, 0): k read as 0 when negative (a bare one is no limit)."""
+
+    k: tor.Node  # tor.IntConst | tor.ParamRef
+
+
 @record(memo="plans")
 class SqlQuery:
     """A record query: SELECT items FROM sources [WHERE] ORDER BY rids [LIMIT]."""
@@ -114,7 +132,7 @@ class SqlQuery:
     items: tuple  # SqlStar | SCol
     sources: tuple[SqlSource, ...]
     where: Optional[tor.Node] = None
-    limit: Optional[tor.Node] = None  # tor.IntConst | tor.ParamRef
+    limit: Optional[tor.Node] = None  # tor.IntConst | tor.ParamRef | Clamped
 
 
 @record(memo="plans")
@@ -284,6 +302,8 @@ def to_sql(e, schemas: dict) -> Sql:
             raise NotTranslatable(
                 f"prefix bound is not a constant or parameter: {limit!r}"
             )
+        if isinstance(limit, tor.ParamRef) or limit.value < 0:
+            limit = Clamped(limit)  # Top reads a negative bound as 0
     proj, sources, fmap, where = _select_parts(e, schemas)
     if proj is None:
         items = tuple(SqlStar(s.alias) for s in sources)
@@ -350,11 +370,10 @@ def render(q: Sql) -> str:
     if isinstance(q, SqlScalar):
         return text
     text += " ORDER BY " + ", ".join(f"{s.alias}.{RID}" for s in q.sources)
-    if q.limit is not None:
-        k = _render_operand(q.limit)
-        if isinstance(q.limit, tor.ParamRef) or q.limit.value < 0:
-            k = f"MAX({k}, 0)"  # SQLite reads a negative LIMIT as no limit
-        text += f" LIMIT {k}"
+    if isinstance(q.limit, Clamped):
+        text += f" LIMIT MAX({_render_operand(q.limit.k)}, 0)"
+    elif q.limit is not None:
+        text += f" LIMIT {_render_operand(q.limit)}"
     return text
 
 
@@ -421,6 +440,11 @@ class _SqlParser:
         self.pos += found
         return found
 
+    def take_all(self, *tokens) -> None:
+        """Take the tokens (kind, value) in order."""
+        for kind, value in tokens:
+            self.take(kind, value)
+
     def commas(self, parse_one) -> tuple:
         out = [parse_one()]
         while self.skip("op", ","):
@@ -461,10 +485,9 @@ class _SqlParser:
             if not (self.at("int") or self.at("param")):
                 raise SqlSyntaxError("LIMIT takes an integer or a parameter")
             limit = self._operand()
-            if clamped:  # MiniDb clamps every LIMIT at 0
-                self.take("op", ",")
-                self.take("int", 0)
-                self.take("op", ")")
+            if clamped:
+                self.take_all(("op", ","), ("int", 0), ("op", ")"))
+                limit = Clamped(limit)
         self.take("end")
         return SqlQuery(items, sources, where, limit)
 
@@ -476,14 +499,9 @@ class _SqlParser:
         if func == "SUM":
             raise SqlSyntaxError("SUM is written COALESCE(SUM(col), 0)")
         if func == "COALESCE":
-            self.take("op", "(")
-            self.take("kw", "SUM")
-            self.take("op", "(")
+            self.take_all(("op", "("), ("kw", "SUM"), ("op", "("))
             arg = self._col()
-            self.take("op", ")")
-            self.take("op", ",")
-            self.take("int", 0)
-            self.take("op", ")")
+            self.take_all(("op", ")"), ("op", ","), ("int", 0), ("op", ")"))
             return "sum", arg
         self.take("op", "(")
         if func == "COUNT":
@@ -578,7 +596,8 @@ class MiniDb:
 
 def eval_sql(q: Sql, db: MiniDb):
     """Evaluate against a MiniDb: relations for record queries (ordered by
-    the source rids), ints or None for aggregates. LIMIT clamps at 0."""
+    the source rids), ints or None for aggregates. A bare negative LIMIT is
+    no limit, and LIMIT MAX(k, 0) clamps k at 0, as on SQLite."""
     rels = []
     for s in q.sources:
         if s.table not in db.tables:
@@ -604,28 +623,49 @@ class _Plan:
     """A query compiled against its sources' schemas, built once per (query,
     schemas) and kept on the query.
 
-    A row combination is one flat tuple, (rid, row) for each source in FROM
-    order; each column reference is resolved to its place in it. A column,
-    parameter or node that cannot be resolved compiles to a closure that
-    raises when it is evaluated, so WHERE and aggregate arguments fail only
-    on a row they are evaluated on, as a tree walk would. The SELECT list is
-    resolved here too; when it fails, raw() resolves it again to raise.
+    raw(rels, params), generated here (qilc.codegen), is run() over each
+    source's rows tuple without building the result relation: one
+    comprehension over the rows, left-major, with WHERE and the output
+    tuple or aggregate argument inline, then the aggregate or LIMIT. A
+    column, parameter or node that cannot be resolved is written as a call
+    that raises, so WHERE and aggregate arguments fail only on a row they
+    are evaluated on, as a tree walk would; a SELECT list that cannot be
+    resolved raises after WHERE and LIMIT.
     """
 
     def __init__(self, q: Sql, schemas: tuple):
         self.q = q
         self.schemas = schemas
+        self.schema = None
+        self.src = Source()
         # a repeated alias names its last source
         self.slots = {s.alias: n for n, s in enumerate(q.sources)}
-        self.where = None if q.where is None else _plan_pred(q.where, self.slots, schemas)
+        where = "" if q.where is None else " if " + wrap(self._pred(q.where), OR)
+        error = None
         if isinstance(q, SqlScalar):
-            self.arg = _plan_operand(q.arg, self.slots, schemas)
-            return
-        self.limit = None if q.limit is None else _plan_operand(q.limit, {}, ())
-        try:
-            self.schema, self.out = _plan_select(q, self.slots, schemas)
-        except (UnknownTable, UnknownColumn, SchemaError):
-            self.schema = None
+            item = "0" if q.arg is None else self._operand(q.arg, self.slots)
+        else:
+            try:
+                self.schema, item = _select(q, self.slots, schemas)
+            except (UnknownTable, UnknownColumn, SchemaError) as exc:
+                item, error = "0", self._fail(type(exc), exc.args[0])
+        line, sources = self.src.line, range(len(q.sources))
+        line(0, "def raw(rels, params):")
+        line(1, "".join(f"t{n}, " for n in sources) + "= rels")
+        loops = " ".join(f"for n{n}, r{n} in enumerate(t{n})" for n in sources)
+        line(1, f"out = [{item} {loops}{where}]")
+        if isinstance(q, SqlScalar):
+            agg = {"count": "len(out)", "sum": "sum(out)"}.get(q.func)
+            line(1, "return " + (agg or f"{q.func}(out) if out else None"))
+        else:
+            limit = q.limit.k if isinstance(q.limit, Clamped) else q.limit
+            if limit is not None:
+                k = self._operand(limit, {})
+                line(1, f"k = max({k}, 0)" if limit is not q.limit else f"k = {k}")
+            if error is not None:
+                line(1, error)
+            line(1, "return out" if limit is None else "return out if k < 0 else out[:k]")
+        self.raw = self.src.compile("<qilc query>")["raw"]
 
     def run(self, rels: list, params: dict):
         """The query's value over the relations of its FROM list."""
@@ -634,112 +674,69 @@ class _Plan:
             return out
         return OrderedRelation(self.schema, tuple(out))
 
-    def raw(self, rels: list, params: dict):
-        """run() over each source's rows tuple, without building the result
-        relation: a list of row tuples for a record query, the aggregate's
-        value for a scalar one."""
-        combos = [()]
-        for rows in rels:
-            numbered = tuple(enumerate(rows))
-            combos = [c + r for c in combos for r in numbered]
-        where = self.where
-        if where is not None:
-            combos = [c for c in combos if where(c, params)]
-        q = self.q
-        if isinstance(q, SqlScalar):
-            if q.func == "count":
-                return len(combos)
-            arg = self.arg
-            values = [arg(c, params) for c in combos]
-            if q.func == "sum":
-                return sum(values)
-            if not values:
-                return None
-            return min(values) if q.func == "min" else max(values)
-        # the product is already in rid order, left-major
-        if self.limit is not None:
-            combos = combos[: max(self.limit((), params), 0)]
-        if self.schema is None:
-            _plan_select(q, self.slots, self.schemas)  # raises
-        out = self.out
-        return [out(c) for c in combos]
+    def _fail(self, exc_type, arg) -> str:
+        const = self.src.const
+        return f"{const(_fail)}({const(exc_type)}, {const(arg)})"
+
+    def _operand(self, o, slots: dict) -> str:
+        """The code of one SQL operand, an atom over the sources' rows rN
+        and rids nN."""
+        if isinstance(o, SCol):
+            n = slots.get(o.alias)
+            if n is not None and o.name == RID:
+                return f"n{n}"
+            if n is None or not self.schemas[n].has(o.name):
+                return self._fail(UnknownColumn, f"{o.alias}.{o.name}")
+            return f"r{n}[{self.schemas[n].index_of(o.name)}]"
+        if isinstance(o, (tor.IntConst, tor.TextConst)):
+            return self.src.const(o.value)
+        if isinstance(o, tor.ParamRef):
+            v = self.src.const(o.name, "v")
+            return f"(params[{v}] if {v} in params else {self._fail(UnknownParam, o.name)})"
+        return self._fail(SchemaError, f"not a SQL operand: {o!r}")
+
+    def _pred(self, p) -> tuple:
+        """The code of one SQL predicate."""
+        if isinstance(p, tor.CmpAtom):
+            lhs, rhs = (self._operand(o, self.slots) for o in (p.lhs, p.rhs))
+            return f"{lhs} {_PY_CMP[p.op]} {rhs}", CMP
+        if isinstance(p, (tor.AndP, tor.OrP)):
+            word, prec = ("and", AND) if isinstance(p, tor.AndP) else ("or", OR)
+            return infix(self._pred(p.left), word, self._pred(p.right), prec)
+        if isinstance(p, tor.NotP):
+            return f"not {wrap(self._pred(p.operand), NOT)}", NOT
+        return self._fail(SchemaError, f"not a SQL predicate: {p!r}"), ATOM
 
 
-def _fails(exc_type, arg):
-    def fail(c, params):
-        raise exc_type(arg)
-
-    return fail
+def _fail(exc_type, arg):
+    raise exc_type(arg)
 
 
-def _plan_operand(o, slots: dict, schemas: tuple):
-    """Closure (combination, params) -> value of one SQL operand."""
-    if isinstance(o, SCol):
-        n = slots.get(o.alias)
-        if n is not None and o.name == RID:
-            at = 2 * n
-            return lambda c, params: c[at]
-        if n is None or not schemas[n].has(o.name):
-            return _fails(UnknownColumn, f"{o.alias}.{o.name}")
-        at, k = 2 * n + 1, schemas[n].index_of(o.name)
-        return lambda c, params: c[at][k]
-    if isinstance(o, (tor.IntConst, tor.TextConst)):
-        value = o.value
-        return lambda c, params: value
-    if isinstance(o, tor.ParamRef):
-        name = o.name
-
-        def param(c, params):
-            if name not in params:
-                raise UnknownParam(name)
-            return params[name]
-
-        return param
-    return _fails(SchemaError, f"not a SQL operand: {o!r}")
-
-
-def _plan_pred(p, slots: dict, schemas: tuple):
-    """Closure (combination, params) -> bool of one SQL predicate."""
-    if isinstance(p, tor.CmpAtom):
-        f = tor.CMP_OPS[p.op]
-        a, b = _plan_operand(p.lhs, slots, schemas), _plan_operand(p.rhs, slots, schemas)
-        return lambda c, params: f(a(c, params), b(c, params))
-    if isinstance(p, (tor.AndP, tor.OrP)):
-        a, b = _plan_pred(p.left, slots, schemas), _plan_pred(p.right, slots, schemas)
-        if isinstance(p, tor.AndP):
-            return lambda c, params: a(c, params) and b(c, params)
-        return lambda c, params: a(c, params) or b(c, params)
-    if isinstance(p, tor.NotP):
-        a = _plan_pred(p.operand, slots, schemas)
-        return lambda c, params: not a(c, params)
-    return _fails(SchemaError, f"not a SQL predicate: {p!r}")
-
-
-def _plan_select(q: SqlQuery, slots: dict, schemas: tuple):
-    """The output schema and a closure combination -> output row. Output
-    names are the plain column names, or alias.name for every column when
-    the plain names repeat."""
-    cols: list[tuple[int, int, str, str, str]] = []  # slot, field, alias, name, type
+def _select(q: SqlQuery, slots: dict, schemas: tuple) -> tuple:
+    """The output schema and the code of the output row. Output names are
+    the plain column names, or alias.name for every column when the plain
+    names repeat."""
+    cols, parts = [], []  # (alias, name, type) of each column; the row's parts
     for it in q.items:
         if it.alias not in slots:
             raise UnknownTable(it.alias)
         n = slots[it.alias]
         sch = schemas[n]
         if isinstance(it, SqlStar):
-            for k, (name, ty) in enumerate(sch.fields):
-                cols.append((2 * n + 1, k, it.alias, name, ty))
+            cols += [(it.alias, name, ty) for name, ty in sch.fields]
+            parts.append(f"*r{n}")
         else:
             if not sch.has(it.name):
                 raise UnknownColumn(f"{it.alias}.{it.name}")
             k = sch.index_of(it.name)
-            cols.append((2 * n + 1, k, it.alias, it.name, sch.types[k]))
-    plain = [name for _, _, _, name, _ in cols]
+            cols.append((it.alias, it.name, sch.types[k]))
+            parts.append(f"r{n}[{k}]")
+    plain = [name for _, name, _ in cols]
     if len(set(plain)) == len(plain):
         names = plain
     else:
-        names = [f"{alias}.{name}" for _, _, alias, name, _ in cols]
-    schema = Schema(tuple((name, c[4]) for name, c in zip(names, cols)))
-    if len(q.items) == 1 and isinstance(q.items[0], SqlStar):
-        return schema, itemgetter(2 * slots[q.items[0].alias] + 1)
-    picks = tuple((at, k) for at, k, _, _, _ in cols)
-    return schema, lambda c: tuple([c[at][k] for at, k in picks])
+        names = [f"{alias}.{name}" for alias, name, _ in cols]
+    schema = Schema(tuple((name, c[2]) for name, c in zip(names, cols)))
+    if parts == [f"*r{slots[q.items[0].alias]}"]:
+        return schema, parts[0][1:]  # the source's row itself
+    return schema, "(" + ", ".join(parts) + ",)"

@@ -21,7 +21,7 @@ import functools
 import re
 from typing import Optional
 
-from .emit import RESERVED, RID
+from .emit import RESERVED, RID, SQLITE_RESERVED
 from .record import Record, make, record, too_deep
 from .relation import Schema
 
@@ -259,14 +259,12 @@ class _Parser:
         loc = self.loc()
         name = self.expect("ident").text
         self.expect("op", ":")
-        t = self.peek()
-        if t.kind == "rel":
-            self.next()
+        if self.accept("rel"):
             return Param(name, self.schema(), loc)
-        if t.kind in ("int", "text"):
-            self.next()
-            return Param(name, t.kind, loc)
-        raise self.fail("expected a parameter type (rel(...), int, or text)")
+        t = self.accept("int") or self.accept("text")
+        if t is None:
+            raise self.fail("expected a parameter type (rel(...), int, or text)")
+        return Param(name, t.kind, loc)
 
     def schema(self) -> Schema:
         self.expect("op", "(")
@@ -282,10 +280,9 @@ class _Parser:
     def schema_field(self) -> tuple[str, str]:
         name = self.expect("ident").text
         self.expect("op", ":")
-        t = self.peek()
-        if t.kind not in ("int", "text"):
+        t = self.accept("int") or self.accept("text")
+        if t is None:
             raise self.fail("expected a field type (int or text)")
-        self.next()
         return (name, t.kind)
 
     def decl(self):
@@ -293,36 +290,26 @@ class _Parser:
         self.expect("var")
         name = self.expect("ident").text
         self.expect("op", ":")
-        t = self.peek()
-        if t.kind == "list":
-            self.next()
+        if self.accept("list"):
             schema = self.schema()
             self.expect("op", ";")
             return ListDecl(name, schema, loc)
-        if t.kind in ("int", "text"):
-            base = self.next().kind
-            self.expect("op", "=")
-            init = self.initializer(base)
-            self.expect("op", ";")
-            return ScalarDecl(name, base, init, loc)
-        raise self.fail("expected a declaration type (list(...), int, or text)")
+        t = self.accept("int") or self.accept("text")
+        if t is None:
+            raise self.fail("expected a declaration type (list(...), int, or text)")
+        self.expect("op", "=")
+        init = self.initializer()
+        self.expect("op", ";")
+        return ScalarDecl(name, t.kind, init, loc)
 
-    def initializer(self, base: str):
-        t = self.peek()
-        if t.kind == "none":
-            self.next()
+    def initializer(self):
+        """none, or an int or text literal as term reads it."""
+        if self.accept("none"):
             return None
-        if t.kind == "int":
-            self.next()
-            return int(t.text)
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            v = self.expect("int")
-            return -int(v.text)
-        if t.kind == "string":
-            self.next()
-            return t.text[1:-1]
-        raise self.fail("expected an initializer (integer, string, or none)")
+        t = self.peek()
+        if t.kind not in ("int", "string") and (t.kind, t.text) != ("op", "-"):
+            raise self.fail("expected an initializer (integer, string, or none)")
+        return self.term().value
 
     # --- statements ---
 
@@ -332,11 +319,9 @@ class _Parser:
             return self.for_stmt()
         if t.kind == "if":
             return self.if_stmt()
-        if t.kind == "break":
-            loc = self.loc()
-            self.next()
+        if self.accept("break"):
             self.expect("op", ";")
-            return Break(loc)
+            return Break(Loc(t.line, t.col))
         if t.kind == "ident":
             return self.assign_or_append()
         raise self.fail(f"expected a statement, found {t.text!r}")
@@ -377,7 +362,8 @@ class _Parser:
         loc = self.loc()
         name = self.expect("ident").text
         if self.accept("op", "."):
-            self.expect_ident_text("append")
+            if not self.accept("ident", "append"):
+                raise self.fail("expected 'append'")
             self.expect("op", "(")
             record = self.record_expr()
             self.expect("op", ")")
@@ -388,24 +374,15 @@ class _Parser:
         self.expect("op", ";")
         return Assign(name, expr, loc)
 
-    def expect_ident_text(self, text: str) -> None:
-        t = self.peek()
-        if t.kind != "ident" or t.text != text:
-            raise self.fail(f"expected {text!r}")
-        self.next()
-
     def record_expr(self):
-        t = self.peek()
-        if t.kind == "op" and t.text == "{":
-            loc = self.loc()
-            self.next()
+        loc = self.loc()
+        if self.accept("op", "{"):
             items = [self.record_item()]
             while self.accept("op", ","):
                 items.append(self.record_item())
             self.expect("op", "}")
             return RecordLit(tuple(items), loc)
-        if t.kind == "ident":
-            loc = self.loc()
+        if self.peek().kind == "ident":
             rel = self.next().text
             self.expect("op", "[")
             index = self.expect("ident").text
@@ -426,24 +403,18 @@ class _Parser:
     def expr(self):
         loc = self.loc()
         e = self.term()
-        while True:
-            if self.accept("op", "+"):
-                e = Add(e, self.term(), loc)
-            else:
-                return e
+        while self.accept("op", "+"):
+            e = Add(e, self.term(), loc)
+        return e
 
     def term(self):
         t = self.peek()
         loc = self.loc()
-        if t.kind == "int":
-            self.next()
+        if self.accept("int"):
             return IntLit(int(t.text), loc)
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            v = self.expect("int")
-            return IntLit(-int(v.text), loc)
-        if t.kind == "string":
-            self.next()
+        if self.accept("op", "-"):
+            return IntLit(-int(self.expect("int").text), loc)
+        if self.accept("string"):
             return TextLit(t.text[1:-1], loc)
         if t.kind in ("min", "max"):
             op = self.next().kind
@@ -453,8 +424,7 @@ class _Parser:
             b = self.expr()
             self.expect("op", ")")
             return MinMax(op, a, b, loc)
-        if t.kind == "op" and t.text == "(":
-            self.next()
+        if self.accept("op", "("):
             e = self.expr()
             self.expect("op", ")")
             return e
@@ -472,22 +442,16 @@ class _Parser:
     # --- predicates: ! binds tightest, then &&, then || ---
 
     def pred(self):
-        e = self.pred_and()
-        while True:
-            loc = self.loc()
-            if self.accept("op", "||"):
-                e = BoolOp("or", e, self.pred_and(), loc)
-            else:
-                return e
+        e, loc = self.pred_and(), self.loc()
+        while self.accept("op", "||"):
+            e, loc = BoolOp("or", e, self.pred_and(), loc), self.loc()
+        return e
 
     def pred_and(self):
-        e = self.pred_not()
-        while True:
-            loc = self.loc()
-            if self.accept("op", "&&"):
-                e = BoolOp("and", e, self.pred_not(), loc)
-            else:
-                return e
+        e, loc = self.pred_not(), self.loc()
+        while self.accept("op", "&&"):
+            e, loc = BoolOp("and", e, self.pred_not(), loc), self.loc()
+        return e
 
     def pred_not(self):
         loc = self.loc()
@@ -643,11 +607,13 @@ class _Checker:
 
     def check_sql_names(self, p: Param) -> None:
         """The emitted SQL names a relation and its fields as written: none
-        may be a word of its dialect, and no field may be the hidden rid."""
-        if p.name.upper() in RESERVED:
+        may be a word of its dialect or a keyword SQLite refuses there, and
+        no field may be the hidden rid."""
+        reserved = RESERVED | SQLITE_RESERVED
+        if p.name.upper() in reserved:
             self.issue(f"relation name {p.name!r} is reserved in the emitted SQL", p.loc)
         for f in p.ty.names:
-            if f.upper() in RESERVED or f.lower() == RID:
+            if f.upper() in reserved or f.lower() == RID:
                 self.issue(
                     f"field name {f!r} of {p.name!r} is reserved in the emitted SQL", p.loc
                 )
@@ -863,22 +829,14 @@ class _Checker:
                 self.issue(f"no field {e.fieldname!r} in {e.rel!r}", e.loc)
                 return None
             return sch.type_of(e.fieldname)
-        if isinstance(e, Add):
-            lt, rt = self.expr_type(e.left), self.expr_type(e.right)
-            for t in (lt, rt):
-                if t is not None and t != "int":
-                    self.issue("+ expects int operands", e.loc)
-                    return None
-            return "int"
-        if isinstance(e, MinMax):
-            lt, rt = self.expr_type(e.left), self.expr_type(e.right)
-            for t in (lt, rt):
-                if t is not None and t not in ("int", OPTINT):
-                    self.issue(f"{e.op} expects int operands", e.loc)
-                    return None
-            if OPTINT in (lt, rt):
-                return OPTINT
-            return "int"
+        if isinstance(e, (Add, MinMax)):
+            # + takes ints; min and max take an accumulator that may be absent
+            op, allowed = ("+", ("int",)) if isinstance(e, Add) else (e.op, ("int", OPTINT))
+            types = (self.expr_type(e.left), self.expr_type(e.right))
+            if any(t is not None and t not in allowed for t in types):
+                self.issue(f"{op} expects int operands", e.loc)
+                return None
+            return OPTINT if OPTINT in types else "int"
         raise AssertionError(f"unhandled expression {e!r}")
 
     def check_pred(self, p) -> None:

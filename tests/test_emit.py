@@ -219,10 +219,12 @@ def test_text_literal_with_a_quote_round_trips_and_evaluates():
     assert eval_sql(parse_sql(render(sql)), db(R=r)).rows == ((1, "it's"),)
 
 
-def test_both_limit_forms_parse_to_one_bound():
+def test_the_clamped_and_the_bare_limit_parse_apart():
     base = "SELECT R.* FROM R ORDER BY R.rid LIMIT "
-    assert parse_sql(base + "MAX(:k, 0)") == parse_sql(base + ":k")
-    assert parse_sql(base + "MAX(-2, 0)") == parse_sql(base + "-2")
+    for k in (":k", "-2", "3"):
+        clamped, bare = parse_sql(base + f"MAX({k}, 0)"), parse_sql(base + k)
+        assert clamped.limit == emit.Clamped(bare.limit)
+        assert render(clamped) == base + f"MAX({k}, 0)" and render(bare) == base + k
     for bad in ("MAX(:k, 1)", "MAX(R.a, 0)", "MAX(:k)"):
         with pytest.raises(emit.SqlSyntaxError):
             parse_sql(base + bad)
@@ -305,8 +307,15 @@ def test_eval_limit_clamps():
     assert eval_sql(parse_sql(base + "0"), db(R=R_DATA)).size == 0
     assert eval_sql(parse_sql(base + "2"), db(R=R_DATA)).size == 2
     assert eval_sql(parse_sql(base + "9"), db(R=R_DATA)).size == 4
-    neg = eval_sql(parse_sql(base + ":k"), db(R=R_DATA, k=-3))
+    neg = eval_sql(parse_sql(base + "MAX(:k, 0)"), db(R=R_DATA, k=-3))
     assert neg.size == 0
+    assert eval_sql(parse_sql(base + "MAX(-1, 0)"), db(R=R_DATA)).size == 0
+
+
+def test_eval_bare_negative_limit_is_no_limit():
+    base = "SELECT R.* FROM R ORDER BY R.rid LIMIT "
+    assert eval_sql(parse_sql(base + ":k"), db(R=R_DATA, k=-3)).rows == R_DATA.rows
+    assert eval_sql(parse_sql(base + "-1"), db(R=R_DATA)).rows == R_DATA.rows
 
 
 def test_eval_unknown_names():
@@ -327,6 +336,18 @@ def test_eval_unknown_column_in_where_or_aggregate_needs_a_row():
         eval_sql(where, db(R=R_DATA))
     with pytest.raises(emit.UnknownColumn):
         eval_sql(parse_sql("SELECT MIN(R.c) FROM R"), db(R=R_DATA))
+
+
+def test_eval_and_or_short_circuit_before_a_bad_column():
+    base = "SELECT R.* FROM R WHERE {} ORDER BY R.rid"
+    assert eval_sql(parse_sql(base.format("R.a > 9 AND R.c > 1")), db(R=R_DATA)).rows == ()
+    every = eval_sql(parse_sql(base.format("R.a < 9 OR R.c > 1")), db(R=R_DATA))
+    assert every.rows == R_DATA.rows
+    with pytest.raises(emit.UnknownColumn):
+        eval_sql(parse_sql(base.format("R.a > 4 AND R.c > 1")), db(R=R_DATA))
+    with pytest.raises(emit.UnknownParam):
+        eval_sql(parse_sql(base.format("R.a < 2 OR R.a = :k")), db(R=R_DATA))
+    assert eval_sql(parse_sql(base.format("R.a = :k")), db(R=OrderedRelation(AB, ()))).rows == ()
 
 
 def test_eval_unknown_column_in_select_raises_on_an_empty_table():

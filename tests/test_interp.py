@@ -158,3 +158,86 @@ fn f(R: rel(a: int), base: int) {
     tp = typecheck(parse(src))
     r = rel(Schema((("a", "int"),)), (1,), (2,))
     assert interp.run(tp, {"R": r, "base": 10}) == 13
+
+
+# --- the compiled blocks, run from a store as the verifier runs them ---------
+
+
+def test_a_loop_index_is_gone_from_the_store_afterwards():
+    tp = load_benchmark("equi_join")
+    ex = interp.executor(tp)
+    r, s = rel(KV, (1, 10)), rel(KW, (1, 7), (2, 8))
+    store = ex.init_store({"R": r, "S": s})
+    store["i"], store["j"] = 0, 5
+    ex.block(tp.loops[0].node.body)(store)  # the outer body runs the inner loop
+    assert store["i"] == 0 and "j" not in store
+    assert store["out"] == [(10, 7)]
+    ex.body(store)
+    assert "i" not in store and "j" not in store
+
+
+def test_a_row_past_the_relation_raises_index_error_where_it_is_read():
+    tp = load_benchmark("top_k")
+    ex = interp.executor(tp)
+    body = ex.block(tp.loops[0].node.body)  # if i < k {append R[i]} if i + 1 >= k {break}
+    store = ex.init_store({"R": rel(AB, (1, "x")), "k": 9})
+    store["i"] = 3
+    with pytest.raises(IndexError):
+        body(store)
+    store["k"] = 0  # i < k fails, so R[3] is never read
+    assert body(store) is True and store["out"] == []
+
+
+def test_and_or_and_nested_ifs_short_circuit():
+    src = """
+fn f(R: rel(a: int), k: int) {
+    var out: list(a: int);
+    var n: int = 0;
+    for i in 0 .. size(R) {
+        if i < k && R[i].a > 0 { n = n + 2; }
+        if i >= k || R[i].a > 0 { n = n + 20; }
+        if i < k { if R[i].a > 0 { out.append(R[i]); } }
+    }
+    return out;
+}
+"""
+    tp = typecheck(parse(src))
+    ex = interp.executor(tp)
+    body = ex.block(tp.loops[0].node.body)
+    store = ex.init_store({"R": rel(Schema((("a", "int"),)), (1,)), "k": 0})
+    store["i"] = 4  # out of range: only a guard that is reached would raise
+    assert body(store) is False
+    assert store["n"] == 20 and store["out"] == []
+    store["k"] = 9
+    with pytest.raises(IndexError):
+        body(store)
+
+
+def test_min_max_accumulators_start_absent():
+    tp = load_benchmark("min_value")
+    ex = interp.executor(tp)
+    store = ex.init_store({"R": rel(AB, (4, "x"), (2, "y"))})
+    assert store["m"] is None
+    store["i"] = 0
+    ex.block(tp.loops[0].node.body)(store)
+    assert store["m"] == 4
+    store["i"] = 1
+    ex.block(tp.loops[0].node.body)(store)
+    assert store["m"] == 2
+
+
+def test_ifs_nested_to_the_depth_bound_run():
+    depth = 196  # under fn, for and the statement: the grammar's bound
+    guards = "".join(f"if R[i].a > {n % 3} {{ " for n in range(depth))
+    src = f"""
+fn f(R: rel(a: int)) {{
+    var out: list(a: int);
+    for i in 0 .. size(R) {{
+        {guards}out.append(R[i]);{" }" * depth}
+    }}
+    return out;
+}}
+"""
+    tp = typecheck(parse(src))
+    r = rel(Schema((("a", "int"),)), (3,), (1,), (2,), (5,))
+    assert interp.run(tp, {"R": r}).rows == ((3,), (5,))
