@@ -11,11 +11,13 @@ the parameter list in declaration order:
     int parameter        next() % 5
     text parameter       ALPHABET[next() % 3]
 
-SplitMix64 computes the stream BLOCK outputs at a time and hands them
-out in order. draw_case, the reference for the draw, reads a relation's
-size with next() and its cells with one take; every run and every replay
-reads its cases from whole blocks through one reader (_case_values). The
-stream and the draw order are those above, whatever the block size.
+SplitMix64 computes the stream BLOCK outputs at a time in one packed int
+(SWAR). draw_case, the reference for the draw, reads it with next() and
+take. Every run and every replay reads its cases through one reader
+(_case_values) instead: the draw reads an output x only as x mod 30, which
+SplitMix64.keys gives as one byte per output (see _fold). The reader maps
+those bytes through bytes.translate tables, and steps over the cases before
+a replayed one by their size bytes alone. It yields what draw_case gives.
 
 The program result and the query result are compared positionally; record
 order matters, field names do not, and an absent min/max result agrees
@@ -27,11 +29,11 @@ replay_case also takes) binds the case's values as draw_case gives them
 MiniDb, and compares the two result values. A run of at most
 REFERENCE_MAX_CASES cases, or one that cannot be planned, takes it for
 every case. A longer run is planned once instead (_planned): each
-case's values, a relation as its rows tuple, go straight into the
-compiled program's store and the query plan's sources, and the raw rows
-or scalars are compared; no binding dict or OrderedRelation is built. A
-case that disagrees is run again on the reference path, which builds its
-Mismatch. A planned run keeps the values of the inputs of at most
+case's values, a relation as its rows tuple, go straight to the compiled
+program's run as its arguments and to the query plan's sources, and the
+raw rows or scalars are compared; no binding dict or OrderedRelation is
+built. A case that disagrees is run again on the reference path, which
+builds its Mismatch. A planned run keeps the values of the inputs of at most
 SMALL_ROWS rows, over all relations, that agreed, and does not check them
 again; these are the inputs that repeat. An input that disagrees is never
 kept, so each case that draws it is reported. Either way a run reports the
@@ -41,7 +43,6 @@ same bytes.
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 from typing import Optional
 
@@ -77,21 +78,33 @@ SMALL_ROWS = 2
 BLOCK = 512
 
 
+def _lane(word: int) -> int:
+    """An int of BLOCK 128-bit lanes, each holding word."""
+    return int.from_bytes(word.to_bytes(16, "little") * BLOCK, "little")
+
+
+# A lane's high 64 bits take the carry of an add, the product of a multiply
+# and the bits a right shift brings in from the lane above; masking with
+# _LOW clears them.
+_ONES, _LOW, _NIBBLES, _NIBBLE, _BYTE = map(_lane, (1, _MASK, 0x0F0F0F0F0F0F0F0F, 0xF, 0xFF))
+
+
 @functools.cache
-def _lanes() -> tuple:
-    """(ones, low, steps): ints of BLOCK 128-bit lanes, built on first use.
-    Lane k of ones is 1, of low 2^64 - 1, and of steps (k + 1) * gamma mod
-    2^64, output k's state minus the state before the block. A lane's high
-    64 bits take the carry of the add, the product of each multiply and the
-    bits a right shift brings in from the lane above; masking with low
-    clears them."""
-    ones = int.from_bytes((b"\1" + bytes(15)) * BLOCK, "little")
-    low = int.from_bytes((b"\xff" * 8 + bytes(8)) * BLOCK, "little")
-    steps = int.from_bytes(
-        b"".join(((k * _GAMMA) & _MASK).to_bytes(16, "little") for k in range(1, BLOCK + 1)),
-        "little",
-    )
-    return ones, low, steps
+def _steps() -> int:
+    """The lanes (k + 1) * gamma mod 2^64, output k's state minus the state
+    before the block; built on first use."""
+    steps = (((k * _GAMMA) & _MASK).to_bytes(16, "little") for k in range(1, BLOCK + 1))
+    return int.from_bytes(b"".join(steps), "little")
+
+
+def _fold(x: int) -> bytes:
+    """One key byte per lane of x, whose lanes hold 64-bit words: 2t + the
+    word's low bit, where t <= 29 is congruent mod 15 to the word, the sum
+    of its sixteen nibbles (16 = 1 mod 15). The key gives the word mod 30."""
+    b = (x & _NIBBLES) + ((x >> 4) & _NIBBLES)  # eight bytes, each at most 30
+    s = ((b * 0x0101010101010101) >> 56) & _BYTE  # their sum, at most 240
+    t = ((s >> 4) & _NIBBLE) + (s & _NIBBLE)
+    return ((t << 1) | (x & _ONES)).to_bytes(16 * BLOCK, "little")[::16]
 
 
 # Native 64-bit words of the block's bytes in sys.byteorder: every other
@@ -105,8 +118,8 @@ class SplitMix64:
     the 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB multipliers.
 
     Output k after state s depends only on s + k * gamma, so BLOCK outputs
-    are computed at once, one per lane (see _lanes), and handed out in
-    order. state is the state after the last output consumed."""
+    are computed at once, one per lane (_mix), and handed out in order, or
+    as key bytes (keys). state is the state after the last output consumed."""
 
     def __init__(self, seed: int):
         self._end = seed & _MASK  # the state after the last buffered output
@@ -117,16 +130,22 @@ class SplitMix64:
     def state(self) -> int:
         return (self._end - (BLOCK - self._pos) * _GAMMA) & _MASK
 
+    def _mix(self, start: int) -> int:
+        """The BLOCK outputs after state start, one per lane, high 64 bits
+        clear; the stream is left after them, nothing buffered."""
+        z = (start * _ONES + _steps()) & _LOW
+        z = ((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+        z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
+        self._end, self._buf, self._pos = (start + BLOCK * _GAMMA) & _MASK, [], BLOCK
+        return (z ^ (z >> 31)) & _LOW
+
     def _refill(self) -> None:
-        ones, low, steps = _lanes()
-        z = (self._end * ones + steps) & low
-        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
-        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-        z ^= z >> 31  # a lane's low 64 bits are the output
-        words = memoryview(z.to_bytes(16 * BLOCK, sys.byteorder)).cast("Q")
-        self._buf = words[::_LANE_STEP].tolist()
-        self._end = (self._end + BLOCK * _GAMMA) & _MASK
-        self._pos = 0
+        words = memoryview(self._mix(self._end).to_bytes(16 * BLOCK, sys.byteorder)).cast("Q")
+        self._buf, self._pos = words[::_LANE_STEP].tolist(), 0
+
+    def keys(self) -> bytes:
+        """The next BLOCK outputs as key bytes (_fold): each output mod 30."""
+        return _fold(self._mix(self.state))
 
     def next(self) -> int:
         pos = self._pos
@@ -152,29 +171,33 @@ class SplitMix64:
             out += self._buf
 
 
-# The draw: one stream output x gives a relation's size, an int cell or a
-# text cell. draw_case and the block reader (_case_values) both map
-# through these.
-
 #: A drawn relation has 0.._MAX_ROWS rows.
 _MAX_ROWS = 5
 
-
-def _size(x: int) -> int:
-    return x % (_MAX_ROWS + 1)
-
-
-def _int_cells(draws) -> list:
-    return [x % 5 for x in draws]
-
-
-def _text_cells(draws) -> list:
-    alphabet = ALPHABET
-    return [alphabet[x % 3] for x in draws]
+#: The draw of one output x: a relation's size, or a cell of a field or
+#: scalar type. draw_case maps outputs through these, the block reader
+#: (_case_values) through their tables.
+_SIZE = "size"
+_DRAW = {
+    _SIZE: lambda x: x % (_MAX_ROWS + 1),
+    INT: lambda x: x % 5,
+    TEXT: lambda x: ALPHABET[x % 3],
+}
 
 
-#: A field or scalar type -> its cells' mapping.
-_CELLS = {INT: _int_cells, TEXT: _text_cells}
+def _table(draw) -> bytes:
+    """The bytes.translate table from a key byte 2t + b (t <= 29) to draw's
+    value at the x < 30 with x = t mod 15 and x = b mod 2. A key gives only
+    x mod 30: a draw that reads more of x, as a modulus that does not divide
+    30 would, fails here, at import, rather than draw wrong cells."""
+    residues = [t % 15 + 15 * ((t % 15 + b) % 2) for t in range(30) for b in (0, 1)]
+    cells = [draw(x) for x in residues]
+    if cells != [draw(x + 30) for x in residues]:
+        raise ValueError("a draw reads more of an output than x mod 30")
+    return bytes(c if isinstance(c, int) else ord(c) for c in cells).ljust(256, b"\0")
+
+
+_TABLES = {kind: _table(draw) for kind, draw in _DRAW.items()}
 
 
 def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
@@ -185,42 +208,52 @@ def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
     for p in tp.ast.params:
         if isinstance(p.ty, Schema):
             arity = len(p.ty.types)
-            draws = gen.take(_size(gen.next()) * arity)
-            columns = [_CELLS[t](draws[j::arity]) for j, t in enumerate(p.ty.types)]
+            draws = gen.take(_DRAW[_SIZE](gen.next()) * arity)
+            columns = [map(_DRAW[t], draws[j::arity]) for j, t in enumerate(p.ty.types)]
             case[p.name] = OrderedRelation.trusted(p.ty, tuple(zip(*columns)))
         else:
-            case[p.name] = _CELLS[p.ty]((gen.next(),))[0]
+            case[p.name] = _DRAW[p.ty](gen.next())
     return case
 
 
-def _case_values(gen: SplitMix64, tp: TypedProgram):
-    """Yield each case's values, draw_case's in declaration order with a
-    relation as its rows tuple, from a window of the stream: the unread
-    tail plus the next BLOCK outputs. Each window maps its outputs to
-    cells once and builds the rows at every offset for each relation
-    shape; a case then slices a relation's rows out of those."""
+def _case_values(gen: SplitMix64, tp: TypedProgram, start: int = 0):
+    """Yield cases start, start + 1, ... of the stream from gen's state, each
+    as draw_case's values in declaration order with a relation as its rows
+    tuple, from a window of key bytes: the unread tail plus the next block.
+    The cases before start are stepped over by their size bytes. Each
+    window maps its keys to cells once and builds the rows at every offset
+    for each relation shape; a case then slices a relation's rows out."""
     types = [p.ty for p in tp.ast.params]
+    arities = [len(ty.types) if isinstance(ty, Schema) else 0 for ty in types]
     shapes = {ty.types for ty in types if isinstance(ty, Schema)}
     kinds = {t for ty in types for t in (ty.types if isinstance(ty, Schema) else (ty,))}
     # the most outputs one case can use: a relation's size and its rows
-    need = sum(1 + _MAX_ROWS * len(ty.types) if isinstance(ty, Schema) else 1 for ty in types)
-    window, p = [], 0
+    need = sum(1 + _MAX_ROWS * arity for arity in arities)
+    window, p = b"", 0
     while True:
-        window = window[p:] + gen.take(BLOCK)
-        cells = {t: _CELLS[t](window) for t in kinds}
+        window = window[p:] + gen.keys()
+        sizes, last, p = window.translate(_TABLES[_SIZE]), len(window) - need, 0
+        while start and p <= last:
+            for arity in arities:
+                p += 1 + sizes[p] * arity
+            start -= 1
+        if start:
+            continue
+        cells = {t: window.translate(_TABLES[t]) for t in kinds}
+        if TEXT in cells:
+            cells[TEXT] = cells[TEXT].decode("ascii")
         rows = {
             shape: tuple(zip(*[cells[t][j:] for j, t in enumerate(shape)])) for shape in shapes
         }
         reads = [
-            (rows[ty.types], len(ty.types)) if isinstance(ty, Schema) else (cells[ty], 0)
-            for ty in types
+            (rows[ty.types], arity) if arity else (cells[ty], 0)
+            for ty, arity in zip(types, arities)
         ]
-        last, p = len(window) - need, 0
         while p <= last:
             values = []
             for column, arity in reads:
                 if arity:
-                    end = p + 1 + _size(window[p]) * arity
+                    end = p + 1 + sizes[p] * arity
                     values.append(column[p + 1 : end : arity])
                     p = end
                 else:
@@ -293,16 +326,14 @@ def _planned(tp: TypedProgram, sql):
         or plan.schema.types != ex.result_schema.types
     ):
         return None
-    entry_store, body, result, raw = ex.entry_store, ex.body, ex.result_name, plan.raw
+    run, raw = ex.run, plan.raw
     names = tuple(p.name for p in tp.ast.params)
     table_at = tuple(names.index(t) for t in tables)
     scalar_at = tuple((name, i) for i, name in enumerate(names) if name not in relations)
 
     def agree(values: tuple) -> bool:
-        store = entry_store(zip(names, values))
-        body(store)
         params = {name: values[i] for name, i in scalar_at}
-        return store[result] == raw([values[i] for i in table_at], params)
+        return run(*values) == raw([values[i] for i in table_at], params)
 
     return agree
 
@@ -345,5 +376,5 @@ def replay_case(tp: TypedProgram, sql, seed: int, case: int) -> Optional[Mismatc
     """Regenerate exactly case `case` of the seeded stream and compare."""
     if case < 0:
         raise ValueError(f"case must be at least 0, got {case}")
-    values = next(itertools.islice(_case_values(SplitMix64(seed), tp), case, None))
+    values = next(_case_values(SplitMix64(seed), tp, case))
     return _run_one(tp, sql, _inputs(tp, values), case)

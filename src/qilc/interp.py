@@ -6,10 +6,11 @@ order, appends accumulate in visit order, min/max accumulators start absent
 truth that synthesized queries are verified and differentially tested
 against.
 
-Each program is written once as Python source (qilc.codegen), one
-function per statement block that the verifier and difftest run, compiled
-with one compile() and kept, as the Executor, on the TypedProgram. The
-verifier runs single loop-body iterations through Executor.block.
+Each program is written once as Python source (qilc.codegen) and compiled
+with one compile() into the Executor kept on the TypedProgram: run, the
+whole program as one function of its parameters in declaration order, which
+interp.run and difftest call, and one function per statement block that the
+verifier runs single loop-body iterations of, from a store (Executor.block).
 """
 
 from __future__ import annotations
@@ -47,17 +48,20 @@ def check_inputs(prog: F.TypedProgram, inputs: dict) -> None:
 
 
 class Executor:
-    """One program's statement blocks compiled to Python functions, built
-    once per program (see executor): the body, the statements before the
-    loop, each loop's body, and the statements around an inner loop.
+    """One program as compiled Python functions, built once (see executor).
 
-    A block's function takes the store, a dict from names to values in
-    which a relation parameter is its rows tuple and list locals are
-    Python lists of row tuples, and returns True when a break fired (the
-    enclosing loop must stop). It loads the names it uses into locals and
-    writes back the scalars it assigns. A loop inside the block runs to
-    completion; its own break does not escape it, and its index is gone
-    from the store afterwards.
+    run(*values) runs the whole body on locals from the parameters in
+    declaration order, a relation as its rows tuple, and returns the result
+    local: a fresh list of row tuples, or the scalar.
+
+    The verifier's blocks are the statements before the loop, each loop's
+    body, and the statements around an inner loop. A block's function takes
+    the store, a dict from names to values in which a relation parameter is
+    its rows tuple and list locals are Python lists of row tuples, and
+    returns True when a break fired (the enclosing loop must stop). It loads
+    the names it uses into locals and writes back the scalars it assigns. A
+    loop inside the block runs to completion; its own break does not escape
+    it, and its index is gone from the store afterwards.
     """
 
     def __init__(self, prog: F.TypedProgram):
@@ -66,9 +70,8 @@ class Executor:
             for d in prog.ast.decls
         )
         result = next(d for d in prog.ast.decls if d.name == prog.ast.result)
-        self.result_name = result.name
         self.result_schema = result.schema if isinstance(result, F.ListDecl) else None
-        blocks = [prog.ast.body, prog.pre_loop]
+        blocks = [prog.pre_loop]
         for info in prog.loops:
             body = info.node.body
             blocks.append(body)
@@ -76,13 +79,14 @@ class Executor:
                 if isinstance(st, F.For):  # the statements around an inner loop
                     blocks += [body[:at], body[at + 1 :]]
         writer = _Writer(prog)
+        writer.run(self._decls)
         names = {stmts: f"b{n}" for n, stmts in enumerate(dict.fromkeys(blocks)) if stmts}
         for stmts, name in names.items():
             writer.function(name, stmts)
         module = writer.src.compile("<qilc program>")
+        self.run = module["run"]
         self._blocks = {stmts: module[name] for stmts, name in names.items()}
         self._blocks[()] = lambda store: False  # an empty block needs no code
-        self.body = self._blocks[prog.ast.body]
 
     def block(self, stmts: tuple):
         """The function for one of the program's statement blocks."""
@@ -91,24 +95,10 @@ class Executor:
     def init_store(self, inputs: dict) -> dict:
         """Store at program entry: parameters, a relation as its rows tuple,
         plus declared locals."""
-        return self.entry_store(
-            (name, v.rows if isinstance(v, OrderedRelation) else v)
-            for name, v in inputs.items()
-        )
-
-    def entry_store(self, bindings) -> dict:
-        """Store at program entry from (name, value) pairs, each relation
-        given as its rows tuple, plus declared locals."""
-        store = dict(bindings)
+        store = {n: v.rows if isinstance(v, OrderedRelation) else v for n, v in inputs.items()}
         for name, is_list, init in self._decls:
             store[name] = [] if is_list else init
         return store
-
-    def result(self, store: dict):
-        v = store[self.result_name]
-        if self.result_schema is None:
-            return v
-        return OrderedRelation(self.result_schema, tuple(v))
 
 
 def executor(prog: F.TypedProgram) -> Executor:
@@ -122,9 +112,9 @@ def run(prog: F.TypedProgram, inputs: dict):
     that was never updated)."""
     check_inputs(prog, inputs)
     ex = executor(prog)
-    store = ex.init_store(inputs)
-    ex.body(store)
-    return ex.result(store)
+    values = [inputs[p.name] for p in prog.ast.params]
+    out = ex.run(*[v.rows if isinstance(v, OrderedRelation) else v for v in values])
+    return out if ex.result_schema is None else OrderedRelation(ex.result_schema, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +122,16 @@ def run(prog: F.TypedProgram, inputs: dict):
 # ---------------------------------------------------------------------------
 
 
+def _statements(stmts: tuple):
+    """stmts and the statements in their loops and ifs, in pre-order."""
+    for st in stmts:
+        yield st
+        if isinstance(st, (F.For, F.If)):
+            yield from _statements(st.body)
+
+
 class _Writer:
-    """Writes a program's blocks as the functions of one module. The
+    """Writes a program's run and blocks as the functions of one module. The
     program's name number N is the global vN and the local xN; a loop's
     row is the local rN, and an if's condition gN, N the line setting it."""
 
@@ -147,11 +145,22 @@ class _Writer:
         self.used[name] = None
         return "x" + self.src.const(name, "v")[1:]
 
+    def run(self, decls: tuple) -> None:
+        """def run(<parameters>): declare the locals, run the body, return
+        the result local."""
+        prog, local, const = self.prog, self.local, self.src.const
+        params = ", ".join(local(p.name) for p in prog.ast.params)
+        self.src.line(0, f"def run({params}):")
+        for name, is_list, init in decls:
+            self.src.line(1, f"{local(name)} = {'[]' if is_list else const(init)}")
+        self.stmts(prog.ast.body, 1, None, "")  # the checker allows no break here
+        self.src.line(1, f"return {local(prog.ast.result)}")
+
     def function(self, fname: str, stmts: tuple) -> None:
         """def fname(store): load the names stmts use, run stmts, write
         back, say whether a break fired. Every loop of stmts has run when
         it returns, and its index leaves the store."""
-        nodes = list(F.walk(stmts))
+        nodes = list(_statements(stmts))
         own = [n.index for n in nodes if isinstance(n, F.For)]
         assigned = dict.fromkeys(n.target for n in nodes if isinstance(n, F.Assign))
         key, self.used = self.src.const, {}

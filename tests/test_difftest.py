@@ -9,7 +9,7 @@ import pytest
 
 from qilc import difftest, emit, frontend, interp
 from qilc.difftest import DiffResult, SplitMix64, draw_case, replay_case, run_cases
-from qilc.relation import INT, OrderedRelation, Schema
+from qilc.relation import INT, TEXT, OrderedRelation, Schema
 from tests.conftest import BENCHMARK_NAMES, load_benchmark
 
 GOLDEN = Path(__file__).parent / "data" / "corpus_bench.json"
@@ -140,6 +140,50 @@ def test_block_stream_follows_the_scalar_recurrence(seed):
             assert gen.take(n) == [scalar.next() for _ in range(n)]
             drawn += n
         assert gen.state == scalar.state
+
+
+# --- the packed residues the block reader maps to cells ---------------------
+
+
+def _key_residue(key: int) -> int:
+    """The x in 0..29 that key byte 2t + (x mod 2), t = x mod 15, stands for."""
+    t, low = key >> 1, key & 1
+    return next(x for x in range(30) if x % 15 == t % 15 and x % 2 == low)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345])
+def test_key_tables_give_the_documented_draw_of_every_output(seed):
+    keyed, taken = SplitMix64(seed), SplitMix64(seed)
+    taken.next()
+    keyed.next()  # keys continues from a partly read block
+    for _ in range(4):
+        keys, xs = keyed.keys(), taken.take(difftest.BLOCK)
+        assert keyed.state == taken.state
+        assert list(keys.translate(difftest._TABLES[difftest._SIZE])) == [x % 6 for x in xs]
+        assert list(keys.translate(difftest._TABLES[INT])) == [x % 5 for x in xs]
+        text = keys.translate(difftest._TABLES[TEXT]).decode("ascii")
+        assert text == "".join("abc"[x % 3] for x in xs)
+    assert keyed.next() == taken.next()
+
+
+def test_fold_gives_each_lane_mod_30_at_the_extremes():
+    edges = (0, 2**64 - 1, 0xF0F0F0F0F0F0F0F0, 0x0F0F0F0F0F0F0F0F, 1, 15, 2**64 - 16)
+    words = [edges[k % len(edges)] for k in range(difftest.BLOCK)]
+    lanes = int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
+    keys = difftest._fold(lanes)
+    assert len(keys) == difftest.BLOCK and max(keys) < 60
+    assert [_key_residue(k) for k in keys] == [w % 30 for w in words]
+
+
+def test_a_mapping_that_reads_more_than_x_mod_30_is_refused():
+    for draw in difftest._DRAW.values():  # their tables were built at import
+        assert all(draw(x) == draw(x % 30) for x in (2**64 - 1, 12345, 0xF0F0F0F0F0F0F0F0))
+    table = difftest._table(lambda x: x % 10)
+    assert [table[2 * (x % 15) + x % 2] for x in range(60)] == [x % 10 for x in range(60)]
+    with pytest.raises(ValueError):
+        difftest._table(lambda x: x % 7)  # 7 does not divide 30
+    with pytest.raises(ValueError):
+        difftest._table(lambda x: "abcd"[x % 4])
 
 
 def test_splitmix64_seed_masking():
@@ -478,6 +522,27 @@ def test_block_reader_yields_draw_case_values_on_the_corpus(name, seed):
 def test_block_reader_yields_draw_case_values_on_every_parameter_kind(text, cases, seed):
     tp = frontend.typecheck(frontend.parse(text))
     _assert_reader_follows_draw_case(tp, seed, cases)
+
+
+def _outputs(tp, values: tuple) -> int:
+    """How many stream outputs a case's values took."""
+    return sum(
+        1 + len(v) * len(p.ty.types) if isinstance(p.ty, Schema) else 1
+        for p, v in zip(tp.ast.params, values)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("text,cases", [(None, 400), (MIXED, 120), (VERY_WIDE, 40)],
+                         ids=["sum", "mixed", "very-wide"])
+def test_replay_start_yields_the_readers_nth_case(text, cases, seed):
+    tp = load_benchmark("sum") if text is None else frontend.typecheck(frontend.parse(text))
+    read = list(itertools.islice(difftest._case_values(SplitMix64(seed), tp), cases))
+    ends = list(itertools.accumulate(_outputs(tp, v) for v in read))
+    # some case spans a block edge, and so do the cases read after a window
+    assert any(end % difftest.BLOCK < _outputs(tp, v) for end, v in zip(ends, read))
+    for n in range(cases):
+        assert next(difftest._case_values(SplitMix64(seed), tp, n)) == read[n], n
 
 
 @pytest.mark.parametrize("name", ["selection", "equi_join"])

@@ -160,6 +160,49 @@ fn f(R: rel(a: int), base: int) {
     assert interp.run(tp, {"R": r, "base": 10}) == 13
 
 
+# --- the whole program, run from its parameters in declaration order ---------
+
+
+def test_consecutive_runs_return_unshared_lists():
+    tp = load_benchmark("selection")
+    ex = interp.executor(tp)
+    rows = ((1, "x"), (3, "y"))
+    first = ex.run(rows)
+    first.append((9, "z"))
+    second = ex.run(rows)
+    assert second == [(3, "y")] and second is not first
+    a, b = interp.run(tp, {"R": rel(AB, *rows)}), interp.run(tp, {"R": rel(AB, *rows)})
+    assert a == b and a.rows == ((3, "y"),)
+
+
+@pytest.mark.parametrize("name", ["min_value", "max_value"])
+def test_an_accumulator_never_updated_comes_back_as_none(name):
+    ex = interp.executor(load_benchmark(name))
+    assert ex.run(()) is None
+    assert ex.run(((4, "x"), (2, "y"))) == (2 if name == "min_value" else 4)
+
+
+def test_an_inner_break_stops_only_its_own_loop_in_run():
+    src = """
+fn f(R: rel(a: int), k: int, S: rel(b: int)) {
+    var n: int = 0;
+    for i in 0 .. size(R) {
+        for j in 0 .. size(S) {
+            n = n + S[j].b;
+            if S[j].b >= k {
+                break;
+            }
+        }
+        n = n + R[i].a;
+    }
+    return n;
+}
+"""
+    ex = interp.executor(typecheck(parse(src)))
+    # each of the two outer rows adds 1 + 5 from S, then stops, then its own a
+    assert ex.run(((10,), (20,)), 5, ((1,), (5,), (100,))) == 6 + 10 + 6 + 20
+
+
 # --- the compiled blocks, run from a store as the verifier runs them ---------
 
 
@@ -172,8 +215,10 @@ def test_a_loop_index_is_gone_from_the_store_afterwards():
     ex.block(tp.loops[0].node.body)(store)  # the outer body runs the inner loop
     assert store["i"] == 0 and "j" not in store
     assert store["out"] == [(10, 7)]
-    ex.body(store)
-    assert "i" not in store and "j" not in store
+    # the whole program runs on locals, from its parameters alone
+    out = ex.run(r.rows, s.rows)
+    assert out == [(10, 7)] and out is not store["out"]
+    assert store == {"R": r.rows, "S": s.rows, "out": [(10, 7)], "i": 0}
 
 
 def test_a_row_past_the_relation_raises_index_error_where_it_is_read():
