@@ -13,11 +13,15 @@ the parameter list in declaration order:
 
 SplitMix64 computes the stream BLOCK outputs at a time in one packed int
 (SWAR). draw_case, the reference for the draw, reads it with next() and
-take. Every run and every replay reads its cases through one reader
-(_case_values) instead: the draw reads an output x only as x mod 30, which
-SplitMix64.keys gives as one byte per output (see _fold). The reader maps
-those bytes through bytes.translate tables, and steps over the cases before
-a replayed one by their size bytes alone. It yields what draw_case gives.
+take. Every run and every replay reads its cases through generated code
+instead: the draw reads an output x only as x mod 30, which SplitMix64.keys
+gives as one byte per output (see _fold). keys serves a block from a memo
+of the KEY_BLOCKS blocks last read, keyed by the block's start state
+(_block_keys), so the runs of one seed in a process, such as the programs
+of one `qilc bench`, compute each block once. The read lines, written once
+per parameter types (_stream_loop), map those bytes through bytes.translate
+tables and slice each case's values out; _case_values yields them as
+draw_case gives them, and reads and drops the cases before a replayed one.
 
 The program result and the query result are compared positionally; record
 order matters, field names do not, and an absent min/max result agrees
@@ -28,16 +32,17 @@ replay_case also takes) binds the case's values as draw_case gives them
 (_inputs), runs interp.run, which checks the inputs, and eval_sql over a
 MiniDb, and compares the two result values. A run of at most
 REFERENCE_MAX_CASES cases, or one that cannot be planned, takes it for
-every case. A longer run is planned once instead (_planned): each
-case's values, a relation as its rows tuple, go straight to the compiled
-program's run as its arguments and to the query plan's sources, and the
-raw rows or scalars are compared; no binding dict or OrderedRelation is
-built. A case that disagrees is run again on the reference path, which
-builds its Mismatch. A planned run keeps the values of the inputs of at most
-SMALL_ROWS rows, over all relations, that agreed, and does not check them
-again; these are the inputs that repeat. An input that disagrees is never
-kept, so each case that draws it is reported. Either way a run reports the
-same bytes.
+every case. A longer run is planned once instead (_planned): one loop,
+compiled once per case shape and process (_case_loop), reads each case with
+the same read lines and passes its values, a relation as its rows tuple,
+straight to the compiled program's run as its arguments and to the query
+plan's raw as its sources, and compares the raw rows or scalars; no binding
+dict or OrderedRelation is built. A case that disagrees is run again on the
+reference path, which builds its Mismatch. A planned run keeps the values
+of the inputs of at most SMALL_ROWS rows, over all relations, that agreed,
+and does not check them again; these are the inputs that repeat. An input
+that disagrees is never kept, so each case that draws it is reported.
+Either way a run reports the same bytes.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import sys
 from typing import Optional
 
 from . import emit, interp
+from .codegen import Source
 from .frontend import TypedProgram
 from .record import record
 from .relation import (
@@ -113,6 +119,27 @@ def _fold(x: int) -> bytes:
 _LANE_STEP = 2 if sys.byteorder == "little" else -2
 
 
+def _mix(start: int) -> int:
+    """The BLOCK outputs after state start, one per lane, high 64 bits
+    clear."""
+    z = (start * _ONES + _steps()) & _LOW
+    z = ((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+    z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
+    return (z ^ (z >> 31)) & _LOW
+
+
+#: keys() keeps the key bytes of this many blocks (512 KiB), by start state.
+KEY_BLOCKS = 1024
+
+
+@functools.lru_cache(maxsize=KEY_BLOCKS)
+def _block_keys(start: int) -> bytes:
+    """The key bytes (_fold) of the BLOCK outputs after state start,
+    computed once per process while they stay among the KEY_BLOCKS most
+    recently read: every run of one seed reads the same blocks."""
+    return _fold(_mix(start))
+
+
 class SplitMix64:
     """splitmix64: state advances by 0x9E3779B97F4A7C15; output mixes with
     the 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB multipliers.
@@ -130,22 +157,17 @@ class SplitMix64:
     def state(self) -> int:
         return (self._end - (BLOCK - self._pos) * _GAMMA) & _MASK
 
-    def _mix(self, start: int) -> int:
-        """The BLOCK outputs after state start, one per lane, high 64 bits
-        clear; the stream is left after them, nothing buffered."""
-        z = (start * _ONES + _steps()) & _LOW
-        z = ((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
-        z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
-        self._end, self._buf, self._pos = (start + BLOCK * _GAMMA) & _MASK, [], BLOCK
-        return (z ^ (z >> 31)) & _LOW
-
     def _refill(self) -> None:
-        words = memoryview(self._mix(self._end).to_bytes(16 * BLOCK, sys.byteorder)).cast("Q")
+        start = self._end
+        words = memoryview(_mix(start).to_bytes(16 * BLOCK, sys.byteorder)).cast("Q")
+        self._end = (start + BLOCK * _GAMMA) & _MASK
         self._buf, self._pos = words[::_LANE_STEP].tolist(), 0
 
     def keys(self) -> bytes:
         """The next BLOCK outputs as key bytes (_fold): each output mod 30."""
-        return _fold(self._mix(self.state))
+        start = self.state
+        self._end, self._buf, self._pos = (start + BLOCK * _GAMMA) & _MASK, [], BLOCK
+        return _block_keys(start)
 
     def next(self) -> int:
         pos = self._pos
@@ -216,50 +238,96 @@ def draw_case(gen: SplitMix64, tp: TypedProgram) -> dict:
     return case
 
 
-def _case_values(gen: SplitMix64, tp: TypedProgram, start: int = 0):
-    """Yield cases start, start + 1, ... of the stream from gen's state, each
-    as draw_case's values in declaration order with a relation as its rows
-    tuple, from a window of key bytes: the unread tail plus the next block.
-    The cases before start are stepped over by their size bytes. Each
-    window maps its keys to cells once and builds the rows at every offset
-    for each relation shape; a case then slices a relation's rows out."""
-    types = [p.ty for p in tp.ast.params]
-    arities = [len(ty.types) if isinstance(ty, Schema) else 0 for ty in types]
-    shapes = {ty.types for ty in types if isinstance(ty, Schema)}
-    kinds = {t for ty in types for t in (ty.types if isinstance(ty, Schema) else (ty,))}
+def _param_types(tp: TypedProgram) -> tuple:
+    """Each parameter's type in declaration order, a relation's as its
+    field types tuple: all the block reader's code depends on."""
+    return tuple(p.ty.types if isinstance(p.ty, Schema) else p.ty for p in tp.ast.params)
+
+
+def _tuple(items: list) -> str:
+    """The code of a tuple of these items."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _values(types: tuple) -> list:
+    """The names _stream_loop's read lines give a case's values."""
+    return [f"a{i}" for i in range(len(types))]
+
+
+def _stream_loop(src: Source, types: tuple, loop: str) -> str:
+    """Write the stream reading of a generated function over gen for
+    parameters of these types: the loop line `loop` at depth 1 and in it,
+    at depth 2, the lines that read one case into a0, a1, ... (_values).
+    Return the code of the case's row count over all relations.
+
+    The function keeps a window of unread key bytes and p, the offset of
+    the next case in it. When a case might not fit before the window's
+    end, the next block's keys are appended, and the window is mapped to
+    cells once (sizes, then kN per cell type) and to the rows at every
+    offset (wN per relation shape). A case then reads a relation's size
+    into nI and its rows as one slice of wN, and a scalar as one cell."""
+    const, line, names = src.const, src.line, _values(types)
+    kinds = dict.fromkeys(t for ty in types for t in (ty if isinstance(ty, tuple) else (ty,)))
+    cells = {t: f"k{n}" for n, t in enumerate(kinds)}
+    shapes = dict.fromkeys(ty for ty in types if isinstance(ty, tuple))
+    shapes = {shape: f"w{n}" for n, shape in enumerate(shapes)}
     # the most outputs one case can use: a relation's size and its rows
-    need = sum(1 + _MAX_ROWS * arity for arity in arities)
-    window, p = b"", 0
-    while True:
-        window = window[p:] + gen.keys()
-        sizes, last, p = window.translate(_TABLES[_SIZE]), len(window) - need, 0
-        while start and p <= last:
-            for arity in arities:
-                p += 1 + sizes[p] * arity
-            start -= 1
-        if start:
-            continue
-        cells = {t: window.translate(_TABLES[t]) for t in kinds}
-        if TEXT in cells:
-            cells[TEXT] = cells[TEXT].decode("ascii")
-        rows = {
-            shape: tuple(zip(*[cells[t][j:] for j, t in enumerate(shape)])) for shape in shapes
-        }
-        reads = [
-            (rows[ty.types], arity) if arity else (cells[ty], 0)
-            for ty, arity in zip(types, arities)
-        ]
-        while p <= last:
-            values = []
-            for column, arity in reads:
-                if arity:
-                    end = p + 1 + sizes[p] * arity
-                    values.append(column[p + 1 : end : arity])
-                    p = end
-                else:
-                    values.append(column[p])
-                    p += 1
-            yield tuple(values)
+    need = sum(1 + _MAX_ROWS * len(ty) if isinstance(ty, tuple) else 1 for ty in types)
+    line(1, "keys = gen.keys")
+    line(1, f"window, p, last = {const(b'')}, 0, -1")
+    line(1, loop)
+    line(2, "while p > last:")
+    line(3, "window = window[p:] + keys()")
+    line(3, f"sizes = window.translate({const(_TABLES[_SIZE])})")
+    for t, k in cells.items():
+        text = f".decode({const('ascii')})" if t == TEXT else ""
+        line(3, f"{k} = window.translate({const(_TABLES[t])}){text}")
+    for shape, w in shapes.items():
+        columns = [cells[t] + (f"[{j}:]" if j else "") for j, t in enumerate(shape)]
+        line(3, f"{w} = tuple(zip({', '.join(columns)}))")
+    line(3, f"last, p = len(window) - {need}, 0")
+    at, skip = "p", 0  # the case's next output is at + skip
+
+    def pos(extra: int = 0) -> str:
+        return at if skip + extra == 0 else f"{at} + {skip + extra}"
+
+    for i, ty in enumerate(types):
+        if isinstance(ty, tuple):
+            arity = len(ty)
+            span, step = (f"n{i} * {arity}", f":{arity}") if arity > 1 else (f"n{i}", "")
+            line(2, f"n{i} = sizes[{pos()}]")
+            line(2, f"e{i} = {pos(1)} + {span}")
+            line(2, f"{names[i]} = {shapes[ty]}[{pos(1)}:e{i}{step}]")
+            at, skip = f"e{i}", 0
+        else:
+            line(2, f"{names[i]} = {cells[ty]}[{pos()}]")
+            skip += 1
+    if pos() != "p":
+        line(2, f"p = {pos()}")
+    return " + ".join(f"n{i}" for i, ty in enumerate(types) if isinstance(ty, tuple)) or "0"
+
+
+@functools.lru_cache(maxsize=64)
+def _reader(types: tuple):
+    """read(gen, start), generated for parameters of these types: yield
+    cases start, start + 1, ... of the stream from gen's state, each as
+    draw_case's values in declaration order with a relation as its rows
+    tuple; the cases before start are read and dropped."""
+    src = Source()
+    src.line(0, "def read(gen, start):")
+    _stream_loop(src, types, "while True:")
+    src.line(2, "if start:")
+    src.line(3, "start -= 1")
+    src.line(2, "else:")
+    src.line(3, f"yield {_tuple(_values(types))}")
+    return src.compile("<qilc cases>")["read"]
+
+
+def _case_values(gen: SplitMix64, tp: TypedProgram, start: int = 0):
+    """Yield cases start, start + 1, ... of the stream from gen's state, as
+    draw_case's values in declaration order, a relation as its rows tuple
+    (_reader)."""
+    return _reader(_param_types(tp))(gen, start)
 
 
 @record
@@ -301,16 +369,50 @@ def _run_one(tp: TypedProgram, sql, inputs: dict, case: int) -> Optional[Mismatc
     return Mismatch(case, inputs, got_prog, got_sql)
 
 
-def _planned(tp: TypedProgram, sql):
-    """The run's per-case check, agree(values) -> bool, built once; None
-    when a FROM table is not a relation parameter, one result is a scalar
-    and the other records, or the result column types differ.
+@functools.lru_cache(maxsize=64)
+def _case_loop(types: tuple, table_at: tuple, scalars: tuple):
+    """check(run, raw, gen, cases, reference), generated for one case
+    shape: the parameter types, the parameter position of each FROM table
+    and the scalar parameters' names, in declaration order.
 
-    values are a case's as _case_values yields them. agree decides what
-    values_agree decides, from the raw values, after the column types were
-    compared here. Drawn values are of their parameter's type, so
-    check_inputs is not run. The compiled program and query plan are the
-    reference path's, so agree raises what it raises, on the same case."""
+    check reads cases 0..cases-1 from gen as _reader does and checks each
+    with run(<values>) == raw(<the FROM tables' rows>, <scalar params>); it
+    calls reference(case, values) for a case that disagrees. It keeps the
+    values of the small inputs that agreed and does not check them again."""
+    src = Source()
+    line, names = src.line, _values(types)
+    values = _tuple(names)
+    scalar_at = [i for i, ty in enumerate(types) if not isinstance(ty, tuple)]
+    params = ", ".join(f"{src.const(n, 'v')}: {names[i]}" for i, n in zip(scalar_at, scalars))
+    tables = _tuple([names[i] for i in table_at])
+    agree = f"run({', '.join(names)}) == raw({tables}, {{{params}}})"
+    key = names[0] if len(names) == 1 else values
+    line(0, "def check(run, raw, gen, cases, reference):")
+    line(1, "agreed = set()")
+    rows = _stream_loop(src, types, "for case in range(cases):")
+    line(2, f"if {rows} <= {SMALL_ROWS}:")
+    line(3, f"if {key} in agreed:")
+    line(4, "continue")
+    line(3, f"if {agree}:")
+    line(4, f"agreed.add({key})")
+    line(4, "continue")
+    line(2, f"elif {agree}:")
+    line(3, "continue")
+    line(2, f"reference(case, {values})")
+    return src.compile("<qilc cases>")["check"]
+
+
+def _planned(tp: TypedProgram, sql):
+    """The run's planned check, check(gen, cases, reference) (_case_loop
+    over the compiled program's run and the query plan's raw), built once;
+    None when a FROM table is not a relation parameter, one result is a
+    scalar and the other records, or the result column types differ.
+
+    The check decides what values_agree decides, from the raw values,
+    after the column types were compared here. Drawn values are of their
+    parameter's type, so check_inputs is not run. The compiled program and
+    query plan are the reference path's, so the check raises what it
+    raises, on the same case."""
     relations = tp.relations
     tables = tuple(s.table for s in sql.sources)
     if not all(t in relations for t in tables):
@@ -326,16 +428,11 @@ def _planned(tp: TypedProgram, sql):
         or plan.schema.types != ex.result_schema.types
     ):
         return None
-    run, raw = ex.run, plan.raw
     names = tuple(p.name for p in tp.ast.params)
     table_at = tuple(names.index(t) for t in tables)
-    scalar_at = tuple((name, i) for i, name in enumerate(names) if name not in relations)
-
-    def agree(values: tuple) -> bool:
-        params = {name: values[i] for name, i in scalar_at}
-        return run(*values) == raw([values[i] for i in table_at], params)
-
-    return agree
+    scalars = tuple(name for name in names if name not in relations)
+    check = _case_loop(_param_types(tp), table_at, scalars)
+    return functools.partial(check, ex.run, plan.raw)
 
 
 def _inputs(tp: TypedProgram, values: tuple) -> dict:
@@ -350,25 +447,19 @@ def _inputs(tp: TypedProgram, values: tuple) -> dict:
 def run_cases(tp: TypedProgram, sql, seed: int, cases: int) -> DiffResult:
     """Run cases 0..cases-1 sequentially; collect every mismatch (see the
     module docstring for the two paths and the memo of small inputs)."""
-    agree = _planned(tp, sql) if cases > REFERENCE_MAX_CASES else None
-    rel_at = tuple(i for i, p in enumerate(tp.ast.params) if isinstance(p.ty, Schema))
-    agreed = set()  # the values of the small inputs that agreed
     mismatches = []
-    for case, values in zip(range(cases), _case_values(SplitMix64(seed), tp)):
-        if agree is not None:
-            size = 0
-            for i in rel_at:
-                size += len(values[i])
-            small = size <= SMALL_ROWS
-            if small and values in agreed:
-                continue
-            if agree(values):
-                if small:
-                    agreed.add(values)
-                continue
+
+    def reference(case: int, values: tuple) -> None:
         m = _run_one(tp, sql, _inputs(tp, values), case)
         if m is not None:
             mismatches.append(m)
+
+    check = _planned(tp, sql) if cases > REFERENCE_MAX_CASES else None
+    if check is not None:
+        check(SplitMix64(seed), cases, reference)
+    else:
+        for case, values in zip(range(cases), _case_values(SplitMix64(seed), tp)):
+            reference(case, values)
     return DiffResult(seed, cases, tuple(mismatches))
 
 

@@ -69,6 +69,18 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_importing_the_cli_loads_no_pretty_printer():
+    """The pipeline never prints a program, so compiling the printer would
+    only add to every run's set-up."""
+    probe = "import sys, qilc.cli; print('qilc.pretty' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 # --- domain flag parsing ----------------------------------------------------
 
 

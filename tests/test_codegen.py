@@ -1,5 +1,6 @@
-"""The generated Python source: one compile per program and per query plan,
-and no name or literal text of the program in it."""
+"""The generated Python source: one compile per program, per query plan
+and per difftest case shape, and no name or literal text of the program in
+it."""
 
 import builtins
 import io
@@ -7,7 +8,7 @@ import tokenize
 
 import pytest
 
-from qilc import frontend
+from qilc import difftest, frontend
 from qilc.difftest import run_cases
 from qilc.synth import Options, Solution, synthesize
 from qilc.verify import Bounds
@@ -33,16 +34,29 @@ def _synthesize_and_difftest(tp, options=Options()):
     sol = synthesize(tp, options)
     assert isinstance(sol, Solution), sol
     assert run_cases(tp, sol.sql, seed=3, cases=200).ok
+    return sol
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_one_compile_for_the_program_and_one_for_its_query(monkeypatch, name):
-    tp = load_benchmark(name)
+    difftest._case_loop.cache_clear()
     sources = _generated(monkeypatch)
-    _synthesize_and_difftest(tp)
+    _synthesize_and_difftest(load_benchmark(name))
     # the verifier's plan takes its blocks from the program's executor,
-    # and difftest plans the query once for the whole run
-    assert len(sources) == 2
+    # difftest plans the query once for the whole run, and the case loop
+    # is compiled once per case shape
+    assert len(sources) == 3
+    _synthesize_and_difftest(load_benchmark(name))
+    assert len(sources) == 5
+
+
+def test_programs_of_one_case_shape_share_the_case_loop(monkeypatch):
+    difftest._case_loop.cache_clear()
+    sources = _generated(monkeypatch)
+    _synthesize_and_difftest(load_benchmark("count"))
+    assert len(sources) == 3
+    _synthesize_and_difftest(load_benchmark("sum"))  # rel(a: int, b: text), FROM R
+    assert len(sources) == 5
 
 
 def _program_names(tp) -> set:
@@ -63,9 +77,15 @@ def test_generated_source_holds_no_program_text(monkeypatch):
     tp = frontend.typecheck(frontend.parse(PYTHON_WORDS))
     names = _program_names(tp)
     assert names == {"import", "class", "lambda", "None", "str", "s", "print"}
+    difftest._case_loop.cache_clear()
+    difftest._reader.cache_clear()
     sources = _generated(monkeypatch)
-    _synthesize_and_difftest(tp, Options(bounds=Bounds(text_domain=("a", PYTHON_WORDS_TEXT))))
-    assert len(sources) == 2
+    sol = _synthesize_and_difftest(
+        tp, Options(bounds=Bounds(text_domain=("a", PYTHON_WORDS_TEXT)))
+    )
+    assert difftest.replay_case(tp, sol.sql, seed=3, case=5) is None
+    # the program, its query, its case loop and the reader a replay takes
+    assert len(sources) == 4
     for source in sources:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         assert {t.string for t in tokens if t.type == tokenize.NAME} & names == set()

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from qilc import difftest, emit, frontend, interp
+from qilc import benchmarks_dir, difftest, emit, frontend, interp
 from qilc.difftest import DiffResult, SplitMix64, draw_case, replay_case, run_cases
 from qilc.relation import INT, TEXT, OrderedRelation, Schema
 from tests.conftest import BENCHMARK_NAMES, load_benchmark
@@ -164,6 +165,41 @@ def test_key_tables_give_the_documented_draw_of_every_output(seed):
         text = keys.translate(difftest._TABLES[TEXT]).decode("ascii")
         assert text == "".join("abc"[x % 3] for x in xs)
     assert keyed.next() == taken.next()
+
+
+def _uncached_keys(gen: SplitMix64) -> tuple:
+    """keys() without the block memo: the key bytes and the state after."""
+    start = gen.state
+    after = (start + difftest.BLOCK * 0x9E3779B97F4A7C15) % 2**64
+    return difftest._fold(difftest._mix(start)), after
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_memoized_keys_equal_the_uncached_block_at_any_state(seed):
+    for cold in (True, False):
+        if cold:
+            difftest._block_keys.cache_clear()
+        gen = SplitMix64(seed)
+        # aligned (the seed, then a block on), then unaligned after next()
+        # and after take(n)
+        for step in (None, None, gen.next, lambda: gen.take(700), lambda: gen.take(3)):
+            if step is not None:
+                step()
+            keys, after = _uncached_keys(gen)
+            assert gen.keys() == keys
+            assert gen.state == after
+        assert gen.next() == SplitMix64(after).next()
+
+
+def test_block_memo_holds_at_most_its_bound():
+    difftest._block_keys.cache_clear()
+    gen = SplitMix64(5)
+    for _ in range(difftest.KEY_BLOCKS + 3):
+        gen.keys()
+    info = difftest._block_keys.cache_info()
+    assert info.misses == difftest.KEY_BLOCKS + 3
+    assert info.currsize == difftest.KEY_BLOCKS
+    difftest._block_keys.cache_clear()
 
 
 def test_fold_gives_each_lane_mod_30_at_the_extremes():
@@ -374,6 +410,31 @@ def test_planned_run_matches_reference_on_wrong_queries(name, text, monkeypatch)
         monkeypatch.undo()
 
 
+def _assert_run_is_reference(tp, sql) -> None:
+    result = run_cases(tp, sql, seed=11, cases=2000)
+    reference = _reference_run(tp, sql, seed=11, cases=2000)
+    assert result == reference
+    assert [m.to_json() for m in result.mismatches] == [
+        m.to_json() for m in reference.mismatches
+    ]
+
+
+def test_a_case_loop_is_not_reused_for_another_from_order_or_scalar_name():
+    """The case loop is compiled once per case shape: the parameter types,
+    the FROM tables' parameter positions and the scalar parameters' names.
+    Runs back to back that differ only in FROM order, or only in a scalar's
+    name, each get their own loop."""
+    equi_join = load_benchmark("equi_join")
+    _assert_run_is_reference(equi_join, emit.parse_sql(_corpus_sql()["equi_join"]))
+    _assert_run_is_reference(equi_join, emit.parse_sql(dict(SEEDED_WRONG)["equi_join"]))
+    top_k = _corpus_sql()["top_k"]
+    _assert_run_is_reference(load_benchmark("top_k"), emit.parse_sql(top_k))
+    source = (benchmarks_dir() / "top_k.qil").read_text(encoding="utf-8")
+    renamed = frontend.typecheck(frontend.parse(re.sub(r"\bk\b", "n", source)))
+    assert [p.name for p in renamed.ast.params] == ["R", "n"]
+    _assert_run_is_reference(renamed, emit.parse_sql(top_k.replace(":k", ":n")))
+
+
 def test_a_repeated_disagreeing_input_is_reported_at_each_index():
     tp = load_benchmark("selection")
     sql = emit.parse_sql("SELECT R.* FROM R WHERE R.a >= 2 ORDER BY R.rid")
@@ -390,18 +451,15 @@ def test_planned_check_runs_once_per_small_input(monkeypatch):
     tp = load_benchmark("selection")
     sql = emit.parse_sql(_corpus_sql()["selection"])
     calls = []
-    planned = difftest._planned
+    ex = interp.executor(tp)
+    run = ex.run
 
-    def counted_planned(tp, sql):
-        agree = planned(tp, sql)
+    def counted(*values):
+        calls.append(values)
+        return run(*values)
 
-        def counted(inputs):
-            calls.append(inputs)
-            return agree(inputs)
-
-        return counted
-
-    monkeypatch.setattr(difftest, "_planned", counted_planned)
+    # the planned check calls the compiled program once per case it checks
+    monkeypatch.setattr(ex, "run", counted)
     assert run_cases(tp, sql, seed=11, cases=10_000).ok
     gen = SplitMix64(11)
     small, large = set(), 0

@@ -6,7 +6,8 @@ import pickle
 import pytest
 
 from qilc import frontend
-from qilc.frontend import ParseError, TypeCheckError, parse, pretty, typecheck
+from qilc.frontend import ParseError, TypeCheckError, parse, typecheck
+from qilc.pretty import pretty
 
 SELECTION = """
 fn selection(R: rel(a: int, b: text)) {
