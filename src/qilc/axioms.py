@@ -1,4 +1,8 @@
-"""Executable axiom suite for the ordered-relation algebra.
+"""The ordered-relation algebra's reference evaluator and axiom suite.
+
+eval_rel, eval_scalar, eval_pred and eval_record walk a tor tree directly;
+they pin the meaning of tor's compiled closures and of the SQL engine
+(emit.eval_sql). No pipeline path imports this module.
 
 Each check sweeps its axiom exhaustively over bounded domains (relations up
 to rel_size rows, int fields over int_domain, text fields over text_domain)
@@ -34,8 +38,142 @@ from __future__ import annotations
 import itertools
 
 from . import tor
-from .relation import INT, TEXT, OrderedRelation, Schema
+from .relation import INT, TEXT, OrderedRelation, Schema, SchemaError
 from .verify import Bounds, relation_values
+
+def _env_rel(env: dict, name: str) -> OrderedRelation:
+    try:
+        v = env[name]
+    except KeyError:
+        raise tor.UnboundName(name) from None
+    if not isinstance(v, OrderedRelation):
+        raise SchemaError(f"{name!r} is bound to a scalar, expected a relation")
+    return v
+
+
+def _env_scalar(env: dict, name: str):
+    try:
+        v = env[name]
+    except KeyError:
+        raise tor.UnboundName(name) from None
+    if isinstance(v, OrderedRelation):
+        raise SchemaError(f"{name!r} is bound to a relation, expected a scalar")
+    return v
+
+
+def eval_scalar(e, env: dict):
+    if isinstance(e, (tor.IntConst, tor.TextConst)):
+        return e.value
+    if isinstance(e, tor.ParamRef):
+        return _env_scalar(env, e.name)
+    if isinstance(e, tor.IndexRef):
+        return _env_scalar(env, e.name) + e.offset
+    if isinstance(e, tor.SizeOf):
+        return eval_rel(e.of, env).size
+    if isinstance(e, tor.AggOf):
+        rel = eval_rel(e.of, env)
+        if e.kind == "count":
+            return rel.size
+        i = rel.schema.index_of(e.field)
+        if rel.schema.types[i] != INT:
+            raise SchemaError(f"cannot aggregate over text field {e.field!r}")
+        col = [r[i] for r in rel.rows]
+        if e.kind == "sum":
+            return sum(col)
+        if not col:
+            return None
+        return min(col) if e.kind == "min" else max(col)
+    raise SchemaError(f"not a scalar expression: {e!r}")
+
+
+def eval_record(e, env: dict) -> tuple:
+    if isinstance(e, tor.RecordConst):
+        return e.values
+    if isinstance(e, tor.GetRow):
+        rel = eval_rel(e.of, env)
+        i = eval_scalar(e.idx, env)
+        if not (0 <= i < rel.size):
+            raise IndexError(f"get index {i} out of range 0..{rel.size - 1}")
+        return rel.rows[i]
+    raise SchemaError(f"not a record expression: {e!r}")
+
+
+def _atom_operand(o, schema: Schema, row: tuple, env: dict):
+    if isinstance(o, tor.FieldRef):
+        return row[schema.index_of(o.name)]
+    if isinstance(o, (tor.IntConst, tor.TextConst)):
+        return o.value
+    if isinstance(o, tor.ParamRef):
+        return _env_scalar(env, o.name)
+    if isinstance(o, tor.IndexRef):
+        return _env_scalar(env, o.name) + o.offset
+    raise SchemaError(f"not a predicate operand: {o!r}")
+
+
+def eval_pred(p, schema: Schema, row: tuple, env: dict) -> bool:
+    if isinstance(p, tor.TruePred):
+        return True
+    if isinstance(p, tor.CmpAtom):
+        a = _atom_operand(p.lhs, schema, row, env)
+        b = _atom_operand(p.rhs, schema, row, env)
+        return tor.CMP_OPS[p.op](a, b)
+    if isinstance(p, tor.AndP):
+        return eval_pred(p.left, schema, row, env) and eval_pred(p.right, schema, row, env)
+    if isinstance(p, tor.OrP):
+        return eval_pred(p.left, schema, row, env) or eval_pred(p.right, schema, row, env)
+    if isinstance(p, tor.NotP):
+        return not eval_pred(p.operand, schema, row, env)
+    raise SchemaError(f"not a predicate: {p!r}")
+
+
+def eval_rel(e, env: dict) -> OrderedRelation:
+    """Evaluate a relation expression; order is part of the value."""
+    if isinstance(e, tor.Query):
+        return _env_rel(env, e.rel)
+    if isinstance(e, tor.EmptyRel):
+        return OrderedRelation(e.schema, ())
+    if isinstance(e, tor.Sel):
+        rel = eval_rel(e.of, env)
+        rows = tuple(
+            r for r in rel.rows if eval_pred(e.pred, rel.schema, r, env)
+        )
+        return OrderedRelation(rel.schema, rows)
+    if isinstance(e, tor.Proj):
+        rel = eval_rel(e.of, env)
+        sch = rel.schema.restrict(e.fields)
+        idx = [rel.schema.index_of(n) for n in e.fields]
+        return OrderedRelation(sch, tuple(tuple(r[i] for i in idx) for r in rel.rows))
+    if isinstance(e, tor.Join):
+        left = eval_rel(e.left, env)
+        right = eval_rel(e.right, env)
+        sch = left.schema.joined_with(right.schema)
+        rows = []
+        for lr in left.rows:
+            for rr in right.rows:
+                combined = lr + rr
+                if eval_pred(e.pred, sch, combined, env):
+                    rows.append(combined)
+        return OrderedRelation(sch, tuple(rows))
+    if isinstance(e, tor.Top):
+        rel = eval_rel(e.of, env)
+        k = eval_scalar(e.k, env)
+        if k <= 0:
+            return OrderedRelation(rel.schema, ())
+        return OrderedRelation(rel.schema, rel.rows[:k])
+    if isinstance(e, tor.AppendRow):
+        rel = eval_rel(e.of, env)
+        rec = eval_record(e.rec, env)
+        if len(rec) != len(rel.schema.fields):
+            raise SchemaError(f"appended record {rec!r} does not fit schema")
+        return OrderedRelation(rel.schema, rel.rows + (rec,))
+    if isinstance(e, tor.Concat):
+        left = eval_rel(e.left, env)
+        right = eval_rel(e.right, env)
+        if left.schema.types != right.schema.types:
+            raise SchemaError("concat operands disagree on schema")
+        return OrderedRelation(left.schema, left.rows + right.rows)
+    raise SchemaError(f"not a relation expression: {e!r}")
+
 
 INT_SCHEMA = Schema((("a", INT),))
 MIXED_SCHEMA = Schema((("a", INT), ("b", TEXT)))
@@ -60,7 +198,7 @@ def check_a1(bounds: Bounds = Bounds()):
         env = {"R": v}
         for k in range(v.size, bounds.rel_size + 3):
             checked += 1
-            got = tor.eval_rel(tor.Top(tor.Query("R"), tor.IntConst(k)), env)
+            got = eval_rel(tor.Top(tor.Query("R"), tor.IntConst(k)), env)
             if got.rows != v.rows:
                 violations.append({"axiom": "A1", "relation": v.rows, "k": k})
     return checked, violations
@@ -72,7 +210,7 @@ def check_a2(bounds: Bounds = Bounds()):
     for l, r in itertools.product(values, values):
         checked += 1
         env = {"L": l, "R": r}
-        got = tor.eval_scalar(
+        got = eval_scalar(
             tor.SizeOf(tor.Concat(tor.Query("L"), tor.Query("R"))), env
         )
         if got != l.size + r.size:
@@ -98,12 +236,12 @@ def check_a3(bounds: Bounds = Bounds()):
         for l, r in itertools.product(values, values):
             checked += 1
             env = {"L": l, "R": r}
-            whole = tor.eval_scalar(
+            whole = eval_scalar(
                 tor.AggOf(kind, field, tor.Concat(tor.Query("L"), tor.Query("R"))),
                 env,
             )
-            left = tor.eval_scalar(tor.AggOf(kind, field, tor.Query("L")), env)
-            right = tor.eval_scalar(tor.AggOf(kind, field, tor.Query("R")), env)
+            left = eval_scalar(tor.AggOf(kind, field, tor.Query("L")), env)
+            right = eval_scalar(tor.AggOf(kind, field, tor.Query("R")), env)
             if whole != _combine(kind, left, right):
                 violations.append(
                     {"axiom": "A3", "kind": kind, "left": l.rows, "right": r.rows}
@@ -118,10 +256,10 @@ def check_a4(bounds: Bounds = Bounds()):
         env = {"R": v}
         for p1, p2 in itertools.product(preds, preds):
             checked += 1
-            nested = tor.eval_rel(
+            nested = eval_rel(
                 tor.Sel(p2, tor.Sel(p1, tor.Query("R"))), env
             )
-            merged = tor.eval_rel(tor.Sel(tor.AndP(p1, p2), tor.Query("R")), env)
+            merged = eval_rel(tor.Sel(tor.AndP(p1, p2), tor.Query("R")), env)
             if nested.rows != merged.rows:
                 violations.append(
                     {
@@ -145,10 +283,10 @@ def check_a5(bounds: Bounds = Bounds()):
                 if not tor.facts(p).fields <= set(fields):
                     continue
                 checked += 1
-                a = tor.eval_rel(
+                a = eval_rel(
                     tor.Proj(fields, tor.Sel(p, tor.Query("R"))), env
                 )
-                b = tor.eval_rel(
+                b = eval_rel(
                     tor.Sel(p, tor.Proj(fields, tor.Query("R"))), env
                 )
                 if a.rows != b.rows:
@@ -172,11 +310,11 @@ def check_a6(bounds: Bounds = Bounds()):
         env = {"R": v}
         for rec in rows:
             checked += 1
-            appended = tor.eval_rel(
+            appended = eval_rel(
                 tor.AppendRow(tor.Query("R"), tor.RecordConst(rec)), env
             )
             single = tor.AppendRow(tor.EmptyRel(INT_SCHEMA), tor.RecordConst(rec))
-            concat = tor.eval_rel(tor.Concat(tor.Query("R"), single), env)
+            concat = eval_rel(tor.Concat(tor.Query("R"), single), env)
             if appended.rows != concat.rows:
                 violations.append({"axiom": "A6", "relation": v.rows, "rec": rec})
     return checked, violations
@@ -195,7 +333,7 @@ def check_a7(bounds: Bounds = Bounds()):
     for l, r in itertools.product(lefts, rights):
         checked += 1
         env = {"L": l, "R": r}
-        got = tor.eval_rel(
+        got = eval_rel(
             tor.Join(tor.Query("L"), tor.Query("R"), tor.TruePred()), env
         )
         ok = got.size == l.size * r.size
@@ -233,8 +371,8 @@ def check_l1(bounds: Bounds = Bounds()):
         for i in range(v.size):
             checked += 1
             k = tor.IntConst(i)
-            longer = tor.eval_rel(tor.Top(r, tor.IntConst(i + 1)), env)
-            appended = tor.eval_rel(
+            longer = eval_rel(tor.Top(r, tor.IntConst(i + 1)), env)
+            appended = eval_rel(
                 tor.AppendRow(tor.Top(r, k), tor.GetRow(r, k)), env
             )
             if longer.rows != appended.rows:
@@ -261,8 +399,8 @@ def _distributes(name: str, wrap, variants, bounds: Bounds):
     for env in _splits(bounds):
         for x in variants:
             checked += 1
-            whole = tor.eval_rel(wrap(x, tor.Concat(l, r)), env)
-            parts = tor.eval_rel(tor.Concat(wrap(x, l), wrap(x, r)), env)
+            whole = eval_rel(wrap(x, tor.Concat(l, r)), env)
+            parts = eval_rel(tor.Concat(wrap(x, l), wrap(x, r)), env)
             if whole.rows != parts.rows:
                 violations.append(
                     {
@@ -295,10 +433,10 @@ def check_l4(bounds: Bounds = Bounds()):
         env = {"R": v}
         for a, b in itertools.product(_top_bounds(bounds), repeat=2):
             checked += 1
-            nested = tor.eval_rel(
+            nested = eval_rel(
                 tor.Top(tor.Top(r, tor.IntConst(a)), tor.IntConst(b)), env
             )
-            once = tor.eval_rel(tor.Top(r, tor.IntConst(min(a, b))), env)
+            once = eval_rel(tor.Top(r, tor.IntConst(min(a, b))), env)
             if nested.rows != once.rows:
                 violations.append(
                     {"lemma": "L4", "relation": v.rows, "a": a, "b": b}
@@ -311,7 +449,7 @@ def check_l5(bounds: Bounds = Bounds()):
     for v in relation_values(MIXED_SCHEMA, bounds):
         for a in (-1, 0):
             checked += 1
-            got = tor.eval_rel(tor.Top(tor.Query("R"), tor.IntConst(a)), {"R": v})
+            got = eval_rel(tor.Top(tor.Query("R"), tor.IntConst(a)), {"R": v})
             if got.rows:
                 violations.append({"lemma": "L5", "relation": v.rows, "a": a})
     return checked, violations

@@ -34,17 +34,26 @@ DEFAULT_SEED = 20260816
 
 def _parse_domain(text: str) -> tuple:
     """Accept '0..2' (inclusive range) or '0,1,2' (explicit list of
-    distinct values: a repeat would check the same instances again)."""
+    distinct values: a repeat would check the same instances again). The
+    usage error names the cause: an empty domain, a repeated value, or a
+    bound or value that is not an int."""
+
+    def integer(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an int: {part.strip()!r}") from None
+
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        values = tuple(range(int(lo), int(hi) + 1))
+        values = tuple(range(integer(lo), integer(hi) + 1))
     else:
-        values = tuple(int(part) for part in text.split(","))
+        values = tuple(map(integer, text.split(","))) if text else ()
     if not values:
-        raise ValueError("empty domain")
+        raise argparse.ArgumentTypeError(f"empty domain: {text!r}")
     if len(set(values)) < len(values):
-        raise ValueError("repeated value in domain")
+        raise argparse.ArgumentTypeError(f"repeated value in domain: {text!r}")
     return values
 
 
@@ -137,7 +146,8 @@ def _run_one(path: Path, options: Options, cases: int, seed: int) -> tuple[dict,
     outcome = synthesize(tp, options)
     if not isinstance(outcome, Solution):
         return report.run_report(name, config, outcome), 2
-    diff = difftest.run_cases(tp, outcome.sql, seed=seed, cases=cases)
+    # difftest checks the text that is shipped, not the query it was rendered from
+    diff = difftest.run_cases(tp, emit.parse_sql(outcome.sql_text), seed=seed, cases=cases)
     code = 0 if diff.ok else 2
     return report.run_report(name, config, outcome, diff), code
 

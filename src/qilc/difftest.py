@@ -11,14 +11,15 @@ the parameter list in declaration order:
     int parameter        next() % 5
     text parameter       ALPHABET[next() % 3]
 
-SplitMix64 computes the stream BLOCK outputs at a time in one packed int
-(SWAR). draw_case, the reference for the draw, reads it with next() and
-take. Every run and every replay reads its cases through generated code
-instead: the draw reads an output x only as x mod 30, which SplitMix64.keys
-gives as one byte per output (see _fold). keys serves a block from a memo
-of the KEY_BLOCKS blocks last read, keyed by the block's start state
-(_block_keys), so the runs of one seed in a process, such as the programs
-of one `qilc bench`, compute each block once. The read lines, written once
+draw_case, the reference for the draw, reads the stream one output at a
+time with SplitMix64.next and take, the plain recurrence. Every run and
+every replay reads its cases through generated code instead: the draw
+reads an output x only as x mod 30, which SplitMix64.keys computes for
+BLOCK outputs at once in one packed int (SWAR) and gives as one byte per
+output (see _fold). keys serves a block from a memo of the KEY_BLOCKS
+blocks last read, keyed by the block's start state (_block_keys), so the
+runs of one seed in a process, such as the programs of one `qilc bench`,
+compute each block once. The read lines, written once
 per parameter types (_stream_loop), map those bytes through bytes.translate
 tables and slice each case's values out; _case_values yields them as
 draw_case gives them, and reads and drops the cases before a replayed one.
@@ -48,7 +49,6 @@ Either way a run reports the same bytes.
 from __future__ import annotations
 
 import functools
-import sys
 from typing import Optional
 
 from . import emit, interp
@@ -80,7 +80,7 @@ REFERENCE_MAX_CASES = 20
 #: relations, once: such inputs repeat, larger ones rarely do.
 SMALL_ROWS = 2
 
-#: SplitMix64 computes this many outputs at once.
+#: SplitMix64.keys reads this many outputs at once.
 BLOCK = 512
 
 
@@ -113,12 +113,6 @@ def _fold(x: int) -> bytes:
     return ((t << 1) | (x & _ONES)).to_bytes(16 * BLOCK, "little")[::16]
 
 
-# Native 64-bit words of the block's bytes in sys.byteorder: every other
-# word from the first (little-endian) or from the last (big-endian) is
-# lane 0's output, lane 1's, ...
-_LANE_STEP = 2 if sys.byteorder == "little" else -2
-
-
 def _mix(start: int) -> int:
     """The BLOCK outputs after state start, one per lane, high 64 bits
     clear."""
@@ -142,55 +136,28 @@ def _block_keys(start: int) -> bytes:
 
 class SplitMix64:
     """splitmix64: state advances by 0x9E3779B97F4A7C15; output mixes with
-    the 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB multipliers.
-
-    Output k after state s depends only on s + k * gamma, so BLOCK outputs
-    are computed at once, one per lane (_mix), and handed out in order, or
-    as key bytes (keys). state is the state after the last output consumed."""
+    the 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB multipliers. next() is the
+    recurrence as docs/formats.md writes it; keys() reads BLOCK outputs at
+    once (_mix). state is the state after the last output consumed."""
 
     def __init__(self, seed: int):
-        self._end = seed & _MASK  # the state after the last buffered output
-        self._buf: list = []
-        self._pos = BLOCK  # outputs of _buf consumed
-
-    @property
-    def state(self) -> int:
-        return (self._end - (BLOCK - self._pos) * _GAMMA) & _MASK
-
-    def _refill(self) -> None:
-        start = self._end
-        words = memoryview(_mix(start).to_bytes(16 * BLOCK, sys.byteorder)).cast("Q")
-        self._end = (start + BLOCK * _GAMMA) & _MASK
-        self._buf, self._pos = words[::_LANE_STEP].tolist(), 0
+        self.state = seed & _MASK
 
     def keys(self) -> bytes:
         """The next BLOCK outputs as key bytes (_fold): each output mod 30."""
         start = self.state
-        self._end, self._buf, self._pos = (start + BLOCK * _GAMMA) & _MASK, [], BLOCK
+        self.state = (start + BLOCK * _GAMMA) & _MASK
         return _block_keys(start)
 
     def next(self) -> int:
-        pos = self._pos
-        if pos == BLOCK:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
+        z = self.state = (self.state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
 
     def take(self, n: int) -> list:
         """The next n outputs, in order."""
-        pos = self._pos
-        if pos + n <= BLOCK:
-            self._pos = pos + n
-            return self._buf[pos:pos + n]
-        out = self._buf[pos:]
-        while True:
-            self._refill()
-            need = n - len(out)
-            if need <= BLOCK:
-                self._pos = need
-                return out + self._buf[:need]
-            out += self._buf
+        return [self.next() for _ in range(n)]
 
 
 #: A drawn relation has 0.._MAX_ROWS rows.

@@ -25,8 +25,9 @@ into sources, column map and WHERE.
 
 Rendering is canonical and byte stable: uppercase keywords, single spaces,
 ", " separators, scalar parameters as :name, text literals single quoted
-with ' doubled, every record query ordered by the hidden rid columns of its
-sources, and a prefix bound that may be negative written clamped, as
+with ' doubled, a column the program renames written `col AS name`, every
+record query ordered by the hidden rid columns of its sources, and a prefix
+bound that may be negative written clamped, as
 LIMIT MAX(k, 0) (Clamped). A table's rid is the 0-based position of the
 row; it never appears in SELECT output. parse_sql inverts render exactly,
 and eval_sql reads a bare negative LIMIT as SQLite does, as no limit.
@@ -35,8 +36,8 @@ eval_sql compiles a query once per tuple of source schemas into a plan,
 one generated Python function (qilc.codegen) with columns resolved to row
 positions and the output schema precomputed, and keeps it on the query, so
 a difftest case only runs one comprehension over the rows. The plain tree
-evaluator tor.eval_* stays the reference that the emission oracle checks
-eval_sql against.
+evaluator qilc.axioms.eval_* stays the reference that the emission oracle
+checks eval_sql against.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class SqlSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 _FUNCS = frozenset({"COUNT", "SUM", "MIN", "MAX", "COALESCE"})
-RESERVED = _FUNCS | {"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "BY", "LIMIT"}
+RESERVED = _FUNCS | {"SELECT", "AS", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "BY", "LIMIT"}
 RID = "rid"  # each table's hidden column: the 0-based position of the row
 _SQL_CMP = {op: "<>" if op == "!=" else op for op in tor.CMP_OPS}
 _TOR_CMP = {sql: op for op, sql in _SQL_CMP.items()}
@@ -119,6 +120,14 @@ class SqlStar:
 
 
 @record
+class Renamed:
+    """A SELECT item `col AS name`: the column under the program's name."""
+
+    col: SCol
+    name: str
+
+
+@record
 class Clamped:
     """LIMIT MAX(k, 0): k read as 0 when negative (a bare one is no limit)."""
 
@@ -129,7 +138,7 @@ class Clamped:
 class SqlQuery:
     """A record query: SELECT items FROM sources [WHERE] ORDER BY rids [LIMIT]."""
 
-    items: tuple  # SqlStar | SCol
+    items: tuple  # SqlStar | SCol | Renamed
     sources: tuple[SqlSource, ...]
     where: Optional[tor.Node] = None
     limit: Optional[tor.Node] = None  # tor.IntConst | tor.ParamRef | Clamped
@@ -278,8 +287,12 @@ def _select_parts(e, schemas: dict):
     return proj, sources, fmap, where
 
 
-def to_sql(e, schemas: dict) -> Sql:
-    """Translate a relation or scalar expression, or raise NotTranslatable."""
+def to_sql(e, schemas: dict, names: Optional[tuple] = None) -> Sql:
+    """Translate a relation or scalar expression, or raise NotTranslatable.
+
+    names, when given, are the program's names for a record query's output
+    fields, in order: a column whose own name differs is selected AS its
+    name, and the stars are then written as their columns."""
     if isinstance(e, tor.SizeOf):
         e = tor.AggOf("count", None, e.of)
     if isinstance(e, tor.AggOf):
@@ -306,9 +319,13 @@ def to_sql(e, schemas: dict) -> Sql:
             limit = Clamped(limit)  # Top reads a negative bound as 0
     proj, sources, fmap, where = _select_parts(e, schemas)
     if proj is None:
+        columns = [SCol(*c) for c in fmap.values()]  # the stars' columns
         items = tuple(SqlStar(s.alias) for s in sources)
     else:
-        items = tuple(_column(fmap, name) for name in proj)
+        columns = [_column(fmap, name) for name in proj]
+        items = tuple(columns)
+    if names is not None and names != tuple(c.name for c in columns):
+        items = tuple(c if c.name == n else Renamed(c, n) for c, n in zip(columns, names))
     return SqlQuery(items, sources, where, limit)
 
 
@@ -347,6 +364,14 @@ def _render_pred(p, parent: Optional[str] = None, side: str = "left") -> str:
     raise SchemaError(f"not a SQL predicate: {p!r}")
 
 
+def _render_item(it) -> str:
+    if isinstance(it, SqlStar):
+        return f"{it.alias}.*"
+    if isinstance(it, Renamed):
+        return f"{_render_operand(it.col)} AS {it.name}"
+    return _render_operand(it)
+
+
 def render(q: Sql) -> str:
     """Canonical single-line SQL text; identical input gives identical bytes."""
     if isinstance(q, SqlScalar):
@@ -357,10 +382,7 @@ def render(q: Sql) -> str:
         else:
             head = f"{q.func.upper()}({_render_operand(q.arg)})"
     else:
-        head = ", ".join(
-            f"{it.alias}.*" if isinstance(it, SqlStar) else _render_operand(it)
-            for it in q.items
-        )
+        head = ", ".join(map(_render_item, q.items))
     src = ", ".join(
         s.table if s.alias == s.table else f"{s.table} {s.alias}" for s in q.sources
     )
@@ -524,7 +546,8 @@ class _SqlParser:
         self.take("op", ".")
         if self.skip("op", "*"):
             return SqlStar(alias)
-        return SCol(alias, self.take("name"))
+        col = SCol(alias, self.take("name"))
+        return Renamed(col, self.take("name")) if self.skip("kw", "AS") else col
 
     def _col(self) -> SCol:
         alias = self.take("name")
@@ -714,29 +737,29 @@ def _fail(exc_type, arg):
 
 def _select(q: SqlQuery, slots: dict, schemas: tuple) -> tuple:
     """The output schema and the code of the output row. Output names are
-    the plain column names, or alias.name for every column when the plain
-    names repeat."""
-    cols, parts = [], []  # (alias, name, type) of each column; the row's parts
+    the AS names and the plain column names, or alias.name for every
+    column not renamed when those names repeat."""
+    cols, parts = [], []  # (qualified name, name, type) of each column; the row's parts
     for it in q.items:
-        if it.alias not in slots:
-            raise UnknownTable(it.alias)
-        n = slots[it.alias]
+        col = it.col if isinstance(it, Renamed) else it
+        if col.alias not in slots:
+            raise UnknownTable(col.alias)
+        n = slots[col.alias]
         sch = schemas[n]
-        if isinstance(it, SqlStar):
-            cols += [(it.alias, name, ty) for name, ty in sch.fields]
+        if isinstance(col, SqlStar):
+            cols += [(f"{col.alias}.{name}", name, ty) for name, ty in sch.fields]
             parts.append(f"*r{n}")
+            continue
+        if not sch.has(col.name):
+            raise UnknownColumn(f"{col.alias}.{col.name}")
+        k = sch.index_of(col.name)
+        if isinstance(it, Renamed):
+            cols.append((it.name, it.name, sch.types[k]))
         else:
-            if not sch.has(it.name):
-                raise UnknownColumn(f"{it.alias}.{it.name}")
-            k = sch.index_of(it.name)
-            cols.append((it.alias, it.name, sch.types[k]))
-            parts.append(f"r{n}[{k}]")
-    plain = [name for _, name, _ in cols]
-    if len(set(plain)) == len(plain):
-        names = plain
-    else:
-        names = [f"{alias}.{name}" for alias, name, _ in cols]
-    schema = Schema(tuple((name, c[2]) for name, c in zip(names, cols)))
-    if parts == [f"*r{slots[q.items[0].alias]}"]:
+            cols.append((f"{col.alias}.{col.name}", col.name, sch.types[k]))
+        parts.append(f"r{n}[{k}]")
+    unique = len({name for _, name, _ in cols}) == len(cols)
+    schema = Schema(tuple((name if unique else qualified, ty) for qualified, name, ty in cols))
+    if len(parts) == 1 and parts[0][0] == "*":
         return schema, parts[0][1:]  # the source's row itself
     return schema, "(" + ", ".join(parts) + ",)"

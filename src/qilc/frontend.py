@@ -573,12 +573,16 @@ class _Checker:
                 self.issue(f"duplicate parameter {p.name!r}", p.loc)
             self.var_types[p.name] = ("rel", p.ty) if isinstance(p.ty, Schema) else p.ty
             if isinstance(p.ty, Schema):
-                self.check_sql_names(p)
+                self.check_sql_names(p.name, p.ty.names, p.loc, relation=True)
         for d in ast.decls:
             if d.name in self.var_types:
                 self.issue(f"{d.name!r} is already declared", d.loc)
             if isinstance(d, ListDecl):
                 self.var_types[d.name] = ("list", d.schema)
+                if d.name == ast.result:  # a name a parameter has is checked there
+                    fields = {f for p in ast.params if isinstance(p.ty, Schema) for f in p.ty.names}
+                    names = [f for f in d.schema.names if f not in fields]
+                    self.check_sql_names(d.name, names, d.loc, relation=False)
             else:
                 if d.base == "int":
                     self.var_types[d.name] = OPTINT if d.init is None else "int"
@@ -606,18 +610,17 @@ class _Checker:
             relations={p.name: p.ty for p in ast.params if isinstance(p.ty, Schema)},
         )
 
-    def check_sql_names(self, p: Param) -> None:
-        """The emitted SQL names a relation and its fields as written: none
-        may be a word of its dialect or a keyword SQLite refuses there, and
-        no field may be the hidden rid."""
+    def check_sql_names(self, name: str, fields, loc: Loc, relation: bool) -> None:
+        """The emitted SQL names a relation and its fields as written, and
+        the result's fields where it renames a column (AS): none may be a
+        word of its dialect or a keyword SQLite refuses there, and no field
+        may be the hidden rid."""
         reserved = RESERVED | SQLITE_RESERVED
-        if p.name.upper() in reserved:
-            self.issue(f"relation name {p.name!r} is reserved in the emitted SQL", p.loc)
-        for f in p.ty.names:
+        if relation and name.upper() in reserved:
+            self.issue(f"relation name {name!r} is reserved in the emitted SQL", loc)
+        for f in fields:
             if f.upper() in reserved or f.lower() == RID:
-                self.issue(
-                    f"field name {f!r} of {p.name!r} is reserved in the emitted SQL", p.loc
-                )
+                self.issue(f"field name {f!r} of {name!r} is reserved in the emitted SQL", loc)
 
     def check_toplevel(self, body: tuple) -> tuple:
         """The program body: simple statements, then exactly one loop."""

@@ -505,8 +505,7 @@ class SynthStats:
 class Solution:
     candidate: Candidate
     invariants: dict
-    sql: object  # abstract SQL for the returned variable
-    sql_text: str
+    sql_text: str  # the SQL for the returned variable, as shipped
     rank: int
     stats: SynthStats
 
@@ -551,9 +550,11 @@ def _search(tp: TypedProgram, options: Options):
         results.append(verify.validate(tp, cand, invariants, options.bounds))
         if results[-1].status == verify.VALID:
             post = dict(cand.posts)[tp.ast.result]
-            sql = emit.to_sql(post, tp.relations)
+            result = tp.var_types[tp.ast.result]
+            names = result[1].names if isinstance(result, tuple) else None
+            sql = emit.to_sql(post, tp.relations, names)
             stats = _stats(cands, results)
-            return Solution(cand, invariants, sql, emit.render(sql), idx, stats)
+            return Solution(cand, invariants, emit.render(sql), idx, stats)
     return Failure("exhausted", _stats(cands, results))
 
 

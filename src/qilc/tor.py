@@ -8,7 +8,9 @@ Scalar operators: Agg (sum/count/min/max), Size, plus Get for single rows.
 Nodes are immutable, and what is computed from a node alone (its
 s-expression, cost, facts fold and compiled closure) is kept on the node
 itself, so candidates that share a subterm compute it once and the memo is
-freed with the node.
+freed with the node. The compiled closures are the one evaluator the
+pipeline runs; the reference evaluator that pins their meaning lives with
+the axiom suite (qilc.axioms), off the pipeline's import path.
 
 Conventions fixed here and relied on everywhere else:
     - Top(e, k) takes the first k records; k < 0 gives the empty prefix,
@@ -28,7 +30,7 @@ import operator
 from typing import NamedTuple
 
 from .record import Record, keep, make
-from .relation import INT, TEXT, OrderedRelation, Schema, SchemaError
+from .relation import INT, TEXT, Schema, SchemaError
 
 
 class UnboundName(KeyError):
@@ -166,149 +168,8 @@ def facts(e) -> Facts:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (reference implementation)
-# ---------------------------------------------------------------------------
-
-
-def _env_rel(env: dict, name: str) -> OrderedRelation:
-    try:
-        v = env[name]
-    except KeyError:
-        raise UnboundName(name) from None
-    if not isinstance(v, OrderedRelation):
-        raise SchemaError(f"{name!r} is bound to a scalar, expected a relation")
-    return v
-
-
-def _env_scalar(env: dict, name: str):
-    try:
-        v = env[name]
-    except KeyError:
-        raise UnboundName(name) from None
-    if isinstance(v, OrderedRelation):
-        raise SchemaError(f"{name!r} is bound to a relation, expected a scalar")
-    return v
-
-
-def eval_scalar(e, env: dict):
-    if isinstance(e, IntConst):
-        return e.value
-    if isinstance(e, TextConst):
-        return e.value
-    if isinstance(e, ParamRef):
-        return _env_scalar(env, e.name)
-    if isinstance(e, IndexRef):
-        return _env_scalar(env, e.name) + e.offset
-    if isinstance(e, SizeOf):
-        return eval_rel(e.of, env).size
-    if isinstance(e, AggOf):
-        rel = eval_rel(e.of, env)
-        if e.kind == "count":
-            return rel.size
-        i = rel.schema.index_of(e.field)
-        if rel.schema.types[i] != INT:
-            raise SchemaError(f"cannot aggregate over text field {e.field!r}")
-        col = [r[i] for r in rel.rows]
-        if e.kind == "sum":
-            return sum(col)
-        if not col:
-            return None
-        return min(col) if e.kind == "min" else max(col)
-    raise SchemaError(f"not a scalar expression: {e!r}")
-
-
-def eval_record(e, env: dict) -> tuple:
-    if isinstance(e, RecordConst):
-        return e.values
-    if isinstance(e, GetRow):
-        rel = eval_rel(e.of, env)
-        i = eval_scalar(e.idx, env)
-        if not (0 <= i < rel.size):
-            raise IndexError(f"get index {i} out of range 0..{rel.size - 1}")
-        return rel.rows[i]
-    raise SchemaError(f"not a record expression: {e!r}")
-
-
-def _atom_operand(o, schema: Schema, row: tuple, env: dict):
-    if isinstance(o, FieldRef):
-        return row[schema.index_of(o.name)]
-    if isinstance(o, (IntConst, TextConst)):
-        return o.value
-    if isinstance(o, ParamRef):
-        return _env_scalar(env, o.name)
-    if isinstance(o, IndexRef):
-        return _env_scalar(env, o.name) + o.offset
-    raise SchemaError(f"not a predicate operand: {o!r}")
-
-
-def eval_pred(p, schema: Schema, row: tuple, env: dict) -> bool:
-    if isinstance(p, TruePred):
-        return True
-    if isinstance(p, CmpAtom):
-        a = _atom_operand(p.lhs, schema, row, env)
-        b = _atom_operand(p.rhs, schema, row, env)
-        return CMP_OPS[p.op](a, b)
-    if isinstance(p, AndP):
-        return eval_pred(p.left, schema, row, env) and eval_pred(p.right, schema, row, env)
-    if isinstance(p, OrP):
-        return eval_pred(p.left, schema, row, env) or eval_pred(p.right, schema, row, env)
-    if isinstance(p, NotP):
-        return not eval_pred(p.operand, schema, row, env)
-    raise SchemaError(f"not a predicate: {p!r}")
-
-
-def eval_rel(e, env: dict) -> OrderedRelation:
-    """Evaluate a relation expression; order is part of the value."""
-    if isinstance(e, Query):
-        return _env_rel(env, e.rel)
-    if isinstance(e, EmptyRel):
-        return OrderedRelation(e.schema, ())
-    if isinstance(e, Sel):
-        rel = eval_rel(e.of, env)
-        rows = tuple(
-            r for r in rel.rows if eval_pred(e.pred, rel.schema, r, env)
-        )
-        return OrderedRelation(rel.schema, rows)
-    if isinstance(e, Proj):
-        rel = eval_rel(e.of, env)
-        sch = rel.schema.restrict(e.fields)
-        idx = [rel.schema.index_of(n) for n in e.fields]
-        return OrderedRelation(sch, tuple(tuple(r[i] for i in idx) for r in rel.rows))
-    if isinstance(e, Join):
-        left = eval_rel(e.left, env)
-        right = eval_rel(e.right, env)
-        sch = left.schema.joined_with(right.schema)
-        rows = []
-        for lr in left.rows:
-            for rr in right.rows:
-                combined = lr + rr
-                if eval_pred(e.pred, sch, combined, env):
-                    rows.append(combined)
-        return OrderedRelation(sch, tuple(rows))
-    if isinstance(e, Top):
-        rel = eval_rel(e.of, env)
-        k = eval_scalar(e.k, env)
-        if k <= 0:
-            return OrderedRelation(rel.schema, ())
-        return OrderedRelation(rel.schema, rel.rows[:k])
-    if isinstance(e, AppendRow):
-        rel = eval_rel(e.of, env)
-        rec = eval_record(e.rec, env)
-        if len(rec) != len(rel.schema.fields):
-            raise SchemaError(f"appended record {rec!r} does not fit schema")
-        return OrderedRelation(rel.schema, rel.rows + (rec,))
-    if isinstance(e, Concat):
-        left = eval_rel(e.left, env)
-        right = eval_rel(e.right, env)
-        if left.schema.types != right.schema.types:
-            raise SchemaError("concat operands disagree on schema")
-        return OrderedRelation(left.schema, left.rows + right.rows)
-    raise SchemaError(f"not a relation expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Compiled evaluation: same semantics as eval_rel/eval_scalar, specialized
-# once per expression so the bounded verifier can run millions of instances.
+# Evaluation, compiled once per expression so the bounded verifier can run
+# millions of instances; qilc.axioms.eval_* is the reference it must match.
 # Closures take an environment dict and return rows tuples / scalars.
 # ---------------------------------------------------------------------------
 
@@ -420,7 +281,7 @@ def compile_rel(e, schemas: dict):
         k = compile_scalar(e.k, schemas)
 
         def top(env):
-            rows = of(env)  # first, as eval_rel does: a Get inside may raise
+            rows = of(env)  # first, as the reference does: a Get inside may raise
             n = k(env)
             return rows[:n] if n > 0 else ()
 

@@ -59,7 +59,7 @@ def test_criterion_2_differential_equivalence(corpus):
     int domain 0..4), zero order-sensitive mismatches."""
     for name, (tp, outcome, _) in corpus.items():
         res = difftest.run_cases(
-            tp, outcome.sql, seed=cli.DEFAULT_SEED, cases=1000
+            tp, emit.parse_sql(outcome.sql_text), seed=cli.DEFAULT_SEED, cases=1000
         )
         assert res.cases == 1000
         assert res.ok, f"{name}: case {res.first_mismatch} mismatched"
@@ -194,7 +194,7 @@ def test_criterion_4_emission_oracle():
             continue
         translatable += 1
         assert emit.parse_sql(emit.render(q)) == q
-        ev = tor.eval_scalar if isinstance(e, tor.AggOf) else tor.eval_rel
+        ev = axioms.eval_scalar if isinstance(e, tor.AggOf) else axioms.eval_rel
         for env, db in envs_for(tabs):
             pairs += 1
             if not values_agree(ev(e, env), emit.eval_sql(q, db)):
@@ -352,7 +352,8 @@ def test_criterion_7_empty_input_boundary(corpus):
         tp, outcome, _ = corpus[name]
         empty = {"R": OrderedRelation(tp.relations["R"], ())}
         got_prog = interp.run(tp, empty)
-        got_sql = emit.eval_sql(outcome.sql, emit.MiniDb.from_values(empty))
+        query = emit.parse_sql(outcome.sql_text)
+        got_sql = emit.eval_sql(query, emit.MiniDb.from_values(empty))
         assert got_prog == expected[name], name
         assert got_sql == expected[name], name
         assert values_agree(got_prog, got_sql)

@@ -5,6 +5,7 @@ JSON written to stdout, and the stderr traffic. Report construction is
 tested directly where the CLI path would be slow.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -69,16 +70,17 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def test_importing_the_cli_loads_no_pretty_printer():
-    """The pipeline never prints a program, so compiling the printer would
-    only add to every run's set-up."""
-    probe = "import sys, qilc.cli; print('qilc.pretty' in sys.modules)"
+def test_importing_the_cli_loads_no_printer_or_reference_evaluator():
+    """The pipeline never prints a program and never walks a tor tree with
+    the reference evaluator (qilc.axioms), so compiling either would only
+    add to every run's set-up."""
+    probe = "import sys, qilc.cli; print(sorted({'qilc.pretty', 'qilc.axioms'} & set(sys.modules)))"
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # --- domain flag parsing ----------------------------------------------------
@@ -92,31 +94,34 @@ def test_parse_domain_range_and_list():
 
 
 def test_parse_domain_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="empty domain"):
         cli._parse_domain("")
 
 
 @pytest.mark.parametrize(
-    "flag, value",
+    "flag, value, reason",
     [
-        ("--jobs", "x"),
-        ("--jobs", "0"),
-        ("--int-domain", "3..1"),
-        ("--int-domain", "1,1,2"),
-        ("--cases", "-1"),
-        ("--rel-bound", "-1"),
-        ("--timeout", "-1"),
-        ("--timeout", "nan"),
-        ("--timeout", "inf"),
+        ("--jobs", "x", "invalid"),
+        ("--jobs", "0", "must be at least 1"),
+        ("--int-domain", "3..1", "empty domain"),
+        ("--int-domain", "", "empty domain"),
+        ("--int-domain", "1,1,2", "repeated value in domain"),
+        ("--int-domain", "1,x", "not an int: 'x'"),
+        ("--int-domain", "0..b", "not an int: 'b'"),
+        ("--cases", "-1", "must be at least 0"),
+        ("--rel-bound", "-1", "must be at least 0"),
+        ("--timeout", "-1", "must be finite and at least 0"),
+        ("--timeout", "nan", "must be finite and at least 0"),
+        ("--timeout", "inf", "must be finite and at least 0"),
     ],
 )
-def test_bad_flag_value_is_a_usage_error(capsys, flag, value):
+def test_bad_flag_value_is_a_usage_error(capsys, flag, value, reason):
     with pytest.raises(SystemExit) as exc:
         cli.main(["synth", qil_path("identity"), flag, value])
     captured = capsys.readouterr()
     assert exc.value.code == 1
     assert captured.out == ""
-    assert flag in captured.err
+    assert f"argument {flag}: {reason}" in captured.err
 
 
 # --- synth ------------------------------------------------------------------

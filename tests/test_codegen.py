@@ -10,6 +10,7 @@ import pytest
 
 from qilc import difftest, frontend
 from qilc.difftest import run_cases
+from qilc.emit import parse_sql
 from qilc.synth import Options, Solution, synthesize
 from qilc.verify import Bounds
 from tests.conftest import BENCHMARK_NAMES, PYTHON_WORDS, PYTHON_WORDS_TEXT, load_benchmark
@@ -31,10 +32,13 @@ def _generated(monkeypatch) -> list:
 
 
 def _synthesize_and_difftest(tp, options=Options()):
+    """Synthesize, difftest the shipped text and return the query parsed
+    from it."""
     sol = synthesize(tp, options)
     assert isinstance(sol, Solution), sol
-    assert run_cases(tp, sol.sql, seed=3, cases=200).ok
-    return sol
+    query = parse_sql(sol.sql_text)
+    assert run_cases(tp, query, seed=3, cases=200).ok
+    return query
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -80,10 +84,10 @@ def test_generated_source_holds_no_program_text(monkeypatch):
     difftest._case_loop.cache_clear()
     difftest._reader.cache_clear()
     sources = _generated(monkeypatch)
-    sol = _synthesize_and_difftest(
+    query = _synthesize_and_difftest(
         tp, Options(bounds=Bounds(text_domain=("a", PYTHON_WORDS_TEXT)))
     )
-    assert difftest.replay_case(tp, sol.sql, seed=3, case=5) is None
+    assert difftest.replay_case(tp, query, seed=3, case=5) is None
     # the program, its query, its case loop and the reader a replay takes
     assert len(sources) == 4
     for source in sources:

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qilc import emit, tor, verify
+from qilc import axioms, emit, tor, verify
 from qilc.emit import MiniDb, NotTranslatable, eval_sql, parse_sql, render, to_sql
 from qilc.relation import OrderedRelation, Schema, SchemaError
 
@@ -184,7 +184,7 @@ def test_wider_predicates_round_trip_and_agree_with_algebra(pred):
     rels = verify.relation_values(AB, bounds)
     assert len(rels) == 1 + 6 + 36 + 216
     for r in rels:
-        want = tor.eval_rel(e, {"R": r})
+        want = axioms.eval_rel(e, {"R": r})
         got = eval_sql(sql, db(R=r))
         assert (got.schema, got.rows) == (want.schema, want.rows), r.rows
 
@@ -393,6 +393,6 @@ def test_emitted_sql_matches_algebra_semantics():
     )
     r = OrderedRelation(KV, ((1, 10), (2, 20), (1, 11)))
     s = OrderedRelation(KW, ((1, 7), (2, 2), (1, 1)))
-    want = tor.eval_rel(e, {"R": r, "S": s})
+    want = axioms.eval_rel(e, {"R": r, "S": s})
     got = eval_sql(to_sql(e, JOIN_SCHEMAS), db(R=r, S=s))
     assert got.rows == want.rows

@@ -8,7 +8,9 @@ parameters are bound by name. Inputs are drawn here, seeded by the program
 name, wider than difftest's draw: negative ints, empty relations and
 prefix bounds past the relation size are all common.
 
-The same check runs on a program named with Python keywords and builtins.
+The same check runs on a program named with Python keywords and builtins,
+and on programs that rename output fields, whose result columns SQLite must
+name as the program does.
 MiniDb is checked against SQLite on both LIMIT forms, and the SQLite
 keywords the type checker refuses as names against SQLite itself.
 """
@@ -72,11 +74,13 @@ def _sqlite_value(conn: sqlite3.Connection, sql: str, inputs: dict, relation: bo
     if not relation:
         return rows[0][0]
     keep = [i for i, d in enumerate(cur.description) if d[0] != "rid"]
-    return tuple(tuple(row[i] for i in keep) for row in rows)
+    names = tuple(cur.description[i][0] for i in keep)
+    return names, tuple(tuple(row[i] for i in keep) for row in rows)
 
 
 def _assert_agrees_on_sqlite(tp, sql: str, seed: str, texts=TEXTS) -> None:
-    """sql on SQLite gives what the program gives, on DRAWS drawn inputs."""
+    """sql on SQLite gives what the program gives, on DRAWS drawn inputs,
+    and a record result's columns carry the program's field names."""
     conn = sqlite3.connect(":memory:")
     try:
         for p in tp.ast.params:
@@ -91,6 +95,9 @@ def _assert_agrees_on_sqlite(tp, sql: str, seed: str, texts=TEXTS) -> None:
             want = interp.run(tp, inputs)
             relation = isinstance(want, OrderedRelation)
             got = _sqlite_value(conn, sql, inputs, relation)
+            if relation:
+                names, got = got
+                assert names == want.schema.names, sql
             assert got == (want.rows if relation else want), (case, inputs)
     finally:
         conn.close()
@@ -111,8 +118,53 @@ def test_python_words_as_names_synthesize_and_agree_with_sqlite():
         "SELECT COALESCE(SUM(class.lambda), 0) FROM class "
         "WHERE class.None = 'it''s) #' AND class.lambda > :str"
     )
-    assert run_cases(tp, sol.sql, seed=5, cases=2000).ok
+    assert run_cases(tp, parse_sql(sol.sql_text), seed=5, cases=2000).ok
     _assert_agrees_on_sqlite(tp, sol.sql_text, "sqlite:words", TEXTS + (PYTHON_WORDS_TEXT,))
+
+
+# --- a renamed output field is selected AS the program's name --------------
+
+RENAMED = {
+    "column": (
+        "fn f(R: rel(a: int, b: text)) { var out: list(x: int); "
+        "for i in 0 .. size(R) { if R[i].a > 1 { out.append({x: R[i].a}); } } return out; }",
+        "SELECT R.a AS x FROM R WHERE R.a > 1 ORDER BY R.rid",
+    ),
+    "star": (
+        "fn f(R: rel(a: int), S: rel(a: int)) { var out: list(a: int, c: int); "
+        "for i in 0 .. size(R) { for j in 0 .. size(S) { out.append({a: R[i].a, c: S[j].a}); } } "
+        "return out; }",
+        "SELECT R.a, S.a AS c FROM R, S ORDER BY R.rid, S.rid",
+    ),
+    "self-join": (
+        "fn f(R: rel(a: int)) { var out: list(a: int, c: int); "
+        "for i in 0 .. size(R) { for j in 0 .. size(R) { out.append({a: R[i].a, c: R[j].a}); } } "
+        "return out; }",
+        "SELECT R.a, R2.a AS c FROM R, R R2 ORDER BY R.rid, R2.rid",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENAMED))
+def test_renamed_fields_carry_as_and_sqlite_names_them(case):
+    source, want = RENAMED[case]
+    tp = typecheck(parse(source))
+    sol = synthesize(tp)
+    assert isinstance(sol, Solution), sol
+    assert sol.sql_text == want
+    query = parse_sql(sol.sql_text)
+    assert render(query) == sol.sql_text
+    assert run_cases(tp, query, seed=5, cases=200).ok
+    _assert_agrees_on_sqlite(tp, sol.sql_text, f"sqlite:renamed:{case}")
+
+
+def test_the_plan_names_the_output_by_as():
+    r = OrderedRelation(Schema((("a", INT),)), ((1,), (2,)))
+    db = MiniDb.from_values({"R": r})
+    got = eval_sql(parse_sql("SELECT R.a AS x, R.a FROM R ORDER BY R.rid"), db)
+    assert got.schema.names == ("x", "a")
+    got = eval_sql(parse_sql("SELECT R.a, R2.a, R.a AS c FROM R, R R2 ORDER BY R.rid, R2.rid"), db)
+    assert got.schema.names == ("R.a", "R2.a", "c")
 
 
 # --- LIMIT: MiniDb reads both forms as SQLite does --------------------------
@@ -185,4 +237,15 @@ fn f({rel}: rel({field}: int)) {{
 }}
 """
     with pytest.raises(TypeCheckError, match="reserved in the emitted SQL"):
+        typecheck(parse(src))
+
+
+@pytest.mark.parametrize("field", ["group", "AS", "rid"])
+def test_a_reserved_result_field_name_is_a_type_error(field):
+    """A result field that renames a column is written AS its name."""
+    src = (
+        f"fn f(R: rel(a: int)) {{ var out: list({field}: int); for i in 0 .. size(R) "
+        f"{{ out.append({{{field}: R[i].a}}); }} return out; }}"
+    )
+    with pytest.raises(TypeCheckError, match=f"field name '{field}' of 'out' is reserved"):
         typecheck(parse(src))

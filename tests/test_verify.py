@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qilc import synth, tor, verify
+from qilc import axioms, synth, tor, verify
 from qilc.frontend import parse, typecheck
 from qilc.relation import INT, Schema, SchemaError
 from qilc.synth import Candidate, derive_invariants, enumerate_candidates, extract_template
@@ -90,6 +90,15 @@ def test_relation_values_count_and_order():
     assert vals[1].rows == ((0,),)
     assert vals[2].rows == ((1,),)
     assert vals[3].rows == ((0,), (0,))
+
+
+@pytest.mark.parametrize("bounds", [SMALL, Bounds(rel_size=1, int_domain=(3, -1))])
+def test_plan_first_is_the_sweeps_first_input(bounds):
+    """first builds the sweep's first input without enumerating relations;
+    it must be what sweep_inputs yields first."""
+    for name in ("top_k", "join_select_project", "sum"):
+        plan = verify._Plan(load_benchmark(name), bounds)
+        assert plan.first == next(plan.sweep_inputs()), name
 
 
 def test_instance_count_matches_sweep():
@@ -904,7 +913,7 @@ def _empty_by_eval(e, tp, name, bounds=SMALL):
         for at in itertools.product(range(bounds.rel_size + 1), repeat=len(others)):
             env = {**dict(zip(names, combo)), **dict(zip(others, at)), name: 0}
             try:
-                if tor.eval_rel(e, env).rows:
+                if axioms.eval_rel(e, env).rows:
                     return False
             except IndexError:
                 return False
