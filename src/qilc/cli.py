@@ -70,7 +70,10 @@ def _int_at_least(lo: int):
 def _seconds(text: str) -> float:
     """A finite, non-negative number of seconds: the report echoes it as a
     JSON number, and JSON has no NaN or infinity."""
-    secs = float(text)
+    try:
+        secs = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not 0 <= secs < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
     return secs

@@ -14,15 +14,15 @@ the parameter list in declaration order:
 draw_case, the reference for the draw, reads the stream one output at a
 time with SplitMix64.next and take, the plain recurrence. Every run and
 every replay reads its cases through generated code instead: the draw
-reads an output x only as x mod 30, which SplitMix64.keys computes for
-BLOCK outputs at once in one packed int (SWAR) and gives as one byte per
-output (see _fold). keys serves a block from a memo of the KEY_BLOCKS
-blocks last read, keyed by the block's start state (_block_keys), so the
-runs of one seed in a process, such as the programs of one `qilc bench`,
-compute each block once. The read lines, written once
-per parameter types (_stream_loop), map those bytes through bytes.translate
-tables and slice each case's values out; _case_values yields them as
-draw_case gives them, and reads and drops the cases before a replayed one.
+reads an output x only as x mod _MOD (30), which SplitMix64.keys gives as
+one byte per output for BLOCK outputs at once, mixed in one packed int
+(_mix). keys serves a block from a memo of the KEY_BLOCKS blocks last read,
+keyed by the block's start state (_block_keys), so the runs of one seed in
+a process, such as the programs of one `qilc bench`, compute each block
+once. The read lines, written once per parameter types (_stream_loop), map
+those bytes through bytes.translate tables and slice each case's values
+out; _case_values yields them as draw_case gives them, and reads and drops
+the cases before a replayed one.
 
 The program result and the query result are compared positionally; record
 order matters, field names do not, and an absent min/max result agrees
@@ -49,6 +49,7 @@ Either way a run reports the same bytes.
 from __future__ import annotations
 
 import functools
+import struct
 from typing import Optional
 
 from . import emit, interp
@@ -80,8 +81,11 @@ REFERENCE_MAX_CASES = 20
 #: relations, once: such inputs repeat, larger ones rarely do.
 SMALL_ROWS = 2
 
-#: SplitMix64.keys reads this many outputs at once.
+#: SplitMix64.keys reads this many outputs at once, each as one key byte,
+#: its residue mod _MOD: all the draw reads of it. A draw that reads more
+#: needs a wider _MOD (at most 256) and nothing else.
 BLOCK = 512
+_MOD = 30
 
 
 def _lane(word: int) -> int:
@@ -92,7 +96,8 @@ def _lane(word: int) -> int:
 # A lane's high 64 bits take the carry of an add, the product of a multiply
 # and the bits a right shift brings in from the lane above; masking with
 # _LOW clears them.
-_ONES, _LOW, _NIBBLES, _NIBBLE, _BYTE = map(_lane, (1, _MASK, 0x0F0F0F0F0F0F0F0F, 0xF, 0xFF))
+_ONES, _LOW = _lane(1), _lane(_MASK)
+_WORDS = struct.Struct("<" + "Q8x" * BLOCK)  # each lane's low word
 
 
 @functools.cache
@@ -101,16 +106,6 @@ def _steps() -> int:
     before the block; built on first use."""
     steps = (((k * _GAMMA) & _MASK).to_bytes(16, "little") for k in range(1, BLOCK + 1))
     return int.from_bytes(b"".join(steps), "little")
-
-
-def _fold(x: int) -> bytes:
-    """One key byte per lane of x, whose lanes hold 64-bit words: 2t + the
-    word's low bit, where t <= 29 is congruent mod 15 to the word, the sum
-    of its sixteen nibbles (16 = 1 mod 15). The key gives the word mod 30."""
-    b = (x & _NIBBLES) + ((x >> 4) & _NIBBLES)  # eight bytes, each at most 30
-    s = ((b * 0x0101010101010101) >> 56) & _BYTE  # their sum, at most 240
-    t = ((s >> 4) & _NIBBLE) + (s & _NIBBLE)
-    return ((t << 1) | (x & _ONES)).to_bytes(16 * BLOCK, "little")[::16]
 
 
 def _mix(start: int) -> int:
@@ -122,16 +117,21 @@ def _mix(start: int) -> int:
     return (z ^ (z >> 31)) & _LOW
 
 
+def _residues(lanes: int) -> bytes:
+    """Each lane's 64-bit word mod _MOD, one byte per lane."""
+    return bytes([x % _MOD for x in _WORDS.unpack(lanes.to_bytes(16 * BLOCK, "little"))])
+
+
 #: keys() keeps the key bytes of this many blocks (512 KiB), by start state.
 KEY_BLOCKS = 1024
 
 
 @functools.lru_cache(maxsize=KEY_BLOCKS)
 def _block_keys(start: int) -> bytes:
-    """The key bytes (_fold) of the BLOCK outputs after state start,
+    """The BLOCK outputs after state start, each as its residue mod _MOD,
     computed once per process while they stay among the KEY_BLOCKS most
     recently read: every run of one seed reads the same blocks."""
-    return _fold(_mix(start))
+    return _residues(_mix(start))
 
 
 class SplitMix64:
@@ -144,7 +144,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def keys(self) -> bytes:
-        """The next BLOCK outputs as key bytes (_fold): each output mod 30."""
+        """The next BLOCK outputs as key bytes, each output mod _MOD."""
         start = self.state
         self.state = (start + BLOCK * _GAMMA) & _MASK
         return _block_keys(start)
@@ -175,14 +175,13 @@ _DRAW = {
 
 
 def _table(draw) -> bytes:
-    """The bytes.translate table from a key byte 2t + b (t <= 29) to draw's
-    value at the x < 30 with x = t mod 15 and x = b mod 2. A key gives only
-    x mod 30: a draw that reads more of x, as a modulus that does not divide
-    30 would, fails here, at import, rather than draw wrong cells."""
-    residues = [t % 15 + 15 * ((t % 15 + b) % 2) for t in range(30) for b in (0, 1)]
-    cells = [draw(x) for x in residues]
-    if cells != [draw(x + 30) for x in residues]:
-        raise ValueError("a draw reads more of an output than x mod 30")
+    """The bytes.translate table from a key byte, an output's residue
+    r < _MOD, to draw's value at r. A key gives only x mod _MOD: a draw that
+    reads more of x, as a modulus that does not divide _MOD would, fails
+    here, at import, rather than draw wrong cells."""
+    cells = [draw(r) for r in range(_MOD)]
+    if cells != [draw(r + _MOD) for r in range(_MOD)]:
+        raise ValueError(f"a draw reads more of an output than x mod {_MOD}")
     return bytes(c if isinstance(c, int) else ord(c) for c in cells).ljust(256, b"\0")
 
 
@@ -372,8 +371,9 @@ def _case_loop(types: tuple, table_at: tuple, scalars: tuple):
 def _planned(tp: TypedProgram, sql):
     """The run's planned check, check(gen, cases, reference) (_case_loop
     over the compiled program's run and the query plan's raw), built once;
-    None when a FROM table is not a relation parameter, one result is a
-    scalar and the other records, or the result column types differ.
+    None when a FROM table is not a relation parameter, the query names a
+    parameter the program does not have, one result is a scalar and the
+    other records, or the result column types differ.
 
     The check decides what values_agree decides, from the raw values,
     after the column types were compared here. Drawn values are of their
@@ -385,19 +385,17 @@ def _planned(tp: TypedProgram, sql):
     if not all(t in relations for t in tables):
         return None
     plan = emit.query_plan(sql, tuple(relations[t] for t in tables))
+    names = tuple(p.name for p in tp.ast.params)
+    scalars = tuple(name for name in names if name not in relations)
+    if not plan.params.keys() <= set(scalars):
+        return None
     ex = interp.executor(tp)
     if isinstance(sql, emit.SqlScalar):
         if ex.result_schema is not None:
             return None
-    elif (
-        ex.result_schema is None
-        or plan.schema is None
-        or plan.schema.types != ex.result_schema.types
-    ):
+    elif ex.result_schema is None or plan.schema.types != ex.result_schema.types:
         return None
-    names = tuple(p.name for p in tp.ast.params)
     table_at = tuple(names.index(t) for t in tables)
-    scalars = tuple(name for name in names if name not in relations)
     check = _case_loop(_param_types(tp), table_at, scalars)
     return functools.partial(check, ex.run, plan.raw)
 

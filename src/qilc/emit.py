@@ -46,7 +46,7 @@ import re
 from typing import Optional, Union
 
 from . import tor
-from .codegen import AND, ATOM, CMP, NOT, OR, Source, infix, wrap
+from .codegen import AND, CMP, NOT, OR, Source, infix, wrap
 from .record import keep, record, too_deep
 from .relation import INT, OrderedRelation, Schema, SchemaError
 
@@ -646,32 +646,32 @@ class _Plan:
     """A query compiled against its sources' schemas, built once per (query,
     schemas) and kept on the query.
 
+    Every column, SELECT item and node is resolved here, and one that
+    cannot be raises here (UnknownTable, UnknownColumn, SchemaError), as
+    SQLite refuses to prepare such a query whatever the tables hold. params
+    are the scalar parameters the query names, in order; run raises
+    UnknownParam for a missing one before it reads a row.
+
     raw(rels, params), generated here (qilc.codegen), is run() over each
-    source's rows tuple without building the result relation: one
-    comprehension over the rows, left-major, with WHERE and the output
-    tuple or aggregate argument inline, then the aggregate or LIMIT. A
-    column, parameter or node that cannot be resolved is written as a call
-    that raises, so WHERE and aggregate arguments fail only on a row they
-    are evaluated on, as a tree walk would; a SELECT list that cannot be
-    resolved raises after WHERE and LIMIT.
+    source's rows tuple, given every parameter in params, without building
+    the result relation: one comprehension over the rows, left-major, with
+    WHERE and the output tuple or aggregate argument inline, then the
+    aggregate or LIMIT.
     """
 
     def __init__(self, q: Sql, schemas: tuple):
         self.q = q
         self.schemas = schemas
         self.schema = None
+        self.params = {}  # the parameters named, in order of first use
         self.src = Source()
         # a repeated alias names its last source
         self.slots = {s.alias: n for n, s in enumerate(q.sources)}
         where = "" if q.where is None else " if " + wrap(self._pred(q.where), OR)
-        error = None
         if isinstance(q, SqlScalar):
             item = "0" if q.arg is None else self._operand(q.arg, self.slots)
         else:
-            try:
-                self.schema, item = _select(q, self.slots, schemas)
-            except (UnknownTable, UnknownColumn, SchemaError) as exc:
-                item, error = "0", self._fail(type(exc), exc.args[0])
+            self.schema, item = _select(q, self.slots, schemas)
         line, sources = self.src.line, range(len(q.sources))
         line(0, "def raw(rels, params):")
         line(1, "".join(f"t{n}, " for n in sources) + "= rels")
@@ -685,21 +685,18 @@ class _Plan:
             if limit is not None:
                 k = self._operand(limit, {})
                 line(1, f"k = max({k}, 0)" if limit is not q.limit else f"k = {k}")
-            if error is not None:
-                line(1, error)
             line(1, "return out" if limit is None else "return out if k < 0 else out[:k]")
         self.raw = self.src.compile("<qilc query>")["raw"]
 
     def run(self, rels: list, params: dict):
         """The query's value over the relations of its FROM list."""
+        for name in self.params:
+            if name not in params:
+                raise UnknownParam(name)
         out = self.raw([rel.rows for rel in rels], params)
         if isinstance(self.q, SqlScalar):
             return out
         return OrderedRelation(self.schema, tuple(out))
-
-    def _fail(self, exc_type, arg) -> str:
-        const = self.src.const
-        return f"{const(_fail)}({const(exc_type)}, {const(arg)})"
 
     def _operand(self, o, slots: dict) -> str:
         """The code of one SQL operand, an atom over the sources' rows rN
@@ -709,14 +706,14 @@ class _Plan:
             if n is not None and o.name == RID:
                 return f"n{n}"
             if n is None or not self.schemas[n].has(o.name):
-                return self._fail(UnknownColumn, f"{o.alias}.{o.name}")
+                raise UnknownColumn(f"{o.alias}.{o.name}")
             return f"r{n}[{self.schemas[n].index_of(o.name)}]"
         if isinstance(o, (tor.IntConst, tor.TextConst)):
             return self.src.const(o.value)
         if isinstance(o, tor.ParamRef):
-            v = self.src.const(o.name, "v")
-            return f"(params[{v}] if {v} in params else {self._fail(UnknownParam, o.name)})"
-        return self._fail(SchemaError, f"not a SQL operand: {o!r}")
+            self.params[o.name] = None
+            return f"params[{self.src.const(o.name, 'v')}]"
+        raise SchemaError(f"not a SQL operand: {o!r}")
 
     def _pred(self, p) -> tuple:
         """The code of one SQL predicate."""
@@ -728,11 +725,7 @@ class _Plan:
             return infix(self._pred(p.left), word, self._pred(p.right), prec)
         if isinstance(p, tor.NotP):
             return f"not {wrap(self._pred(p.operand), NOT)}", NOT
-        return self._fail(SchemaError, f"not a SQL predicate: {p!r}"), ATOM
-
-
-def _fail(exc_type, arg):
-    raise exc_type(arg)
+        raise SchemaError(f"not a SQL predicate: {p!r}")
 
 
 def _select(q: SqlQuery, slots: dict, schemas: tuple) -> tuple:

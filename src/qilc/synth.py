@@ -542,30 +542,31 @@ def _search(tp: TypedProgram, options: Options):
         return Failure("exhausted", SynthStats(0, 0, 0, 0, 0, 0))
     started = time.monotonic()  # the timeout covers enumeration too
     cands = enumerate_candidates(tp, template, options.cost_bound)
-    results: list = []
+    tally = collections.Counter()  # candidates tried, by status, and their VCs and instances
     for idx, cand in enumerate(cands):
         if options.timeout and time.monotonic() - started > options.timeout:
-            return Failure("timeout", _stats(cands, results))
+            return Failure("timeout", _stats(cands, tally))
         invariants = derive_invariants(tp, cand)
-        results.append(verify.validate(tp, cand, invariants, options.bounds))
-        if results[-1].status == verify.VALID:
+        check = verify.validate(tp, cand, invariants, options.bounds)
+        tally.update({"tried": 1, check.status: 1, "vcs": check.vcs, "instances": check.instances})
+        if check.status == verify.VALID:
             post = dict(cand.posts)[tp.ast.result]
             result = tp.var_types[tp.ast.result]
             names = result[1].names if isinstance(result, tuple) else None
             sql = emit.to_sql(post, tp.relations, names)
-            stats = _stats(cands, results)
+            stats = _stats(cands, tally)
             return Solution(cand, invariants, emit.render(sql), idx, stats)
-    return Failure("exhausted", _stats(cands, results))
+    return Failure("exhausted", _stats(cands, tally))
 
 
-def _stats(cands: CandidateSpace, results: list) -> SynthStats:
-    """Statistics over the verdicts of the candidates tried so far."""
-    statuses = [r.status for r in results]
+def _stats(cands: CandidateSpace, tally: collections.Counter) -> SynthStats:
+    """Statistics over the verdicts of the candidates tried so far, from
+    their running tally."""
     return SynthStats(
         enumerated=len(cands),
-        tried=len(results),
-        rejected=statuses.count(verify.VIOLATED),
-        non_checkable=statuses.count(verify.NON_CHECKABLE),
-        vcs_checked=sum(r.vcs for r in results),
-        vc_instances=sum(r.instances for r in results),
+        tried=tally["tried"],
+        rejected=tally[verify.VIOLATED],
+        non_checkable=tally[verify.NON_CHECKABLE],
+        vcs_checked=tally["vcs"],
+        vc_instances=tally["instances"],
     )

@@ -113,6 +113,7 @@ def test_parse_domain_rejects_empty():
         ("--timeout", "-1", "must be finite and at least 0"),
         ("--timeout", "nan", "must be finite and at least 0"),
         ("--timeout", "inf", "must be finite and at least 0"),
+        ("--timeout", "x", "not a number: 'x'"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error(capsys, flag, value, reason):

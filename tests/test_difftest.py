@@ -146,12 +146,6 @@ def test_block_stream_follows_the_scalar_recurrence(seed):
 # --- the packed residues the block reader maps to cells ---------------------
 
 
-def _key_residue(key: int) -> int:
-    """The x in 0..29 that key byte 2t + (x mod 2), t = x mod 15, stands for."""
-    t, low = key >> 1, key & 1
-    return next(x for x in range(30) if x % 15 == t % 15 and x % 2 == low)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345])
 def test_key_tables_give_the_documented_draw_of_every_output(seed):
     keyed, taken = SplitMix64(seed), SplitMix64(seed)
@@ -171,7 +165,7 @@ def _uncached_keys(gen: SplitMix64) -> tuple:
     """keys() without the block memo: the key bytes and the state after."""
     start = gen.state
     after = (start + difftest.BLOCK * 0x9E3779B97F4A7C15) % 2**64
-    return difftest._fold(difftest._mix(start)), after
+    return difftest._residues(difftest._mix(start)), after
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -202,20 +196,28 @@ def test_block_memo_holds_at_most_its_bound():
     difftest._block_keys.cache_clear()
 
 
-def test_fold_gives_each_lane_mod_30_at_the_extremes():
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345])
+def test_keys_are_each_output_mod_30_at_aligned_and_unaligned_states(seed):
+    keyed, taken = SplitMix64(seed), SplitMix64(seed)
+    for step in (0, 0, 1, 700, 3):  # outputs read by next() before keys()
+        for gen in (keyed, taken):
+            gen.take(step)
+        assert keyed.keys() == bytes(x % 30 for x in taken.take(difftest.BLOCK))
+        assert keyed.state == taken.state
+
+
+def test_residues_give_each_lane_mod_30_at_the_extremes():
     edges = (0, 2**64 - 1, 0xF0F0F0F0F0F0F0F0, 0x0F0F0F0F0F0F0F0F, 1, 15, 2**64 - 16)
     words = [edges[k % len(edges)] for k in range(difftest.BLOCK)]
     lanes = int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
-    keys = difftest._fold(lanes)
-    assert len(keys) == difftest.BLOCK and max(keys) < 60
-    assert [_key_residue(k) for k in keys] == [w % 30 for w in words]
+    assert list(difftest._residues(lanes)) == [w % 30 for w in words]
 
 
 def test_a_mapping_that_reads_more_than_x_mod_30_is_refused():
     for draw in difftest._DRAW.values():  # their tables were built at import
         assert all(draw(x) == draw(x % 30) for x in (2**64 - 1, 12345, 0xF0F0F0F0F0F0F0F0))
     table = difftest._table(lambda x: x % 10)
-    assert [table[2 * (x % 15) + x % 2] for x in range(60)] == [x % 10 for x in range(60)]
+    assert [table[x % 30] for x in range(60)] == [x % 10 for x in range(60)]
     with pytest.raises(ValueError):
         difftest._table(lambda x: x % 7)  # 7 does not divide 30
     with pytest.raises(ValueError):

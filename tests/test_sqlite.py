@@ -11,8 +11,9 @@ prefix bounds past the relation size are all common.
 The same check runs on a program named with Python keywords and builtins,
 and on programs that rename output fields, whose result columns SQLite must
 name as the program does.
-MiniDb is checked against SQLite on both LIMIT forms, and the SQLite
-keywords the type checker refuses as names against SQLite itself.
+MiniDb is checked against SQLite on both LIMIT forms and on which queries
+it refuses, and the SQLite keywords the type checker refuses as names
+against SQLite itself.
 """
 
 import json
@@ -188,6 +189,46 @@ def test_limit_forms_agree_with_sqlite_and_round_trip(clamped):
                 want = tuple(r[1:] for r in conn.execute(text, params).fetchall())
                 db.params = params
                 assert eval_sql(query, db).rows == want, text
+    finally:
+        conn.close()
+
+
+# --- MiniDb refuses a query exactly when SQLite does -------------------------
+
+REFUSAL_PROBES = (
+    "SELECT R.* FROM R WHERE R.c > 1 ORDER BY R.rid",
+    "SELECT MIN(R.c) FROM R",
+    "SELECT R.* FROM R WHERE R.a > 9 AND R.c > 1 ORDER BY R.rid",
+    "SELECT R.* FROM R WHERE R.a < 9 OR R.c > 1 ORDER BY R.rid",
+    "SELECT R.* FROM R WHERE R.a = :k ORDER BY R.rid",
+    "SELECT R.c FROM R WHERE R.a > 9 ORDER BY R.rid",
+    "SELECT R.b AS x FROM R WHERE R.a > 9 ORDER BY R.rid",
+    "SELECT R.* FROM R WHERE R.a > 9 ORDER BY R.rid",
+    "SELECT MIN(R.a) FROM R",
+    "SELECT R.* FROM R WHERE R.a = :j ORDER BY R.rid",
+)
+
+
+@pytest.mark.parametrize("rows", [(), ((1, "x"), (3, "y"))], ids=["empty", "rows"])
+def test_minidb_refuses_a_query_exactly_when_sqlite_does(rows):
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE R (rid INTEGER, a INTEGER, b TEXT)")
+    conn.executemany("INSERT INTO R VALUES (?, ?, ?)", [(n, *r) for n, r in enumerate(rows)])
+    relation = OrderedRelation(Schema((("a", INT), ("b", "text"))), rows)
+    db = MiniDb.from_values({"R": relation, "j": 1})
+    try:
+        for text in REFUSAL_PROBES:
+            try:
+                conn.execute(text, {"j": 1}).fetchall()
+                sqlite_refuses = False
+            except sqlite3.Error:
+                sqlite_refuses = True
+            try:
+                eval_sql(parse_sql(text), db)
+                minidb_refuses = False
+            except KeyError:  # UnknownTable, UnknownColumn, UnknownParam
+                minidb_refuses = True
+            assert minidb_refuses == sqlite_refuses, text
     finally:
         conn.close()
 

@@ -281,6 +281,23 @@ def test_finished_program_is_not_kept_by_synth():
     assert nodes() == before
 
 
+def test_the_search_keeps_no_earlier_verdicts(monkeypatch):
+    """The search tallies each verdict and drops it: when the verifier is
+    called, at most the previous candidate's result is still alive."""
+    real, seen, alive = verify.validate, [], []
+
+    def validate(*args):
+        alive.append(sum(ref() is not None for ref in seen))
+        result = real(*args)
+        seen.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(verify, "validate", validate)
+    sol = synthesize(load_benchmark("join_select_project"))
+    assert isinstance(sol, Solution) and sol.stats.tried == len(alive) == 1661
+    assert max(alive) <= 1
+
+
 @pytest.mark.parametrize("name,options", [
     ("equi_join", Options()),
     ("selection", Options(cost_bound=2)),
