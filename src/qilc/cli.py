@@ -89,7 +89,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_synth_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cost-bound", type=int, default=24, metavar="N")
+    sub.add_argument("--cost-bound", type=_int_at_least(0), default=24, metavar="N")
     sub.add_argument("--rel-bound", type=_int_at_least(0), default=3, metavar="B")
     sub.add_argument("--int-domain", type=_parse_domain, default=(0, 1, 2), metavar="D")
     sub.add_argument("--cases", type=_int_at_least(0), default=1000, metavar="N")

@@ -502,15 +502,18 @@ def parse(source: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-@record(loose="node")
+@record(loose="node prefix suffix")
 class LoopInfo:
-    """One loop of the (at most two deep) nest, outermost first; == and
-    hash ignore its For node."""
+    """One loop of the (at most two deep) nest, outermost first. prefix and
+    suffix are the outer body's statements before and after an inner loop
+    (empty for the top-level loop); == and hash ignore them and the For."""
 
     index: str
     rel: str
     breaks: bool  # the body ends in a guarded break
     node: For
+    prefix: tuple
+    suffix: tuple
 
 
 class TypedProgram:
@@ -574,6 +577,10 @@ class _Checker:
             self.var_types[p.name] = ("rel", p.ty) if isinstance(p.ty, Schema) else p.ty
             if isinstance(p.ty, Schema):
                 self.check_sql_names(p.name, p.ty.names, p.loc, relation=True)
+                fields = [(f, p.loc) for f in p.ty.names]
+                self.check_sql_case("field", fields, f" of {p.name!r}")
+        relations = [(p.name, p.loc) for p in ast.params if isinstance(p.ty, Schema)]
+        self.check_sql_case("relation", relations)
         for d in ast.decls:
             if d.name in self.var_types:
                 self.issue(f"{d.name!r} is already declared", d.loc)
@@ -590,6 +597,9 @@ class _Checker:
                     if d.init is None:
                         self.issue("none initializer is only for int accumulators", d.loc)
                     self.var_types[d.name] = "text"
+                got = "text" if isinstance(d.init, str) else "int"
+                if d.init is not None and got != d.base:
+                    self.issue(f"cannot initialize {d.name!r} ({d.base}) with {got}", d.loc)
 
         pre_loop = self.check_toplevel(ast.body)
 
@@ -622,6 +632,21 @@ class _Checker:
             if f.upper() in reserved or f.lower() == RID:
                 self.issue(f"field name {f!r} of {name!r} is reserved in the emitted SQL", loc)
 
+    def check_sql_case(self, kind: str, named, of: str = "") -> None:
+        """SQL reads table and column names without regard to letter case
+        (SQLite does), so no two of the (name, loc) pairs may name the
+        same. Scalar parameters are bound as :name, which SQLite reads
+        case-sensitively, so they are not checked."""
+        seen = {}
+        for name, loc in named:
+            first = seen.setdefault(name.lower(), name)
+            if first != name:
+                self.issue(
+                    f"{kind} names {first!r} and {name!r}{of} differ only in letter case, "
+                    "which SQL ignores",
+                    loc,
+                )
+
     def check_toplevel(self, body: tuple) -> tuple:
         """The program body: simple statements, then exactly one loop."""
         loop_seen = False
@@ -632,7 +657,7 @@ class _Checker:
                     self.issue("only one top-level loop is allowed", st.loc)
                     continue
                 loop_seen = True
-                self.check_loop(st, depth=1)
+                self.check_loop(st, 1, (), ())
             elif loop_seen:
                 self.issue("statements after the top-level loop are not allowed", st.loc)
             else:
@@ -647,7 +672,7 @@ class _Checker:
             self.issue("program must contain a loop", self.ast.loc)
         return tuple(pre)
 
-    def check_loop(self, st: For, depth: int) -> None:
+    def check_loop(self, st: For, depth: int, prefix: tuple, suffix: tuple) -> None:
         if depth > 2:
             self.issue("loops nest at most two deep", st.loc)
             return
@@ -664,7 +689,7 @@ class _Checker:
         self.var_types[st.index] = "index"
         self.loop_rel[st.index] = st.rel
         breaks = any(isinstance(s, If) and self.is_guarded_break(s) for s in st.body)
-        self.loops.append(LoopInfo(st.index, st.rel, breaks, st))
+        self.loops.append(LoopInfo(st.index, st.rel, breaks, st, prefix, suffix))
         self.check_body(st.body, depth)
 
     def check_body(self, body: tuple, depth: int, under_if: bool = False) -> None:
@@ -676,7 +701,7 @@ class _Checker:
                 if under_if:
                     self.issue("loops may not appear under a conditional", st.loc)
                 else:
-                    self.check_loop(st, depth + 1)
+                    self.check_loop(st, depth + 1, body[:pos], body[pos + 1 :])
             elif isinstance(st, Break):
                 self.issue(
                     "break must be the last statement of the loop body"

@@ -72,12 +72,8 @@ class Executor:
         result = next(d for d in prog.ast.decls if d.name == prog.ast.result)
         self.result_schema = result.schema if isinstance(result, F.ListDecl) else None
         blocks = [prog.pre_loop]
-        for info in prog.loops:
-            body = info.node.body
-            blocks.append(body)
-            for at, st in enumerate(body):
-                if isinstance(st, F.For):  # the statements around an inner loop
-                    blocks += [body[:at], body[at + 1 :]]
+        for l in prog.loops:
+            blocks += [l.prefix, l.node.body, l.suffix]
         writer = _Writer(prog)
         writer.run(self._decls)
         names = {stmts: f"b{n}" for n, stmts in enumerate(dict.fromkeys(blocks)) if stmts}
@@ -122,14 +118,6 @@ def run(prog: F.TypedProgram, inputs: dict):
 # ---------------------------------------------------------------------------
 
 
-def _statements(stmts: tuple):
-    """stmts and the statements in their loops and ifs, in pre-order."""
-    for st in stmts:
-        yield st
-        if isinstance(st, (F.For, F.If)):
-            yield from _statements(st.body)
-
-
 class _Writer:
     """Writes a program's run and blocks as the functions of one module. The
     program's name number N is the global vN and the local xN; a loop's
@@ -160,7 +148,7 @@ class _Writer:
         """def fname(store): load the names stmts use, run stmts, write
         back, say whether a break fired. Every loop of stmts has run when
         it returns, and its index leaves the store."""
-        nodes = list(_statements(stmts))
+        nodes = list(F.walk(stmts))
         own = [n.index for n in nodes if isinstance(n, F.For)]
         assigned = dict.fromkeys(n.target for n in nodes if isinstance(n, F.Assign))
         key, self.used = self.src.const, {}

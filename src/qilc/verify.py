@@ -1,6 +1,8 @@
 """Bounded inductive verification of candidate invariants.
 
-A candidate is validated by discharging verification conditions:
+A candidate is validated by discharging verification conditions, which
+one table, _NEST, lists in check order with what each reads and the
+deciders tried on it:
 
     single loop i over R     Initiation(i), Preservation(i),
                              BreakExit(i) when the body can break, Exit(i)
@@ -17,15 +19,17 @@ an iteration breaks, the postcondition holds in the resulting store.
 
 Each condition is checked over every instance in bounded domains: relation
 contents up to rel_size rows with fields drawn from int_domain/text_domain,
-scalar parameters drawn from the same domains, and every in-range index
-assignment. Enumeration order is fixed: parameters in declaration order,
+scalar parameters drawn from the same domains, and every index assignment
+of _index_ranges (0 at Initiation, the size at Exit, each row position
+otherwise). Enumeration order is fixed: parameters in declaration order,
 relation sizes ascending with row tuples in lexicographic order (earlier
 rows more significant, fields cycling int_domain/text_domain order), index
 ranges ascending. The checker counts every enumerated instance; the count
-must equal the analytic value of instance_count, which is how tests detect
-accidental pruning. The store at the assumed index is reconstructed by
-evaluating the invariant equalities, so the premise holds by construction
-and each instance costs one body execution plus one comparison.
+must equal the analytic value of instance_count, read off the same ranges,
+which is how tests detect accidental pruning. The store at the assumed
+index is reconstructed by evaluating the invariant equalities, so the
+premise holds by construction and each instance costs one body execution
+plus one comparison.
 
 A candidate whose constants fall outside the bounded domains cannot be
 meaningfully checked and is reported NonCheckable, as is any program that
@@ -44,23 +48,23 @@ The search checks thousands of candidates of one program and rejects most
 at their first failing VC. So what does not depend on the candidate is
 built once per (TypedProgram, Bounds), as the plan (_Plan, kept on the
 program; synthesize drops it on return) that validate walks: the VCs in
-gen_vcs order, each with its analytic count, the invariant and post groups
-it reads and its deciders; the compiled statement blocks, the split of the
-outer body around the inner loop, the prover's body paths and the body's
-half of the row-local premise; the program's own NonCheckable reason; and,
-when first asked, the sweep's first input with its loop-head store and the
-row scan's inputs. Per candidate (_Checker) come an uncompiled _VarRecon
-per post and invariant equality and, when a decider first asks, whether
-the invariants are the derived ones and each update matches its post. Per
-VC (_ready) come the closures of the groups it reads, so a candidate
-rejected at its first checked VC compiles nothing else; a subterm that
-candidates share is compiled once, since tor keeps each node's closure on
-the node.
+_NEST order, each with its analytic count, the invariant and post groups
+it reads, its deciders and its index ranges; the compiled statement blocks
+(the statements around the inner loop come from LoopInfo), the prover's
+body paths and the body's half of the row-local premise; the program's own
+NonCheckable reason; and, when first asked, the sweep's first input with
+its loop-head store and the row scan's inputs. Per candidate (_Checker)
+come an uncompiled _VarRecon per post and invariant equality and, when a
+decider first asks, whether the invariants are the derived ones and each
+update matches its post. Per VC (_ready) come the closures of the groups
+it reads, so a candidate rejected at its first checked VC compiles nothing
+else; a subterm that candidates share is compiled once, since tor keeps
+each node's closure on the node.
 
 Sweeping every instance one at a time is the semantic definition, but it
 is wasteful for the invariant family the synthesizer derives. So run_vc
-first tries the deciders that the plan lists for the VC (from _DECIDERS),
-in order; the first whose premise holds settles it, the sweep decides the
+first tries the deciders that the plan lists for the VC (from _NEST), in
+order; the first whose premise holds settles it, the sweep decides the
 rest, and run_vc returns the name of what settled the VC with its
 instance count and counterexample:
 
@@ -83,19 +87,20 @@ instance count and counterexample:
 
 The row-local scan (_row_scan) runs one iteration of the innermost loop
 per combination of one row of each loop's relation and the scalar
-parameter values, from the empty prefix: R = [row] at i = 0 for a single
-loop, R = [rl] and S = [rs] at i = j = 0 for a nested one. Its premise:
-the invariants are the mechanical derivation from the posts, no post has a
-Top, and a single loop's posts are Sel/Proj steps, under at most one Agg,
-over the scanned relation itself (a Join base reads all of a second
-relation); the body has no break, its guards and the values it appends or
-folds read only parameters and the current rows, and every update matches
-its variable's post: Append only for a relation post, Add only for sum and
-count, MinMax(op) only for an Agg of op. Then the change an iteration
-makes and the change the invariant expects are both functions of that one
-combination (lemmas L1-L3 in axioms.LEMMA_CHECKS, with A3 and A6), and the
-update cancels the prefix, so the scan decides every preservation
-instance.
+parameter values, from the empty prefix: each row goes in its relation
+after those of earlier loops over it, at its loop's index (R = [rl],
+S = [rs] at i = j = 0; R = [rl, rs] at i = 0, j = 1 for a self-join). Its
+premise: the invariants are the mechanical derivation from the posts, no
+post has a Top, and a single loop's posts are Sel/Proj steps, under at
+most one Agg, over the scanned relation itself (a Join base reads all of a
+second relation); the body has no break, its guards and the values it
+appends or folds read only parameters and the current rows, and every
+update matches its variable's post: Append only for a relation post, Add
+only for sum and count, MinMax(op) only for an Agg of op. Then the change
+an iteration makes and the change the invariant expects are both functions
+of that one combination (lemmas L1-L3 in axioms.LEMMA_CHECKS, with A3 and
+A6), and the update cancels the prefix, so the scan decides every
+preservation instance.
 
 The prover (_proves) takes a single loop's Preservation or BreakExit with
 the invariants as given, derived or hand-written, and proves it for every
@@ -137,6 +142,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Optional
 
 from . import interp, tor
@@ -248,23 +254,54 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
+# Each nest's VCs by loop count, in check order, as (kind, loop position,
+# the groups its check reads: a loop position for its invariants or None for
+# the posts, its deciders in the order tried). BreakExit is a VC only of a
+# loop that breaks. The decider named n-m is _Checker._decide_n_m.
+_NEST = {
+    1: (
+        (INITIATION, 0, (0,), ("init-const",)),
+        (PRESERVATION, 0, (0,), ("prover", "row-scan")),
+        (BREAK_EXIT, 0, (0, None), ("prover",)),
+        (EXIT, 0, (0, None), ("exit-identity",)),
+    ),
+    2: (
+        (INITIATION, 0, (0,), ("init-const",)),
+        (INITIATION, 1, (1, 0), ("inner-init-identity",)),
+        (PRESERVATION, 1, (1,), ("row-scan",)),
+        (EXIT, 1, (1, 0), ("inner-exit-identity",)),
+        (PRESERVATION, 0, (0,), ("row-scan",)),
+        (EXIT, 0, (0, None), ("exit-identity",)),
+    ),
+}
+
+
+def _nest(tp: TypedProgram):
+    """(vc, reads, deciders) for each VC of the program, in check order:
+    reads names each group by its loop's index, the posts by None."""
+    loops = tp.loops
+    for kind, at, reads, deciders in _NEST[len(loops)]:
+        if kind != BREAK_EXIT or loops[at].breaks:
+            groups = tuple(None if g is None else loops[g].index for g in reads)
+            yield VC(kind, loops[at].index), groups, deciders
+
+
 def gen_vcs(tp: TypedProgram) -> tuple:
-    outer = tp.loops[0]
-    if len(tp.loops) == 1:
-        vcs = [VC(INITIATION, outer.index), VC(PRESERVATION, outer.index)]
-        if outer.breaks:
-            vcs.append(VC(BREAK_EXIT, outer.index))
-        vcs.append(VC(EXIT, outer.index))
-        return tuple(vcs)
-    inner = tp.loops[1]
-    return (
-        VC(INITIATION, outer.index),
-        VC(INITIATION, inner.index),
-        VC(PRESERVATION, inner.index),
-        VC(EXIT, inner.index),
-        VC(PRESERVATION, outer.index),
-        VC(EXIT, outer.index),
-    )
+    return tuple(vc for vc, _, _ in _nest(tp))
+
+
+_VALUES = {INITIATION: lambda n: (0,), EXIT: lambda n: (n,)}
+
+
+def _index_ranges(vc: VC, loops) -> tuple:
+    """(index, relation, values) for each index vc assigns, outermost
+    first: values(n) gives the index's values when its relation has n
+    rows. vc's own index is 0 at Initiation and n at Exit; it and every
+    index around it take each row position otherwise."""
+    at = [l.index for l in loops].index(vc.loop)
+    ranges = [(l.index, l.rel, range) for l in loops[: at + 1]]
+    ranges[at] = (vc.loop, loops[at].rel, _VALUES.get(vc.kind, range))
+    return tuple(ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +329,32 @@ def relation_values(schema: Schema, bounds: Bounds) -> tuple:
     return tuple(values)
 
 
+@functools.cache
+def _assignments(ranges: tuple, sizes: tuple) -> tuple:
+    """A VC's index assignments in sweep order, from its _index_ranges and
+    the sizes of their relations; shared, so no check may mutate them."""
+    names = [index for index, _, _ in ranges]
+    values = [v(n) for (_, _, v), n in zip(ranges, sizes)]
+    return tuple(dict(zip(names, a)) for a in itertools.product(*values))
+
+
 def instance_count(vc: VC, tp: TypedProgram, bounds: Bounds) -> int:
-    """Analytic number of instances the sweep for vc must enumerate."""
-    outer = tp.loops[0]
-    params = tp.ast.params
-    rel_params = [p for p in params if isinstance(p.ty, Schema)]
-    scalars = 1
-    for p in params:
-        if p.ty == INT:
-            scalars *= len(bounds.int_domain)
-        elif isinstance(p.ty, str):
-            scalars *= len(bounds.text_domain)
-    total = 0
-    for sizes in itertools.product(
-        range(bounds.rel_size + 1), repeat=len(rel_params)
-    ):
-        mult = 1
-        size_of = {}
-        for p, s in zip(rel_params, sizes):
-            mult *= len(_row_domain(p.ty, bounds)) ** s
-            size_of[p.name] = s
-        factor = 1
-        if vc.loop == outer.index:
-            if vc.kind in (PRESERVATION, BREAK_EXIT):
-                factor = size_of[outer.rel]
+    """Analytic number of instances the sweep for vc must enumerate: a
+    product over the parameters, where a relation's factor sums, over its
+    sizes n, its instances of n rows times the values (_index_ranges) of
+    each index over it."""
+    ranges = _index_ranges(vc, tp.loops)
+    total = 1
+    for p in tp.ast.params:
+        if isinstance(p.ty, Schema):
+            rows = len(_row_domain(p.ty, bounds))
+            total *= sum(
+                rows**n * math.prod(len(v(n)) for _, rel, v in ranges if rel == p.name)
+                for n in range(bounds.rel_size + 1)
+            )
         else:
-            factor = size_of[outer.rel]
-            if vc.kind in (PRESERVATION, BREAK_EXIT):
-                factor *= size_of[tp.loops[1].rel]  # the inner loop's relation
-        total += mult * factor
-    return total * scalars
+            total *= len(bounds.int_domain if p.ty == INT else bounds.text_domain)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -549,34 +582,27 @@ class _Plan:
         self.scalar_names = tuple(p.name for p in params if not isinstance(p.ty, Schema))
         self.int_params = tuple(p.name for p in params if p.ty == INT)
         if nested:
-            body = outer.node.body
-            at = next(i for i, s in enumerate(body) if s is inner.node)
-            self.prefix = body[:at]
-            self.suffix = body[at + 1 :]
-            self.run_prefix = ex.block(self.prefix)
-            self.run_suffix = ex.block(self.suffix)
+            self.run_prefix = ex.block(inner.prefix)
+            self.run_suffix = ex.block(inner.suffix)
             self.run_inner = ex.block(inner.node.body)
         self.updates = self.accumulator_updates(tp.loops[-1].node.body)
         self.reason = ""
         if nested and any(l.breaks for l in tp.loops):
             self.reason = "break inside a nested loop is outside the checkable fragment"
-        # each VC's (count, reads, deciders): its instance_count, the groups
-        # _Checker._ready compiles for it (a loop's index names its
-        # invariants, None the posts) and the (name, method) pairs to try
+        self.placed = {}  # relation -> the positions of the loops over it (scan)
+        for at, l in enumerate(tp.loops):
+            self.placed.setdefault(l.rel, []).append(at)
+        # each VC's (count, reads, deciders, ranges): its instance_count, the
+        # groups _Checker._ready compiles for it, the (name, method) pairs
+        # to try, and its _index_ranges
         self.steps = {}
-        for vc in gen_vcs(tp):
-            on_outer = vc.loop == outer.index
-            if on_outer and vc.kind in (EXIT, BREAK_EXIT):
-                reads = (vc.loop, None)
-            elif not on_outer and vc.kind != PRESERVATION:
-                reads = (vc.loop, outer.index)
-            else:
-                reads = (vc.loop,)
+        for vc, reads, names in _nest(tp):
             deciders = tuple(
                 (name, getattr(_Checker, "_decide_" + name.replace("-", "_")))
-                for name in _DECIDERS[nested, on_outer, vc.kind]
+                for name in names
             )
-            self.steps[vc] = instance_count(vc, tp, bounds), reads, deciders
+            ranges = _index_ranges(vc, tp.loops)
+            self.steps[vc] = instance_count(vc, tp, bounds), reads, deciders, ranges
 
     def entry(self, inputs: dict) -> dict:
         """The store at the loop head: declared locals, then the pre-loop
@@ -613,36 +639,26 @@ class _Plan:
     def scan(self) -> tuple:
         """(vc, indices, inputs) of the row-local scan: vc is the innermost
         loop's Preservation, and the inputs combine one row of each loop's
-        relation with the scalar parameter values (R = [rl, rs] at i = 0,
-        j = 1 when both loops scan R), relation parameters no loop scans
-        are empty, and no check may mutate them."""
-        bounds = self.bounds
-        loops = self.tp.loops
+        relation, placed after those of earlier loops over it (R = [rl, rs]
+        at i = 0, j = 1 when both loops scan R), with the scalar parameter
+        values; relations no loop scans are empty. No check may mutate them."""
+        loops, relations = self.tp.loops, self.tp.relations
         vc = VC(PRESERVATION, loops[-1].index)
-        scanned = [(l.rel, self.tp.relations[l.rel]) for l in loops]
+        indices = {l.index: self.placed[l.rel].index(at) for at, l in enumerate(loops)}
         others = {
-            p.name: OrderedRelation(p.ty, ())
-            for p in self.tp.ast.params
-            if isinstance(p.ty, Schema) and p.name not in dict(scanned)
+            name: OrderedRelation(sch, ())
+            for name, sch in relations.items()
+            if name not in self.placed
         }
         domains = [self.values(self.tp.var_types[n]) for n in self.scalar_names]
-        same = self.inner is not None and self.inner.rel == self.outer.rel
-        if same:
-            indices = {self.outer.index: 0, self.inner.index: 1}
-        else:
-            indices = {l.index: 0 for l in loops}
         all_inputs = []
         for *rows, sc in itertools.product(
-            *[_row_domain(sch, bounds) for _, sch in scanned],
+            *[_row_domain(relations[l.rel], self.bounds) for l in loops],
             tuple(itertools.product(*domains)),
         ):
             inputs = dict(zip(self.scalar_names, sc), **others)
-            if same:
-                rel, sch = scanned[0]
-                inputs[rel] = OrderedRelation(sch, tuple(rows))
-            else:
-                for (rel, sch), row in zip(scanned, rows):
-                    inputs[rel] = OrderedRelation(sch, (row,))
+            for rel, ats in self.placed.items():
+                inputs[rel] = OrderedRelation(relations[rel], tuple(rows[at] for at in ats))
             all_inputs.append(inputs)
         return vc, indices, tuple(all_inputs)
 
@@ -794,15 +810,13 @@ class _Checker:
         from . import synth  # import here: synth imports this module
 
         posts = self.candidate.posts
-        rel_size = self.plan.bounds.rel_size
+        # the bound holds the most rows the scan puts in one relation
+        if self.plan.bounds.rel_size < max(map(len, self.plan.placed.values())):
+            return False
         if self.inner is None:
-            if rel_size < 1:
-                return False
             oi, rel = self.outer.index, self.outer.rel
             if not all(_row_wise(e, rel, oi) for _, e in posts):
                 return False
-        elif rel_size < (2 if self.outer.rel == self.inner.rel else 1):
-            return False
         if any(tor.facts(e).has_top for _, e in posts):
             return False
         try:
@@ -901,7 +915,7 @@ class _Checker:
 
     # -- the deciders -------------------------------------------------------------
     #
-    # Each is one entry of _DECIDERS. It checks its own premise and returns
+    # Each is named in _NEST. It checks its own premise and returns
     # a verdict: None when the premise does not hold and the next decider or
     # the sweep must decide, VALID, which run_vc reports with the VC's
     # analytic count from the plan, or a violation as (instances checked,
@@ -977,18 +991,18 @@ class _Checker:
         # The finished part of the inner invariant is the outer invariant
         # expression and the running part starts empty, so with nothing
         # between the loop heads the condition is an identity.
-        return VALID if self._derived and not self.plan.prefix else None
+        return VALID if self._derived and not self.inner.prefix else None
 
     def _decide_inner_exit_identity(self, vc: VC):
         # At j = |S| the running part has consumed all of S, which is
         # exactly the outer invariant's increment from i to i+1.
-        return VALID if self._derived and not self.plan.suffix else None
+        return VALID if self._derived and not self.inner.suffix else None
 
     def _decide_row_scan(self, vc: VC):
         if self.inner is not None and vc.loop == self.outer.index:
             # Preservation(i) runs the whole outer body, which the scan of
             # the inner body covers only when nothing is around the loop
-            if self.plan.prefix or self.plan.suffix:
+            if self.inner.prefix or self.inner.suffix:
                 return None
         if not self._row_local:
             return None
@@ -1087,36 +1101,12 @@ class _Checker:
 
     # -- the sweep --------------------------------------------------------------
 
-    def _assignments(self, vc: VC, inputs: dict):
-        """The index assignments of vc for one input, in sweep order."""
-        oi = self.outer.index
-        size = inputs[self.outer.rel].size
-        if vc.loop == oi:
-            if vc.kind == INITIATION:
-                yield {oi: 0}
-            elif vc.kind == EXIT:
-                yield {oi: size}
-            else:
-                for i in range(size):
-                    yield {oi: i}
-            return
-        ij = self.inner.index
-        isize = inputs[self.inner.rel].size
-        for i in range(size):
-            if vc.kind == INITIATION:
-                yield {oi: i, ij: 0}
-            elif vc.kind == EXIT:
-                yield {oi: i, ij: isize}
-            else:
-                for j in range(isize):
-                    yield {oi: i, ij: j}
-
     def run_vc(self, vc: VC):
         """(decider, instances, counterexample-or-None): the first of vc's
         deciders in the plan that answers, else the sweep. fast=False
         skips the deciders."""
         if self.fast:
-            count, _, deciders = self.plan.steps[vc]
+            count, _, deciders, _ = self.plan.steps[vc]
             for name, decide in deciders:
                 verdict = decide(self, vc)
                 if verdict == VALID:
@@ -1124,31 +1114,16 @@ class _Checker:
                 if verdict is not None:
                     return (name, *verdict)
         self._ready(vc)
+        ranges = self.plan.steps[vc][3]
         count = 0
         for inputs, store0 in self.plan.sweep_inputs():
-            for indices in self._assignments(vc, inputs):
+            sizes = tuple([inputs[rel].size for _, rel, _ in ranges])
+            for indices in _assignments(ranges, sizes):
                 count += 1
                 cex = self.check(vc, inputs, store0, indices)
                 if cex is not None:
                     return "sweep", count, cex
         return "sweep", count, None
-
-
-# What may settle each VC before the sweep, tried in order, keyed by
-# (nested, on the outer loop, VC kind); see the module docstring. The
-# decider named n-m is _Checker._decide_n_m.
-_DECIDERS = {
-    (False, True, INITIATION): ("init-const",),
-    (False, True, PRESERVATION): ("prover", "row-scan"),
-    (False, True, BREAK_EXIT): ("prover",),
-    (False, True, EXIT): ("exit-identity",),
-    (True, True, INITIATION): ("init-const",),
-    (True, False, INITIATION): ("inner-init-identity",),
-    (True, False, PRESERVATION): ("row-scan",),
-    (True, False, EXIT): ("inner-exit-identity",),
-    (True, True, PRESERVATION): ("row-scan",),
-    (True, True, EXIT): ("exit-identity",),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,7 @@ def test_parse_domain_rejects_empty():
         ("--int-domain", "1,x", "not an int: 'x'"),
         ("--int-domain", "0..b", "not an int: 'b'"),
         ("--cases", "-1", "must be at least 0"),
+        ("--cost-bound", "-1", "must be at least 0"),
         ("--rel-bound", "-1", "must be at least 0"),
         ("--timeout", "-1", "must be finite and at least 0"),
         ("--timeout", "nan", "must be finite and at least 0"),
@@ -274,6 +275,39 @@ def test_synth_type_error(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["status"] == "error"
     assert rep["reason"].startswith("type error:")
+
+
+# a scalar initialized with the other type: the parent accepted both, synth
+# then searched to exhaustion, and replay raised a TypeError at c = c + 1 or
+# returned the int 5 for a text result
+BAD_INITIALIZERS = {
+    "c": ('int = "x"', "c = c + 1;", "cannot initialize 'c' (int) with text"),
+    "t": ("text = 5", "out.append(R[i]);", "cannot initialize 't' (text) with int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INITIALIZERS))
+def test_an_initializer_of_the_other_type_is_a_type_error(capsys, tmp_path, bindings_file, name):
+    decl, stmt, message = BAD_INITIALIZERS[name]
+    path = tmp_path / "init.qil"
+    path.write_text(
+        "fn f(R: rel(a: int, b: text)) {\n"
+        f"    var {name}: {decl};\n"
+        "    var out: list(a: int, b: text);\n"
+        "    for i in 0 .. size(R) {\n"
+        f"        {stmt}\n"
+        "    }\n"
+        f"    return {name};\n"
+        "}\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "synth", str(path), "--cases", "10")
+    rep = json.loads(out)
+    assert (code, rep["status"]) == (1, "error")
+    assert rep["reason"] == f"type error: 2:5: {message}"
+    code, out, err = run_cli(capsys, "replay", str(path), "--input", bindings_file)
+    assert (code, out) == (1, "")
+    assert err == f"qilc: 2:5: {message}\n"
 
 
 def test_synth_missing_file(capsys, tmp_path):

@@ -307,6 +307,61 @@ def test_names_the_emitted_sql_cannot_carry_are_type_errors(rel, schema, message
     assert [(i.message, i.line, i.col) for i in err.value.issues] == [(message, 1, 14)]
 
 
+# SQLite reads table and column names case-insensitively: it refuses the
+# join of r and R (ambiguous column name: r.a), and reads R.A < R.a as one
+# column compared with itself; MiniDb told the names apart
+CASE_CLASHES = {
+    "relations": (
+        """fn cc(r: rel(a: int), R: rel(a: int)) {
+    var out: list(a: int);
+    for i in 0 .. size(r) {
+        for j in 0 .. size(R) {
+            if r[i].a == R[j].a {
+                out.append({a: r[i].a});
+            }
+        }
+    }
+    return out;
+}""",
+        ("relation names 'r' and 'R' differ only in letter case, which SQL ignores", 1, 23),
+    ),
+    "fields": (
+        """fn ff(R: rel(a: int, A: int)) {
+    var out: list(a: int, A: int);
+    for i in 0 .. size(R) {
+        if R[i].a > R[i].A {
+            out.append(R[i]);
+        }
+    }
+    return out;
+}""",
+        ("field names 'a' and 'A' of 'R' differ only in letter case, which SQL ignores", 1, 7),
+    ),
+}
+
+
+@pytest.mark.parametrize("clash", sorted(CASE_CLASHES))
+def test_names_sql_reads_as_one_are_type_errors(clash):
+    src, issue = CASE_CLASHES[clash]
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(parse(src))
+    assert [(i.message, i.line, i.col) for i in err.value.issues] == [issue]
+
+
+def test_scalar_parameters_may_differ_only_in_case():
+    """:k and :K are two parameters to SQLite, as to the program."""
+    src = """fn f(R: rel(a: int), k: int, K: int) {
+    var out: list(a: int);
+    for i in 0 .. size(R) {
+        if R[i].a > k && R[i].a < K {
+            out.append(R[i]);
+        }
+    }
+    return out;
+}"""
+    assert [p.name for p in typecheck(parse(src)).ast.params] == ["R", "k", "K"]
+
+
 def test_optint_cannot_appear_in_predicates():
     src = """
 fn f(R: rel(a: int)) {

@@ -290,3 +290,21 @@ def test_a_reserved_result_field_name_is_a_type_error(field):
     )
     with pytest.raises(TypeCheckError, match=f"field name '{field}' of 'out' is reserved"):
         typecheck(parse(src))
+
+
+def test_sqlite_reads_names_but_not_parameters_case_insensitively():
+    """The ground of the type checker's letter-case rule: SQLite holds no
+    tables r and R side by side and reads R.A as R.a, yet binds :k and :K
+    as two values."""
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE r (a)")
+        with pytest.raises(sqlite3.OperationalError, match="already exists"):
+            conn.execute("CREATE TABLE R (a)")
+        with pytest.raises(sqlite3.OperationalError, match="duplicate column"):
+            conn.execute("CREATE TABLE S (a, A)")
+        conn.execute("INSERT INTO r VALUES (1)")
+        assert conn.execute("SELECT r.A, R.a FROM R").fetchall() == [(1, 1)]
+        assert conn.execute("SELECT :k, :K", {"k": 1, "K": 2}).fetchall() == [(1, 2)]
+    finally:
+        conn.close()

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qilc import axioms, synth, tor, verify
+from qilc import axioms, interp, synth, tor, verify
 from qilc.frontend import parse, typecheck
-from qilc.relation import INT, Schema, SchemaError
+from qilc.relation import INT, OrderedRelation, Schema, SchemaError
 from qilc.synth import Candidate, derive_invariants, enumerate_candidates, extract_template
 from qilc.verify import (
     BREAK_EXIT,
@@ -968,3 +968,60 @@ def test_empty_at_zero_on_hand_built_invariants(benchmarks, e, empty):
     assert verify._empty_at_zero(e, "i") == empty
     # over cross_join's R(a: int) and S(b: int), with j its inner index
     assert _empty_by_eval(e, benchmarks["cross_join"], "i") == empty
+
+
+# a statement on each side of the inner loop, the outer body's prefix and
+# suffix, which no corpus program has; at SMALL's ints (0, 1) only the
+# suffix can fire, so candidates get as far as Exit(j)
+AROUND = """
+fn around(R: rel(a: int), S: rel(a: int)) {
+    var out: list(a: int);
+    for i in 0 .. size(R) {
+        if R[i].a < 0 {
+            out.append(R[i]);
+        }
+        for j in 0 .. size(S) {
+            if R[i].a == S[j].a {
+                out.append(S[j]);
+            }
+        }
+        if R[i].a > 0 {
+            out.append(R[i]);
+        }
+    }
+    return out;
+}
+"""
+
+
+def test_statements_around_an_inner_loop():
+    """LoopInfo carries the statements around the inner loop, the
+    interpreter runs them on each side of it, and on the program's first 40
+    candidates the deciders and the sweep agree: the same status and VC
+    count, and the sweep's instances and counterexample wherever it decides
+    the failing VC. The nested row scan reports its own first violation and
+    count (see verify's docstring), which must replay."""
+    tp = typecheck(parse(AROUND))
+    outer, inner = tp.loops
+    body = outer.node.body
+    assert (outer.prefix, outer.suffix) == ((), ())
+    assert (inner.prefix, inner.node, inner.suffix) == ((body[0],), body[1], (body[2],))
+    schema = Schema((("a", INT),))
+    R = OrderedRelation(schema, ((-1,), (0,), (3,)))
+    S = OrderedRelation(schema, ((3,), (0,)))
+    # -1 by the prefix, 0 by the inner loop, 3 by the inner loop then the suffix
+    assert interp.run(tp, {"R": R, "S": S}).rows == ((-1,), (0,), (3,), (3,))
+    failed_at = set()
+    for cand in itertools.islice(enumerate_candidates(tp, extract_template(tp), 24), 40):
+        inv = derive_invariants(tp, cand)
+        fast = validate(tp, cand, inv, SMALL)
+        slow = validate(tp, cand, inv, SMALL, fast=False)
+        assert (fast.status, fast.vcs) == (slow.status, slow.vcs), cand.serialization()
+        cex = fast.counterexample
+        if cex is not None and cex.vc == VC(PRESERVATION, "j"):
+            assert cex.vc == slow.counterexample.vc and recheck(tp, cand, inv, cex)
+        else:
+            assert _verdict(fast) == _verdict(slow), cand.serialization()
+        failed_at.add(cex and cex.vc)
+    # Initiation(j) runs the prefix, Exit(j) the suffix
+    assert failed_at == {VC(PRESERVATION, "j"), VC(EXIT, "j")}
